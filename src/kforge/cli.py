@@ -177,6 +177,7 @@ def cmd_kappa(cfg: RunConfig) -> Report:
             raise ConfigError(f"{q} is not a Kolyvagin prime")
         s *= q
     report = Report("kappa", cfg.as_block())
+    coc = None
     if s > 1:
         coc, dt = _timed(cocycle_closed_form, E, params, s)
         report.add(
@@ -191,7 +192,7 @@ def cmd_kappa(cfg: RunConfig) -> Report:
             },
             dt,
         )
-    kc, dt = _timed(kappa, E, params, s, cfg.seed)
+    kc, dt = _timed(kappa, E, params, s, cfg.seed, coc)
     report.add(
         "kappa_class",
         "kappa:descent",

@@ -6,6 +6,20 @@ normalized so gcd(content, denominator) = 1.  Elements of the maximal real
 subfield are represented inside Q(zeta_m) as conjugation-invariant vectors;
 there is no separate field object for the real subfield.
 
+Products are formed by Kronecker substitution: each numerator vector is
+packed into one Python integer, one slot of whole bytes per coefficient, wide
+enough for any coefficient of the product plus a sign bit, so that the
+polynomial product is a single big-integer product and the coefficients are
+read back from its bytes.  A negative slot is stored in two's complement and
+borrows one from the slot above, on packing and on unpacking alike.
+
+Every vector that leaves the power basis (a product, a Galois image, an
+embedding, a power of zeta) goes through one reduction.  It first folds the
+vector modulo x^m - 1, which is exact because Phi_m divides x^m - 1, and
+leaves at most m coefficients.  It then clears the top m - phi(m) of them
+with the nonzero coefficients of Phi_m alone, which are split once per field
+into +1, -1 and the rest.
+
 Field tables (the cyclotomic polynomial and the unit-group enumeration) are
 cached per conductor, in memory always and optionally on disk.
 """
@@ -15,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,12 +65,25 @@ class CycloField:
     phi: int
     poly: PolyZ
     unit_group: tuple[int, ...]
+    # nonzero coefficients of Phi_m below its leading term: the exponents whose
+    # coefficient is +1, those whose coefficient is -1, and (exponent, coeff)
+    # for the rest
+    tail: tuple = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        low = list(enumerate(self.poly[: self.phi]))
+        tail = (
+            tuple(j for j, c in low if c == 1),
+            tuple(j for j, c in low if c == -1),
+            tuple((j, c) for j, c in low if c not in (0, 1, -1)),
+        )
+        object.__setattr__(self, "tail", tail)
 
     def root(self, e: int = 1) -> "CycloElt":
         """zeta_m^e as a field element."""
         vec = [0] * self.m
         vec[e % self.m] = 1
-        return CycloElt(self, tuple(_reduce_vec(vec, self.poly, self.phi)), 1)
+        return CycloElt(self, tuple(_reduce_vec(self, vec)), 1)
 
     def from_rational(self, value) -> "CycloElt":
         value = Fraction(value)
@@ -153,19 +180,86 @@ def _store_field_table(field: CycloField) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_vec(vec: list[int], poly: PolyZ, phi: int) -> list[int]:
-    """Reduce an integer coefficient list modulo the monic field polynomial."""
+def _reduce_vec(field: CycloField, vec: list[int]) -> list[int]:
+    """Reduce an integer coefficient list of any length modulo Phi_m, in place.
+
+    Folding modulo x^m - 1 leaves at most m coefficients; each of the top
+    m - phi is then cleared with the sparse tail of Phi_m.
+    """
+    m, phi = field.m, field.phi
+    for i in range(m, len(vec)):
+        vec[i % m] += vec[i]
+    del vec[m:]
+    plus, minus, other = field.tail
     for i in range(len(vec) - 1, phi - 1, -1):
         c = vec[i]
         if c:
             base = i - phi
-            for j in range(phi):
-                vec[base + j] -= c * poly[j]
-            vec[i] = 0
+            for j in plus:
+                vec[base + j] -= c
+            for j in minus:
+                vec[base + j] += c
+            for j, a in other:
+                vec[base + j] -= a * c
     del vec[phi:]
-    while len(vec) < max(phi, 1):
-        vec.append(0)
+    vec.extend([0] * (max(phi, 1) - len(vec)))
     return vec
+
+
+def _pack(vec, width: int) -> int:
+    """sum vec[i] * 256^(width*i) as one integer, for |vec[i]| < 2^(8*width - 1).
+
+    Each slot is written once into a preallocated buffer; a negative slot is
+    stored in two's complement and borrows one from the slot above.
+    """
+    buf = bytearray(width * len(vec))
+    pos = borrow = 0
+    for c in vec:
+        c -= borrow
+        buf[pos : pos + width] = c.to_bytes(width, "little", signed=True)
+        borrow = 1 if c < 0 else 0
+        pos += width
+    return int.from_bytes(buf, "little", signed=True)
+
+
+def _unpack(data: bytes, width: int) -> list[int]:
+    """The slots c_i of value = sum c_i * 256^(width*i), |c_i| < 2^(8*width - 1),
+    from the two's-complement bytes of value."""
+    view = memoryview(data)
+    out = []
+    carry = 0
+    for pos in range(0, len(data), width):
+        c = int.from_bytes(view[pos : pos + width], "little", signed=True)
+        out.append(c + carry)
+        carry = 1 if c < 0 else 0
+    return out
+
+
+def _nonzero_prefix(vec: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(vec)
+    while n and not vec[n - 1]:
+        n -= 1
+    return vec[:n]
+
+
+def _poly_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Coefficients of the integer polynomial product a * b, by Kronecker
+    substitution: one big-integer product of the packed vectors."""
+    square = a is b
+    a, b = _nonzero_prefix(a), _nonzero_prefix(b)
+    if not a or not b:
+        return []
+    bits_a = max(abs(c).bit_length() for c in a)
+    bits_b = bits_a if square else max(abs(c).bit_length() for c in b)
+    # |product coefficient| < min(len) * 2^(bits_a + bits_b); one more bit for the sign
+    bits = bits_a + bits_b + min(len(a), len(b)).bit_length() + 1
+    width = (bits + 7) // 8
+    packed = _pack(a, width)
+    product = packed * packed if square else packed * _pack(b, width)
+    del packed
+    data = product.to_bytes(width * (len(a) + len(b) - 1), "little", signed=True)
+    del product
+    return _unpack(data, width)
 
 
 def _normalized(field: CycloField, nums: list[int], den: int) -> "CycloElt":
@@ -224,14 +318,7 @@ class CycloElt:
 
     def __mul__(self, other: "CycloElt") -> "CycloElt":
         self._same_field(other)
-        a, b = self.num, other.num
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        vec = _reduce_vec(out, self.field.poly, self.field.phi)
+        vec = _reduce_vec(self.field, _poly_product(self.num, other.num))
         return _normalized(self.field, vec, self.den * other.den)
 
     def __pow__(self, e: int) -> "CycloElt":
@@ -294,7 +381,7 @@ def one_minus_root_inverse(field: CycloField, k: int) -> CycloElt:
     vec = [0] * field.m
     for i in range(r - 1):
         vec[i * k % field.m] += r - 1 - i
-    reduced = _reduce_vec(vec, field.poly, field.phi)
+    reduced = _reduce_vec(field, vec)
     return _normalized(field, reduced, r)
 
 
@@ -328,14 +415,14 @@ class GaloisElt:
 def galois_apply(s: GaloisElt, x: CycloElt) -> CycloElt:
     if s.field.m != x.field.m:
         raise DomainError("automorphism and element fields differ")
-    m, phi = x.field.m, x.field.phi
+    m = x.field.m
     if m == 1:
         return x
     vec = [0] * m
     for i, c in enumerate(x.num):
         if c:
             vec[i * s.a % m] += c
-    reduced = _reduce_vec(vec, x.field.poly, phi)
+    reduced = _reduce_vec(x.field, vec)
     return _normalized(x.field, reduced, x.den)
 
 
@@ -415,7 +502,7 @@ def embed_up(x: CycloElt, m_big: int) -> CycloElt:
     for i, c in enumerate(x.num):
         if c:
             vec[i * k % m_big] += c
-    reduced = _reduce_vec(vec, big.poly, big.phi)
+    reduced = _reduce_vec(big, vec)
     return _normalized(big, reduced, x.den)
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, InternalInconsistency
 
 Rational = Fraction
 
@@ -613,7 +613,8 @@ def hensel_lift_root(f: PolyZ, ell: int, c: int, k: int) -> ResidueInt:
         prec = min(2 * prec, k)
         mod = ell**prec
         r = (r - ip_eval(f, r) * pow(ip_eval(deriv, r), -1, mod)) % mod
-    assert ip_eval(f, r) % ell**k == 0
+    if ip_eval(f, r) % ell**k != 0:
+        raise InternalInconsistency("Hensel lift is not a root modulo ell^k")
     return ResidueInt(r, ell**k)
 
 

@@ -491,19 +491,27 @@ class KappaClass:
     cocycle: Cocycle | None = None
 
 
-def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaClass:
+def kappa(
+    E: EulerSystem, params: KolyParams, s: int, seed: int = 0, cocycle: Cocycle | None = None
+) -> KappaClass:
     """The Kolyvagin class at level s, certified exactly.
 
     kappa is recovered inside Q(zeta_m) by solving kappa * beta^M = D_s phi
     linearly over the embedded power basis (so the huge beta is never
     inverted) and the identity is then re-verified by one multiplication.
+    A cocycle already built by cocycle_closed_form for (params, s) is reused
+    instead of being recomputed; it must carry a passing certificate.
     """
     params.validate_system(E)
     if s == 1:
         field = get_field(params.conductor)
         value = phi_eval(E, RootOfUnity(params.conductor, 1))
         return KappaClass(params, 1, value, field.one, seed, None)
-    coc = cocycle_closed_form(E, params, s)
+    coc = cocycle_closed_form(E, params, s) if cocycle is None else cocycle
+    if coc.params != params or coc.s != s:
+        raise DomainError("cocycle belongs to another configuration")
+    if not coc.certified:
+        raise InternalInconsistency("cocycle certificate failed")
     beta = hilbert90_beta(coc, seed)
     beta_m = beta**params.M
     value = divide_into_subfield(coc.dsphi, beta_m, params.conductor)

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from kforge import __version__
+from kforge import __version__, cli, kolyvagin
 from kforge.cli import build_parser, main
 from kforge.cyclotomic import _FIELDS, get_field, set_disk_cache
 
@@ -83,6 +83,21 @@ class TestReports:
         assert names == ["cocycle_certificate", "kappa_class"]
         kap = report["checks"][1]["witness"]["kappa"]
         assert kap["conductor"] == "5" and len(kap["num"]) == 4
+
+    def test_kappa_certifies_the_cocycle_once(self, capsys, monkeypatch):
+        built = []
+        closed_form = kolyvagin.cocycle_closed_form
+
+        def counted(*args):
+            built.append(args[2])
+            return closed_form(*args)
+
+        monkeypatch.setattr(kolyvagin, "cocycle_closed_form", counted)
+        monkeypatch.setattr(cli, "cocycle_closed_form", counted)
+        assert run_main(["kappa", "--s", "11", "--seed", "42"]) == 0
+        assert built == [11]
+        err = capsys.readouterr().err
+        assert "[timing] cocycle_certificate:" in err and "[timing] kappa_class:" in err
 
     def test_factorize_report(self, capsys):
         assert run_main(["factorize", "--q", "11", "--seed", "42"]) == 0

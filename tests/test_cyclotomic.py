@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from kforge.cyclotomic import (
     relative_norm,
     restrict_down,
     tower_subgroup,
+    _pack,
+    _unpack,
 )
 from kforge.exact_arith import euler_phi, factorize, ip_divmod_monic, ip_mul, ip_trim, poly_trim
 
@@ -289,3 +292,165 @@ class TestRootOfUnity:
 def test_field_cache_identity():
     assert get_field(35) is get_field(35)
     assert euler_phi(35) == get_field(35).phi
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the element kernels against the schoolbook reference
+# ---------------------------------------------------------------------------
+
+
+def dense_reduce(vec, poly, phi):
+    """Reference reduction: clear every coefficient above phi with the whole of Phi_m."""
+    for i in range(len(vec) - 1, phi - 1, -1):
+        c = vec[i]
+        if c:
+            for j in range(phi):
+                vec[i - phi + j] -= c * poly[j]
+            vec[i] = 0
+    del vec[phi:]
+    return vec + [0] * (max(phi, 1) - len(vec))
+
+
+def reference_element(field, vec, den):
+    reduced = dense_reduce(list(vec), field.poly, field.phi)
+    return field.from_coeffs([Fraction(c, den) for c in reduced])
+
+
+def schoolbook_mul(x, y):
+    a, b = x.num, y.num
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return reference_element(x.field, out, x.den * y.den)
+
+
+def reference_galois(a, x):
+    m = x.field.m
+    if m == 1:
+        return x
+    vec = [0] * m
+    for i, c in enumerate(x.num):
+        vec[i * a % m] += c
+    return reference_element(x.field, vec, x.den)
+
+
+def reference_embed(x, m_big):
+    k = m_big // x.field.m
+    vec = [0] * m_big
+    for i, c in enumerate(x.num):
+        vec[i * k % m_big] += c
+    return reference_element(get_field(m_big), vec, x.den)
+
+
+# 1 and 2; a prime, whose reduction is one step; a prime power; and 105,
+# whose cyclotomic polynomial has a coefficient -2
+KERNEL_CONDUCTORS = st.sampled_from([1, 2, 13, 9, 105])
+
+
+@st.composite
+def elements(draw, field, bits=None):
+    """Zero, or a numerator vector of `bits`-bit coefficients of mixed sign that
+    often sit exactly at +-2^(bits-1), over a small denominator."""
+    n = max(field.phi, 1)
+    if bits is None:
+        bits = draw(st.sampled_from([1, 7, 8, 9, 64, 2000]))
+    top = 2 ** (bits - 1)
+    coeff = st.one_of(
+        st.integers(1 - 2 * top, 2 * top - 1),
+        st.sampled_from([0, top, -top, top - 1, 1 - top]),
+    )
+    num = draw(st.one_of(st.just([0] * n), st.lists(coeff, min_size=n, max_size=n)))
+    den = draw(st.integers(1, 12))
+    return field.from_coeffs([Fraction(c, den) for c in num])
+
+
+class TestKernelsAgainstSchoolbook:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_multiply(self, data):
+        field = get_field(data.draw(KERNEL_CONDUCTORS))
+        x, y = data.draw(elements(field)), data.draw(elements(field))
+        assert x * y == schoolbook_mul(x, y)
+        assert x * x == schoolbook_mul(x, x)  # squaring packs one operand
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_multiply_unbalanced(self, data):
+        field = get_field(data.draw(KERNEL_CONDUCTORS))
+        small, big = data.draw(elements(field, bits=1)), data.draw(elements(field, bits=2000))
+        assert small * big == schoolbook_mul(small, big)
+        assert big * small == schoolbook_mul(big, small)
+
+    @pytest.mark.parametrize("m", [1, 2, 13, 9, 105])
+    @pytest.mark.parametrize("bits", [1, 2, 6, 9, 64, 2000])
+    def test_multiply_at_the_coefficient_bound(self, m, bits):
+        # every coefficient at the largest magnitude of its bit size, so the
+        # middle product coefficients reach phi * (2^bits - 1)^2, the bound the
+        # slot width is sized for (for m = 105 and 9 bits, exactly 3 bytes plus a sign bit)
+        field = get_field(m)
+        peak = 2**bits - 1
+        plus = field.from_coeffs([peak] * max(field.phi, 1))
+        minus = -plus
+        for x, y in ((plus, plus), (plus, minus), (minus, minus)):
+            assert x * y == schoolbook_mul(x, y)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_galois(self, data):
+        field = get_field(data.draw(KERNEL_CONDUCTORS))
+        x = data.draw(elements(field))
+        a = data.draw(st.sampled_from(field.unit_group))
+        assert galois_apply(GaloisElt(field, a), x) == reference_galois(a, x)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_embed(self, data):
+        field = get_field(data.draw(KERNEL_CONDUCTORS))
+        x = data.draw(elements(field))
+        m_big = field.m * data.draw(st.sampled_from([1, 2, 3, 5]))
+        assert embed_up(x, m_big) == reference_embed(x, m_big)
+
+    @pytest.mark.parametrize("m", [1, 2, 13, 9, 105])
+    def test_roots_of_unity(self, m):
+        field = get_field(m)
+        for e in range(-1, 2 * m + 1):
+            vec = [0] * m
+            vec[e % m] = 1
+            assert field.root(e) == reference_element(field, vec, 1)
+            if e % m:
+                assert (field.one - field.root(e)) * one_minus_root_inverse(field, e) == field.one
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.data())
+    def test_pack_and_unpack_at_slot_boundaries(self, width, data):
+        # a slot holds |c| < 2^(8*width - 1); -2^(8*width - 1) would alias
+        # 2^(8*width - 1) once a borrow arrives, so the widest slots are +-(top - 1)
+        top = 2 ** (8 * width - 1)
+        slot = st.sampled_from([1 - top, top - 1, -1, 0, 1]) | st.integers(1 - top, top - 1)
+        slots = data.draw(st.lists(slot, min_size=1, max_size=12))
+        value = sum(c << (8 * width * i) for i, c in enumerate(slots))
+        assert _pack(slots, width) == value
+        assert _unpack(value.to_bytes(width * len(slots), "little", signed=True), width) == slots
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 21, 105])
+def test_product_against_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    modulus = sympy.Poly(sympy.cyclotomic_poly(m, x), x, domain="QQ")
+    field = get_field(m)
+    rng = random.Random(m)
+
+    def draw():
+        return [Fraction(rng.randint(-(2**70), 2**70), rng.randint(1, 9)) for _ in range(max(field.phi, 1))]
+
+    def as_poly(coeffs):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x, domain="QQ")
+
+    for _ in range(4):
+        a, b = draw(), draw()
+        rem = sympy.rem(as_poly(a) * as_poly(b), modulus)
+        expected = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+        expected += [Fraction(0)] * (max(field.phi, 1) - len(expected))
+        assert (field.from_coeffs(a) * field.from_coeffs(b)).coeffs == tuple(expected)

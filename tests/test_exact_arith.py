@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kforge.errors import DomainError
+from kforge import exact_arith
+from kforge.errors import DomainError, InternalInconsistency
 from kforge.exact_arith import (
     FiniteField,
     ResidueInt,
@@ -169,6 +170,22 @@ class TestHensel:
     def test_non_root_rejected(self):
         with pytest.raises(DomainError, match="not a root"):
             hensel_lift_root((1, 1, 1, 1, 1), 11, 2, 2)
+
+    def test_failed_lift_raises(self, monkeypatch):
+        # A derivative that is off by a multiple of ell passes the obstruction
+        # check but stops Newton from converging quadratically, so the lift is
+        # no longer a root modulo ell^k and the final re-verification refuses it.
+        f, ell = (1, 1, 1, 1, 1), 11
+        deriv = exact_arith.ip_derivative(f)
+        real_eval = exact_arith.ip_eval
+
+        def wrong_derivative(a, x):
+            value = real_eval(a, x)
+            return value + ell if tuple(a) == deriv else value
+
+        monkeypatch.setattr(exact_arith, "ip_eval", wrong_derivative)
+        with pytest.raises(InternalInconsistency, match="Hensel lift"):
+            hensel_lift_root(f, ell, 3, 6)
 
 
 def test_padic_valuation():

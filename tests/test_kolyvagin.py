@@ -1,8 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from kforge.errors import ConfigError, DomainError
+from kforge.errors import ConfigError, DomainError, InternalInconsistency
 from kforge.cyclotomic import (
     RootOfUnity,
     conjugate,
@@ -15,6 +16,7 @@ from kforge.euler import parse_omega, phi_eval
 from kforge.exact_arith import ip_eval, primes_upto
 from kforge.kolyvagin import (
     GroupRingOp,
+    _certify,
     KolyParams,
     apply_derivative,
     apply_group_ring,
@@ -159,6 +161,44 @@ class TestCocycle:
         assert coc.values[19] == phi_eval(BASIC, level_root(params, 19)) ** 6
 
 
+class TestPerturbedCocycle:
+    """Negative controls: the certificate and everything downstream of it must
+    refuse a cocycle value that is off by a root of unity or by a rational."""
+
+    @staticmethod
+    def perturbed(coc, factor):
+        field = coc.field
+        unit = field.root(1) if factor == "zeta" else field.from_rational(2)
+        values = dict(coc.values)
+        q = min(values)
+        values[q] = values[q] * unit
+        return dataclasses.replace(coc, values=values)
+
+    @pytest.mark.parametrize("factor", ["zeta", "two"])
+    def test_certificate_fails(self, factor):
+        coc = cocycle_closed_form(BASIC, KolyParams(5, 0, 5), 11)
+        bad = self.perturbed(coc, factor)
+        _certify(bad)
+        assert not bad.certified
+        _certify(coc)  # the unperturbed values still pass
+        assert coc.certified and coc.norm_trivial
+
+    @pytest.mark.parametrize("factor", ["zeta", "two"])
+    def test_no_class_from_a_perturbed_cocycle(self, factor):
+        params = KolyParams(5, 0, 5)
+        coc = cocycle_closed_form(BASIC, params, 11)
+        # the flag still says certified: the resolvent's own relation check refuses it
+        stale = self.perturbed(coc, factor)
+        with pytest.raises(InternalInconsistency):
+            hilbert90_beta(stale, 42)
+        with pytest.raises(InternalInconsistency):
+            kappa(BASIC, params, 11, 42, stale)
+        # re-certified, kappa refuses it before any work
+        _certify(stale)
+        with pytest.raises(InternalInconsistency, match="certificate"):
+            kappa(BASIC, params, 11, 42, stale)
+
+
 class TestHilbert90:
     def test_defining_relation(self):
         params = KolyParams(5, 0, 5)
@@ -203,6 +243,16 @@ class TestKappa:
         assert a.kappa != b.kappa  # representatives differ
         w = ratio_mth_power_witness(a, b)
         assert b.kappa * w**5 == a.kappa
+
+    def test_reuses_a_given_cocycle(self):
+        params = KolyParams(5, 0, 5)
+        coc = cocycle_closed_form(BASIC, params, 11)
+        given = kappa(BASIC, params, 11, 42, coc)
+        fresh = kappa(BASIC, params, 11, 42)
+        assert given.cocycle is coc
+        assert given.kappa == fresh.kappa and given.beta == fresh.beta
+        with pytest.raises(DomainError, match="another configuration"):
+            kappa(BASIC, params, 31, 42, coc)
 
     def test_config_mismatch_rejected(self):
         params = KolyParams(5, 0, 5)
