@@ -129,9 +129,9 @@ def _axiom_entry(report: Report, ax: AxiomReport, anchor: str, elapsed: float):
     report.add(ax.name, anchor, ax.passed, witness, elapsed)
 
 
-def _timed(fn, *args):
+def _timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
-    out = fn(*args)
+    out = fn(*args, **kwargs)
     return out, time.perf_counter() - t0
 
 
@@ -237,7 +237,9 @@ def cmd_factorize(cfg: RunConfig) -> Report:
             },
             dt,
         )
-        cr, dt = _timed(class_relation, E, params, q, cfg.seed)
+        # at s = 1 the level-s*q class just certified is the level-q witness
+        witness = rep.class_sq if s == 1 else None
+        cr, dt = _timed(class_relation, E, params, q, cfg.seed, witness=witness)
         report.add(
             f"class_relation_q{q}",
             "annihilator:group-ring",

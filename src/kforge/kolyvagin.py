@@ -337,14 +337,15 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
         inv_values[q] = x_inv**e
         dsphi = apply_derivative(x, q)
     else:
-        dsphi = apply_derivative(apply_derivative(x, qs[0]), qs[1])
+        d_x = {r: apply_derivative(x, r) for r in qs}
+        dsphi = apply_derivative(d_x[qs[0]], qs[1])
         for q in qs:
             r = s // q
             sub = cocycle_closed_form(E, params, r)
             t_r = least_primitive_root(r)
             e_frob = _int_dlog(t_r, q % r, r)
             frob_exps[q] = e_frob
-            d_r_x = apply_derivative(x, r)
+            d_r_x = d_x[r]
             d_r_x_inv = apply_derivative(x_inv, r)
             sub_c = embed_up(sub.values[r], N)
             sub_c_inv = embed_up(sub.inv_values[r], N)
@@ -381,62 +382,27 @@ def _int_dlog(base: int, target: int, q: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _group_elements(coc: Cocycle):
-    """All exponent tuples of G(s), lexicographic, with their Galois residues."""
-    qs = sorted(coc.values)
-    ranges = [range(q - 1) for q in qs]
-    sigmas = {q: lifted_sigma(coc.field, q) for q in qs}
-    out = []
-
-    def rec(i, exps, a):
-        if i == len(qs):
-            out.append((tuple(exps), a))
-            return
-        q = qs[i]
-        cur = a
-        for e in ranges[i]:
-            rec(i + 1, exps + [e], cur)
-            cur = cur * sigmas[q].a % coc.field.m
-    rec(0, [], 1)
-    return qs, out
+def _generator_chain(a: CycloElt, sigma: GaloisElt, order: int) -> list[CycloElt]:
+    """[a_{sigma^e} for e < order] from a = a_sigma by a_{sigma^(e+1)} =
+    a_{sigma^e} * sigma^e(a), after checking the norm a_{sigma^order} is 1."""
+    one = a.field.one
+    chain = [one, a]
+    moved = a
+    while len(chain) <= order:
+        moved = galois_apply(sigma, moved)
+        chain.append(chain[-1] * moved)
+    if chain.pop() != one:
+        raise InternalInconsistency("cocycle norm condition failed")
+    return chain
 
 
-def _cocycle_extension(coc: Cocycle) -> dict[tuple[int, ...], CycloElt]:
-    """Extend a_sigma = c_sigma^(-1) from the generators to all of G(s) by
-    a_{sigma tau} = a_sigma * sigma(a_tau); consistency is checked on all
-    generator pairs."""
-    field = coc.field
-    qs = sorted(coc.values)
-    chains: dict[int, list[CycloElt]] = {}
-    for q in qs:
-        a_gen = coc.inv_values[q]
-        sigma = lifted_sigma(field, q)
-        chain = [field.one]
-        moved = a_gen
-        for _ in range(q - 2):
-            chain.append(chain[-1] * moved)
-            moved = galois_apply(sigma, moved)
-        chain.append(chain[-1] * moved)  # the full norm, must be 1
-        if chain.pop() != field.one:
-            raise InternalInconsistency("cocycle norm condition failed")
-        chains[q] = chain
-    for i, q1 in enumerate(qs):
-        for q2 in qs[i + 1 :]:
-            a1, a2 = coc.inv_values[q1], coc.inv_values[q2]
-            s1, s2 = lifted_sigma(field, q1), lifted_sigma(field, q2)
-            if a1 * galois_apply(s1, a2) != a2 * galois_apply(s2, a1):
-                raise InternalInconsistency("cocycle extension is inconsistent")
-    ext: dict[tuple[int, ...], CycloElt] = {}
-    _, elements = _group_elements(coc)
-    sigmas = {q: lifted_sigma(field, q) for q in qs}
-    for exps, _ in elements:
-        value = field.one
-        shift = 1
-        for q, e in zip(qs, exps):
-            value = value * galois_apply(GaloisElt(field, shift), chains[q][e])
-            shift = shift * pow(sigmas[q].a, e, field.m) % field.m
-        ext[exps] = value
-    return ext
+def _resolvent_factor(y: CycloElt, chain: list[CycloElt], sigma: GaloisElt) -> CycloElt:
+    """R(y) = sum_e a_{sigma^e} sigma^e(y); the e = 0 term is y itself."""
+    total = moved = y
+    for a in chain[1:]:
+        moved = galois_apply(sigma, moved)
+        total = total + a * moved
+    return total
 
 
 def _sample_theta(field: CycloField, rng: random.Random) -> CycloElt:
@@ -452,25 +418,43 @@ def _sample_theta(field: CycloField, rng: random.Random) -> CycloElt:
 
 def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:
     """An element beta with sigma(beta) = c_sigma * beta for every generator,
-    by the averaging resolvent beta = sum_tau a_tau tau(theta).
+    by the averaging resolvent beta = sum_tau a_tau tau(theta) over G(s).
 
     The resolvent solves beta^(1-sigma) = a_sigma; taking a_sigma to be the
-    inverse of the cocycle value yields the wanted direction.  theta is drawn
-    deterministically from the seed and resampled while beta vanishes.
+    inverse of the cocycle value yields the wanted direction.  G(s) is the
+    product of the cyclic groups generated by sigma_q for q_1 < ... < q_k,
+    and the cocycle rule a_{sigma tau} = a_sigma * sigma(a_tau) writes
+    a_tau for tau = sigma_1^e_1 ... sigma_k^e_k as
+    a_{sigma_1^e_1} * sigma_1^e_1(a_{sigma_2^e_2}) * ..., so the sum
+    factors one cyclic group at a time:
+
+        beta = R_1(R_2(... R_k(theta))),  R_q(y) = sum_e a_{sigma_q^e} sigma_q^e(y),
+
+    sum (q - 1) products in place of prod (q - 1).  It is the same element
+    as the sum over G(s), not merely another solution.  The chains
+    a_{sigma_q^e} are checked against the norm condition and the generator
+    pairs against a_1 sigma_1(a_2) = a_2 sigma_2(a_1) before any sum is
+    formed.  theta is drawn deterministically from the seed and resampled
+    while beta vanishes.
     """
     field = coc.field
-    ext = _cocycle_extension(coc)
-    _, elements = _group_elements(coc)
+    qs = sorted(coc.values)
+    sigmas = {q: lifted_sigma(field, q) for q in qs}
+    chains = {q: _generator_chain(coc.inv_values[q], sigmas[q], q - 1) for q in qs}
+    for i, q1 in enumerate(qs):
+        for q2 in qs[i + 1 :]:
+            a1, a2 = coc.inv_values[q1], coc.inv_values[q2]
+            if a1 * galois_apply(sigmas[q1], a2) != a2 * galois_apply(sigmas[q2], a1):
+                raise InternalInconsistency("cocycle extension is inconsistent")
     rng = random.Random(seed)
     for _ in range(32):
-        theta = _sample_theta(field, rng)
-        beta = field.zero
-        for exps, a_res in elements:
-            beta = beta + ext[exps] * galois_apply(GaloisElt(field, a_res), theta)
+        beta = _sample_theta(field, rng)
+        for q in reversed(qs):
+            beta = _resolvent_factor(beta, chains[q], sigmas[q])
         if beta.is_zero():
             continue
         for q, c in coc.values.items():
-            if galois_apply(lifted_sigma(field, q), beta) != c * beta:
+            if galois_apply(sigmas[q], beta) != c * beta:
                 raise InternalInconsistency("resolvent does not satisfy the relation")
         if conjugate(beta) != beta:
             raise InternalInconsistency("resolvent left the real subfield")

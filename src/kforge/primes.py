@@ -30,7 +30,7 @@ from .exact_arith import (
     is_prime,
     least_primitive_root,
 )
-from .kolyvagin import KappaClass, KolyParams, find_kolyvagin_primes, kappa
+from .kolyvagin import Cocycle, KappaClass, KolyParams, find_kolyvagin_primes, kappa
 
 _VALUATION_BUDGET = 512
 
@@ -277,22 +277,30 @@ class FactorizationReport:
     part_ii_dlogs: IdealVector
     passed: bool
     witness: dict = dc_field(default_factory=dict)
+    class_sq: KappaClass | None = None
 
 
 def check_factorization(
-    E: EulerSystem, params: KolyParams, s: int, q: int, seed: int = 0
+    E: EulerSystem,
+    params: KolyParams,
+    s: int,
+    q: int,
+    seed: int = 0,
+    cocycle: Cocycle | None = None,
 ) -> FactorizationReport:
     """Both parts of the ideal-factorization law at q.
 
     Part (i): the class at level s has trivial projection at q.  Part (ii):
     the projection of the level s*q class equals the discrete-log vector of
     the level-s class.  The two sides of (ii) come from disjoint pipelines
-    (Hensel valuations vs. residue discrete logs).
+    (Hensel valuations vs. residue discrete logs).  A certified cocycle for
+    level s*q is handed to kappa, under kappa's contract, instead of being
+    rebuilt; the level-s*q class is returned with the report.
     """
     data = split_prime_data(q, params.conductor)
     k_s = kappa(E, params, s, seed)
     part_i = ideal_vector(k_s.kappa, params.M, data)
-    k_sq = kappa(E, params, s * q, seed)
+    k_sq = kappa(E, params, s * q, seed, cocycle)
     lhs = ideal_vector(k_sq.kappa, params.M, data)
     rhs = ideal_dlog_vector(k_s.kappa, params.M, data)
     passed = part_i.is_zero() and lhs.entries == rhs.entries
@@ -310,6 +318,7 @@ def check_factorization(
             "t": str(data.t),
             "gamma": str(data.gamma),
         },
+        k_sq,
     )
 
 
@@ -322,18 +331,29 @@ class ClassRelation:
 
 
 def class_relation(
-    E: EulerSystem, params: KolyParams, q: int, seed: int = 0, probe_limit: int = 100
+    E: EulerSystem,
+    params: KolyParams,
+    q: int,
+    seed: int = 0,
+    probe_limit: int = 100,
+    witness: KappaClass | None = None,
 ) -> ClassRelation:
     """The annihilator-style relation extracted from the factorization law.
 
     theta is the group-ring form of the discrete-log vector of the level-1
     class; the witness is the level-q class, whose ideal agrees with that
-    vector at q and is trivial mod M at every other probed split prime.
+    vector at q and is trivial mod M at every other probed split prime.  A
+    level-q class already built by kappa for (params, q, seed) is reused
+    instead of being recomputed.
     """
+    if witness is not None and (
+        witness.params != params or witness.s != q or witness.theta_seed != seed
+    ):
+        raise DomainError("class belongs to another configuration")
     data = split_prime_data(q, params.conductor)
     k_1 = kappa(E, params, 1, seed)
     theta = annihilator_from_dlogs(k_1.kappa, params.M, data)
-    k_q = kappa(E, params, q, seed)
+    k_q = kappa(E, params, q, seed) if witness is None else witness
     lhs = ideal_vector(k_q.kappa, params.M, data)
     rhs = ideal_dlog_vector(k_1.kappa, params.M, data)
     probes = {}

@@ -259,6 +259,6 @@ def test_stretch_two_prime_instance():
     assert coc.certified and coc.norm_trivial
     print(f"stretch cocycle certified ({time.perf_counter() - t0:.0f} s)", flush=True)
     t0 = time.perf_counter()
-    rep = check_factorization(E, params, 11, 31, seed=42)
+    rep = check_factorization(E, params, 11, 31, seed=42, cocycle=coc)
     assert rep.passed
     print(f"stretch factorization verified ({time.perf_counter() - t0:.0f} s)", flush=True)

@@ -99,6 +99,26 @@ class TestReports:
         err = capsys.readouterr().err
         assert "[timing] cocycle_certificate:" in err and "[timing] kappa_class:" in err
 
+    def test_factorize_builds_each_level_q_class_once(self, capsys, monkeypatch):
+        # at s = 1 the class checked by the factorization law is also the
+        # class relation's witness: one cocycle and one resolvent per q
+        built, solved = [], []
+        closed_form, resolvent = kolyvagin.cocycle_closed_form, kolyvagin.hilbert90_beta
+
+        def counted_cocycle(*args):
+            built.append(args[2])
+            return closed_form(*args)
+
+        def counted_resolvent(coc, seed):
+            solved.append(coc.s)
+            return resolvent(coc, seed)
+
+        monkeypatch.setattr(kolyvagin, "cocycle_closed_form", counted_cocycle)
+        monkeypatch.setattr(kolyvagin, "hilbert90_beta", counted_resolvent)
+        assert run_main(["factorize", "--q", "11,31", "--seed", "42"]) == 0
+        assert built == solved == [11, 31]
+        assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+
     def test_factorize_report(self, capsys):
         assert run_main(["factorize", "--q", "11", "--seed", "42"]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from kforge.errors import ConfigError, DomainError, InternalInconsistency
 from kforge.cyclotomic import (
+    GaloisElt,
     RootOfUnity,
     conjugate,
     embed_up,
@@ -17,6 +20,7 @@ from kforge.exact_arith import ip_eval, primes_upto
 from kforge.kolyvagin import (
     GroupRingOp,
     _certify,
+    _sample_theta,
     KolyParams,
     apply_derivative,
     apply_group_ring,
@@ -197,6 +201,97 @@ class TestPerturbedCocycle:
         _certify(stale)
         with pytest.raises(InternalInconsistency, match="certificate"):
             kappa(BASIC, params, 11, 42, stale)
+
+
+def product_sum_terms(coc):
+    """Reference for the resolvent: (a_tau, tau) for every tau in G(s), with
+    a_tau built element by element by the cocycle rule
+    a_tau = a_{sigma_1^e_1} * sigma_1^e_1(a_{sigma_2^e_2}) * ...,
+    where a_{sigma_q^e} = prod_{i<e} sigma_q^i(a_q)."""
+    field = coc.field
+    qs = sorted(coc.values)
+    gens = {q: lifted_sigma(field, q).a for q in qs}
+    chains = {}
+    for q in qs:
+        chain = [field.one]
+        for i in range(q - 2):
+            moved = galois_apply(GaloisElt(field, pow(gens[q], i, field.m)), coc.inv_values[q])
+            chain.append(chain[-1] * moved)
+        chains[q] = chain
+    terms = []
+    for exps in itertools.product(*(range(q - 1) for q in qs)):
+        value, shift = field.one, 1
+        for q, e in zip(qs, exps):
+            value = value * galois_apply(GaloisElt(field, shift), chains[q][e])
+            shift = shift * pow(gens[q], e, field.m) % field.m
+        terms.append((value, shift))
+    return terms
+
+
+def product_sum_beta(coc, terms, seed):
+    """sum_tau a_tau tau(theta) over all of G(s), theta drawn and resampled
+    exactly as hilbert90_beta draws it."""
+    field = coc.field
+    rng = random.Random(seed)
+    for _ in range(32):
+        theta = _sample_theta(field, rng)
+        beta = field.zero
+        for value, a in terms:
+            beta = beta + value * galois_apply(GaloisElt(field, a), theta)
+        if not beta.is_zero():
+            return beta
+    raise AssertionError("reference resolvent exhausted")
+
+
+@pytest.fixture(scope="module")
+def two_prime_cocycle():
+    return cocycle_closed_form(BASIC, KolyParams(3, 0, 3), 7 * 13)
+
+
+class TestFactoredResolvent:
+    """The resolvent summed one cyclic factor at a time is the same element
+    as the sum over all of G(s), and its input checks refuse bad cocycles."""
+
+    def test_single_prime_matches_product_sum(self):
+        coc = cocycle_closed_form(BASIC, KolyParams(5, 0, 5), 11)
+        terms = product_sum_terms(coc)
+        assert len(terms) == 10
+        for seed in (0, 1, 7, 42, 43):
+            assert hilbert90_beta(coc, seed) == product_sum_beta(coc, terms, seed)
+
+    def test_two_prime_matches_product_sum(self, two_prime_cocycle):
+        coc = two_prime_cocycle
+        terms = product_sum_terms(coc)
+        assert len(terms) == 6 * 12
+        for seed in (0, 7, 42):
+            assert hilbert90_beta(coc, seed) == product_sum_beta(coc, terms, seed)
+
+    def test_pair_consistency_refuses_a_perturbed_generator(self, two_prime_cocycle):
+        coc = two_prime_cocycle
+        field = coc.field
+        q = max(coc.values)
+        a = lifted_sigma(field, q).a
+        # sigma_q(v) / v for v = 1 - zeta: its sigma_q-norm is 1, so only the
+        # generator-pair check can see it
+        ratio = field.zero
+        for i in range(a):
+            ratio = ratio + field.root(i)
+        assert galois_apply(lifted_sigma(field, q), field.one - field.root(1)) == (
+            field.one - field.root(1)
+        ) * ratio
+        inv_values = dict(coc.inv_values)
+        inv_values[q] = inv_values[q] * ratio
+        with pytest.raises(InternalInconsistency, match="inconsistent"):
+            hilbert90_beta(dataclasses.replace(coc, inv_values=inv_values), 42)
+
+    @pytest.mark.parametrize("which", [min, max])
+    def test_norm_condition_refuses_a_scaled_generator(self, two_prime_cocycle, which):
+        coc = two_prime_cocycle
+        q = which(coc.values)
+        inv_values = dict(coc.inv_values)
+        inv_values[q] = inv_values[q].scale(2)
+        with pytest.raises(InternalInconsistency, match="norm condition"):
+            hilbert90_beta(dataclasses.replace(coc, inv_values=inv_values), 42)
 
 
 class TestHilbert90:

@@ -12,7 +12,7 @@ from kforge.cyclotomic import (
 )
 from kforge.euler import parse_omega, phi_eval
 from kforge.exact_arith import int_padic_valuation
-from kforge.kolyvagin import KolyParams, kappa, ratio_mth_power_witness
+from kforge.kolyvagin import KolyParams, cocycle_closed_form, kappa, ratio_mth_power_witness
 from kforge.primes import (
     annihilator_from_dlogs,
     apply_galois_to_annihilator,
@@ -215,6 +215,15 @@ class TestFactorizationLaw:
         assert a.passed and b.passed
         assert a.part_ii_dlogs.entries == b.part_ii_dlogs.entries
 
+    def test_reuses_a_certified_level_sq_cocycle(self):
+        coc = cocycle_closed_form(BASIC, PARAMS, 11)
+        given = check_factorization(BASIC, PARAMS, 1, 11, seed=42, cocycle=coc)
+        fresh = check_factorization(BASIC, PARAMS, 1, 11, seed=42)
+        assert given.class_sq.cocycle is coc
+        assert given.passed and given.witness == fresh.witness
+        with pytest.raises(DomainError, match="another configuration"):
+            check_factorization(BASIC, PARAMS, 1, 31, seed=42, cocycle=coc)
+
 
 class TestClassRelation:
     def test_q11(self):
@@ -222,6 +231,20 @@ class TestClassRelation:
         assert rel.relation_holds
         assert rel.theta.as_dict() == {1: 2, 2: 3}
         assert rel.probes == {31: True, 41: True, 61: True, 71: True}
+
+    def test_reuses_the_certified_level_q_class(self):
+        k_q = kappa(BASIC, PARAMS, 11, 42)
+        given = class_relation(BASIC, PARAMS, 11, seed=42, witness=k_q)
+        fresh = class_relation(BASIC, PARAMS, 11, seed=42)
+        assert given.witness_class is k_q
+        assert (given.theta, given.relation_holds, given.probes) == (
+            fresh.theta,
+            fresh.relation_holds,
+            fresh.probes,
+        )
+        for q, seed in ((31, 42), (11, 43)):
+            with pytest.raises(DomainError, match="another configuration"):
+                class_relation(BASIC, PARAMS, q, seed=seed, witness=k_q)
 
 
 class TestMthPower:
