@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import __version__
 from .errors import BudgetExhausted, ConfigError, DomainError, InternalInconsistency
-from .cyclotomic import RootOfUnity, elt_to_strings, set_disk_cache
+from .cyclotomic import RootOfUnity, elt_to_strings
 from .euler import (
     AxiomReport,
     EulerSystem,
@@ -61,7 +61,6 @@ class RunConfig:
     q: tuple[int, ...] = ()
     limit: int = 100
     seed: int = 0
-    cache_dir: str | None = None
     out: str | None = None
     self_test: bool = False
 
@@ -357,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--q", type=_int_list, default=(), help="comma-separated primes")
         cp.add_argument("--limit", type=int, default=100)
         cp.add_argument("--seed", type=int, default=0)
-        cp.add_argument("--cache-dir", default=None)
         cp.add_argument("--out", default=None)
         if name == "decompose":
             cp.add_argument("--self-test", action="store_true")
@@ -365,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(cfg: RunConfig) -> tuple[Report, int]:
-    cache = cfg.cache_dir or os.environ.get("KFORGE_CACHE")
-    set_disk_cache(cache)
     report = COMMANDS[cfg.command](cfg)
     return report, 0 if report.overall == "pass" else 1
 
@@ -396,7 +392,6 @@ def main(argv=None) -> int:
         q=ns.q,
         limit=ns.limit,
         seed=ns.seed,
-        cache_dir=ns.cache_dir,
         out=ns.out,
         self_test=getattr(ns, "self_test", False),
     )

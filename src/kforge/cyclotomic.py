@@ -21,14 +21,12 @@ with the nonzero coefficients of Phi_m alone, which are split once per field
 into +1, -1 and the rest.
 
 Field tables (the cyclotomic polynomial and the unit-group enumeration) are
-cached per conductor, in memory always and optionally on disk.
+cached in memory per conductor.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
@@ -111,13 +109,6 @@ class CycloField:
 
 
 _FIELDS: dict[int, CycloField] = {}
-_DISK_CACHE_DIR: str | None = None
-
-
-def set_disk_cache(directory: str | None) -> None:
-    """Point the per-conductor table cache at a directory (None disables)."""
-    global _DISK_CACHE_DIR
-    _DISK_CACHE_DIR = directory
 
 
 def get_field(m: int) -> CycloField:
@@ -125,54 +116,12 @@ def get_field(m: int) -> CycloField:
     field = _FIELDS.get(m)
     if field is not None:
         return field
-    loaded = _load_field_table(m) if _DISK_CACHE_DIR else None
-    if loaded is None:
-        poly = cyclotomic_polynomial(m)
-        units = tuple(a for a in range(1, m + 1) if math.gcd(a, m) == 1) if m > 1 else (1,)
-        field = CycloField(m, euler_phi(m), poly, units)
-        if _DISK_CACHE_DIR:
-            _store_field_table(field)
-    else:
-        field = loaded
+    poly = cyclotomic_polynomial(m)
+    units = tuple(a for a in range(1, m + 1) if math.gcd(a, m) == 1) if m > 1 else (1,)
+    field = CycloField(m, euler_phi(m), poly, units)
     if len(field.poly) - 1 != field.phi or len(field.unit_group) != field.phi:
         raise InternalInconsistency("field table is inconsistent")
     return _FIELDS.setdefault(m, field)
-
-
-def _table_checksum(m: int, poly, units) -> str:
-    import hashlib
-
-    payload = json.dumps({"m": m, "poly": list(poly), "units": list(units)}, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _load_field_table(m: int) -> CycloField | None:
-    path = os.path.join(_DISK_CACHE_DIR, f"cyclo_{m}.json")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        poly = tuple(int(c) for c in data["poly"])
-        units = tuple(int(a) for a in data["units"])
-        if data.get("checksum") != _table_checksum(m, poly, units):
-            return None  # cache is advisory; recompute on mismatch
-        return CycloField(m, euler_phi(m), poly, units)
-    except (OSError, ValueError, KeyError):
-        return None
-
-
-def _store_field_table(field: CycloField) -> None:
-    os.makedirs(_DISK_CACHE_DIR, exist_ok=True)
-    path = os.path.join(_DISK_CACHE_DIR, f"cyclo_{field.m}.json")
-    payload = {
-        "m": field.m,
-        "poly": list(field.poly),
-        "units": list(field.unit_group),
-        "checksum": _table_checksum(field.m, field.poly, field.unit_group),
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)  # atomic on POSIX
 
 
 # ---------------------------------------------------------------------------

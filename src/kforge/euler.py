@@ -27,6 +27,7 @@ from .cyclotomic import (
     CycloField,
     GaloisElt,
     RootOfUnity,
+    _reduce_vec,
     absolute_norm,
     elt_inverse,
     elt_to_strings,
@@ -40,7 +41,7 @@ from .cyclotomic import (
     restrict_down,
     tower_subgroup,
 )
-from .exact_arith import factorize, field_with_unity_root, is_prime
+from .exact_arith import factorize, is_prime, multiplicative_order
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,16 @@ def check_E2(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
 
 def check_E3(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
     """Congruence relation: the q-th-root translate agrees with the value
-    modulo every prime above q, tested at one prime and all conjugates."""
+    modulo every prime above q.
+
+    With N = q*m', those primes multiply to (1 - zeta_q).  Since
+    Phi_N = Phi_m'^(q-1) mod q, zeta_N -> x maps Z[zeta_N] onto
+    F_q[x]/(Phi_m'); its kernel contains 1 - zeta_q (zeta_q -> x^m' = 1) and
+    has the same index q^phi(m'), so it is (1 - zeta_q).  The difference,
+    whose denominator is prime to q, therefore vanishes at every prime above
+    q exactly when its numerator, folded modulo x^m' - 1 and reduced modulo
+    Phi_m', is 0 mod q.
+    """
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
     if q in E.effective_excluded:
@@ -300,38 +310,21 @@ def check_E3(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
     m0 = eta.order
     if math.gcd(q, m0) != 1:
         raise DomainError("argument order must be coprime to q")
-    N = q * math.lcm(m0, _twist_order(E))
-    big = get_field(N)
+    m_prime = math.lcm(m0, _twist_order(E))
+    N = q * m_prime
     delta = phi_eval_in(E, eta.times(RootOfUnity(q, 1)), N) - phi_eval_in(E, eta, N)
-    m_prime = N // q
-    res_field, omega = field_with_unity_root(q, m_prime)
-    if m_prime == 1:
-        target = res_field.one
-    else:
-        a_prime = pow(q, -1, m_prime)  # zeta_N = zeta_q^b' * zeta_m'^a'
-        target = omega**a_prime
     if delta.den % q == 0:
         raise DomainError("non-integral test value")
-    # sigma_b(delta) at the fixed prime equals delta evaluated at target^b,
-    # so the conjugate sweep is a sweep of evaluation points
-    all_zero = True
-    for b in big.unit_group:
-        point = target**b
-        acc = res_field.zero
-        for c in reversed(delta.num):
-            acc = acc * point + res_field.from_int(c)
-        if acc:
-            all_zero = False
-            break
+    residue = _reduce_vec(get_field(m_prime), list(delta.num))
     return AxiomReport(
         "E3",
         {
             "omega": E.describe(),
             "eta": _root_label(eta),
             "q": q,
-            "residue_field": f"F_{q}^{res_field.degree}",
+            "residue_field": f"F_{q}^{multiplicative_order(q, m_prime)}",
         },
-        all_zero,
+        all(c % q == 0 for c in residue),
         {"delta": elt_to_strings(delta)},
     )
 

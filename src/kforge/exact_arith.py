@@ -1,12 +1,11 @@
-"""Exact arithmetic kernels: rational polynomials, finite fields, Hensel lifts.
+"""Exact arithmetic kernels: integer number theory, rational and integer
+polynomials, Hensel lifts.
 
 Conventions used throughout the package:
 
 * rationals are `fractions.Fraction`, always in lowest terms;
 * a polynomial is a tuple of coefficients, lowest degree first, with no
-  trailing zero; ``()`` is the zero polynomial;
-* polynomials over Z/n keep coefficients as ints in ``[0, n)`` and every
-  function takes the modulus as an explicit argument.
+  trailing zero; ``()`` is the zero polynomial.
 
 All values are immutable and all functions are pure.
 """
@@ -107,6 +106,20 @@ def least_primitive_root(q: int) -> int:
     raise DomainError(f"no primitive root mod {q}")  # unreachable for prime q
 
 
+def int_dlog(base: int, target: int, q: int) -> int:
+    """Smallest e >= 0 with base^e = target mod q, by a linear scan; errors on a
+    target divisible by q and on a target outside the span of base."""
+    target %= q
+    if target == 0:
+        raise DomainError("zero has no discrete log")
+    cur = 1
+    for e in range(q - 1):
+        if cur == target:
+            return e
+        cur = cur * base % q
+    raise DomainError("not in cyclic span")
+
+
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     """Residue mod m1*m2 congruent to r1 mod m1 and r2 mod m2 (coprime moduli)."""
     g = math.gcd(m1, m2)
@@ -127,11 +140,6 @@ def poly_trim(coeffs) -> PolyQ:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(Fraction(c) for c in cs)
-
-
-def poly_degree(a: PolyQ) -> int:
-    """Degree, with the zero polynomial at -1."""
-    return len(a) - 1
 
 
 def poly_add(a: PolyQ, b: PolyQ) -> PolyQ:
@@ -168,12 +176,6 @@ def poly_eval(a: PolyQ, x) -> Fraction:
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-def poly_monic(a: PolyQ) -> PolyQ:
-    if not a:
-        return ()
-    return poly_scale(a, Fraction(1) / a[-1])
 
 
 def poly_divmod(a: PolyQ, b: PolyQ) -> tuple[PolyQ, PolyQ]:
@@ -264,321 +266,6 @@ def ip_eval(a, x: int) -> int:
 
 def ip_derivative(a) -> PolyZ:
     return ip_trim([i * c for i, c in enumerate(a)][1:])
-
-
-# ---------------------------------------------------------------------------
-# polynomials over Z/n
-# ---------------------------------------------------------------------------
-
-
-def np_trim(coeffs, n: int) -> PolyZ:
-    cs = [c % n for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def np_add(a, b, n: int) -> PolyZ:
-    ln = max(len(a), len(b))
-    return np_trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(ln)], n
-    )
-
-
-def np_sub(a, b, n: int) -> PolyZ:
-    ln = max(len(a), len(b))
-    return np_trim(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(ln)], n
-    )
-
-
-def np_mul(a, b, n: int) -> PolyZ:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return np_trim(out, n)
-
-
-def np_divmod(a, b, n: int) -> tuple[PolyZ, PolyZ]:
-    if not b:
-        raise DomainError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, n)
-    rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        c = rem[-1] % n
-        if c:
-            shift = len(rem) - len(b)
-            q = c * inv_lead % n
-            quo[shift] = q
-            for j, cb in enumerate(b):
-                rem[shift + j] -= q * cb
-        rem.pop()
-    return np_trim(quo, n), np_trim(rem, n)
-
-
-def np_gcd(a, b, p: int) -> PolyZ:
-    """Monic gcd over the field Z/p."""
-    a, b = np_trim(a, p), np_trim(b, p)
-    while b:
-        a, b = b, np_divmod(a, b, p)[1]
-    if a:
-        a = np_trim([c * pow(a[-1], -1, p) for c in a], p)
-    return a
-
-
-def np_powmod(base, e: int, mod, p: int) -> PolyZ:
-    result = (1,)
-    base = np_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = np_divmod(np_mul(result, base, p), mod, p)[1]
-        base = np_divmod(np_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
-def np_ext_gcd(a, b, p: int):
-    """Monic g = u*a + v*b over Z/p."""
-    r0, r1 = np_trim(a, p), np_trim(b, p)
-    u0, u1 = (1,), ()
-    v0, v1 = (), (1,)
-    while r1:
-        q, r = np_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, np_sub(u0, np_mul(q, u1, p), p)
-        v0, v1 = v1, np_sub(v0, np_mul(q, v1, p), p)
-    if not r0:
-        raise DomainError("gcd of zero pair")
-    inv = pow(r0[-1], -1, p)
-    scale = lambda t: np_trim([c * inv for c in t], p)
-    return scale(r0), scale(u0), scale(v0)
-
-
-# ---------------------------------------------------------------------------
-# finite fields F_{p^f}
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteField:
-    """F_{char^degree} presented as Z/char[x] modulo a monic irreducible."""
-
-    char: int
-    degree: int
-    modulus: PolyZ
-
-    def __post_init__(self):
-        p, f, mod = self.char, self.degree, self.modulus
-        if not is_prime(p):
-            raise DomainError(f"characteristic {p} is not prime")
-        if len(mod) != f + 1 or mod[-1] != 1:
-            raise DomainError("modulus must be monic of the stated degree")
-        # no roots in any proper subfield, and x^(p^f) == x: irreducible
-        x = np_divmod((0, 1), mod, p)[1]
-        frob = x
-        for _ in range(f - 1):
-            frob = np_powmod(frob, p, mod, p)
-            if len(np_gcd(np_sub(frob, x, p), mod, p)) > 1:
-                raise DomainError("modulus is reducible")
-        frob = np_powmod(frob, p, mod, p)
-        if frob != x:
-            raise DomainError("modulus is reducible")
-
-    @property
-    def order(self) -> int:
-        return self.char**self.degree
-
-    def elt(self, coeffs) -> "FFElt":
-        return FFElt(self, np_divmod(np_trim(coeffs, self.char), self.modulus, self.char)[1])
-
-    def from_int(self, n: int) -> "FFElt":
-        return self.elt((n,))
-
-    @property
-    def zero(self) -> "FFElt":
-        return self.elt(())
-
-    @property
-    def one(self) -> "FFElt":
-        return self.elt((1,))
-
-    @property
-    def gen(self) -> "FFElt":
-        """Residue class of x."""
-        return self.elt((0, 1))
-
-    def elements(self):
-        """Deterministic enumeration, constant term fastest."""
-        p, f = self.char, self.degree
-        for n in range(self.order):
-            digits = []
-            k = n
-            for _ in range(f):
-                digits.append(k % p)
-                k //= p
-            yield self.elt(digits)
-
-
-@dataclass(frozen=True)
-class FFElt:
-    field: FiniteField
-    coeffs: PolyZ
-
-    def __add__(self, other):
-        return FFElt(self.field, np_add(self.coeffs, other.coeffs, self.field.char))
-
-    def __sub__(self, other):
-        return FFElt(self.field, np_sub(self.coeffs, other.coeffs, self.field.char))
-
-    def __mul__(self, other):
-        p = self.field.char
-        prod = np_mul(self.coeffs, other.coeffs, p)
-        return FFElt(self.field, np_divmod(prod, self.field.modulus, p)[1])
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FFElt(self.field, np_powmod(self.coeffs, e, self.field.modulus, self.field.char))
-
-    def inverse(self) -> "FFElt":
-        if not self.coeffs:
-            raise DomainError("inverse of zero")
-        g, u, _ = np_ext_gcd(self.coeffs, self.field.modulus, self.field.char)
-        if g != (1,):
-            raise DomainError("element not invertible")
-        return self.field.elt(u)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-
-def ff_element_order(x: FFElt) -> int:
-    """Order of x in the multiplicative group; errors on zero."""
-    if x.is_zero():
-        raise DomainError("zero has no multiplicative order")
-    group = x.field.order - 1
-    e = group
-    for p in factorize(group):
-        while e % p == 0 and (x ** (e // p)).coeffs == (1,):
-            e //= p
-    return e
-
-
-_BSGS_THRESHOLD = 10_000
-
-
-def ff_discrete_log(base: FFElt, target: FFElt) -> int:
-    """Smallest e >= 0 with base^e == target; errors if target is outside <base>.
-
-    Linear scan for small cyclic spans, baby-step/giant-step above.
-    """
-    if base.is_zero() or target.is_zero():
-        raise DomainError("discrete log needs nonzero base and target")
-    order = ff_element_order(base)
-    one = base.field.one
-    if target.coeffs == one.coeffs:
-        return 0
-    if order < _BSGS_THRESHOLD:
-        acc = one
-        for e in range(1, order):
-            acc = acc * base
-            if acc.coeffs == target.coeffs:
-                return e
-        raise DomainError("not in cyclic span")
-    m = math.isqrt(order) + 1
-    baby = {}
-    acc = one
-    for j in range(m):
-        baby.setdefault(acc.coeffs, j)
-        acc = acc * base
-    giant = (base ** m).inverse()
-    cur = target
-    for i in range(m + 1):
-        if cur.coeffs in baby:
-            e = i * m + baby[cur.coeffs]
-            if e < order:
-                return e
-        cur = cur * giant
-    raise DomainError("not in cyclic span")
-
-
-def field_with_unity_root(q: int, m: int) -> tuple[FiniteField, FFElt]:
-    """Residue field F_{q^f} above q, f = ord(q mod m), with a primitive
-    m-th root of unity in it.
-
-    The returned field's modulus is the minimal polynomial of the root, so
-    the root is simply the class of x (for f > 1).
-    """
-    if m == 1:
-        fld = FiniteField(q, 1, (0, 1))
-        return fld, fld.one
-    if math.gcd(q, m) != 1:
-        raise DomainError("q must be coprime to m")
-    f = multiplicative_order(q, m)
-    if f == 1:
-        # a root of unity in the prime field itself
-        fld = FiniteField(q, 1, (0, 1))
-        for c in range(2, q):
-            if pow(c, m, q) == 1 and all(
-                pow(c, m // p, q) != 1 for p in factorize(m)
-            ):
-                return fld, fld.from_int(c)
-        raise DomainError("no order-m element found")
-    scratch = _deterministic_irreducible(q, f)
-    cofactor = (q**f - 1) // m
-    mfacs = list(factorize(m))
-    omega = None
-    for g in scratch.elements():
-        if g.is_zero():
-            continue
-        cand = g**cofactor
-        if not cand.is_zero() and all((cand ** (m // p)).coeffs != (1,) for p in mfacs):
-            if (cand**m).coeffs == (1,):
-                omega = cand
-                break
-    if omega is None:
-        raise DomainError("no order-m element found")
-    # minimal polynomial of omega: product of (x - omega^(q^i))
-    conj = omega
-    minpoly = [scratch.zero - conj, scratch.one]
-    for _ in range(f - 1):
-        conj = conj**q
-        new = [scratch.zero] * (len(minpoly) + 1)
-        for i, c in enumerate(minpoly):
-            new[i + 1] = new[i + 1] + c
-            new[i] = new[i] - c * conj
-        minpoly = new
-    coeffs = []
-    for c in minpoly:
-        if len(c.coeffs) > 1:
-            raise DomainError("minimal polynomial did not descend to the prime field")
-        coeffs.append(c.coeffs[0] if c.coeffs else 0)
-    fld = FiniteField(q, f, np_trim(coeffs, q))
-    return fld, fld.gen
-
-
-def _deterministic_irreducible(p: int, f: int) -> FiniteField:
-    """First monic irreducible of degree f over Z/p in lexicographic order."""
-    for n in range(p**f):
-        digits = []
-        k = n
-        for _ in range(f):
-            digits.append(k % p)
-            k //= p
-        cand = tuple(digits) + (1,)
-        try:
-            return FiniteField(p, f, cand)
-        except DomainError:
-            continue
-    raise DomainError("no irreducible polynomial found")  # unreachable for f >= 1
 
 
 # ---------------------------------------------------------------------------

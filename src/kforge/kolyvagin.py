@@ -42,6 +42,7 @@ from .euler import EulerSystem, phi_eval, phi_eval_inverse
 from .exact_arith import (
     crt_pair,
     factorize,
+    int_dlog,
     is_prime,
     least_primitive_root,
     primes_upto,
@@ -343,7 +344,7 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
             r = s // q
             sub = cocycle_closed_form(E, params, r)
             t_r = least_primitive_root(r)
-            e_frob = _int_dlog(t_r, q % r, r)
+            e_frob = int_dlog(t_r, q, r)
             frob_exps[q] = e_frob
             d_r_x = d_x[r]
             d_r_x_inv = apply_derivative(x_inv, r)
@@ -366,15 +367,6 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
     if not coc.certified:
         raise InternalInconsistency("cocycle certificate failed")
     return coc
-
-
-def _int_dlog(base: int, target: int, q: int) -> int:
-    cur = 1
-    for e in range(q - 1):
-        if cur == target % q:
-            return e
-        cur = cur * base % q
-    raise DomainError("not in cyclic span")
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .euler import EulerSystem, decompose_over_cyclotomic_units
 from .exact_arith import (
     factorize,
     hensel_lift_root,
+    int_dlog,
     int_padic_valuation,
     ip_eval,
     is_prime,
@@ -179,19 +180,8 @@ def ideal_dlog_vector(w: CycloElt, M: int, data: SplitPrimeData) -> IdealVector:
             raise DomainError("not prime to q")
         if r1 != r2:
             raise InternalInconsistency("paired-root residues disagree")
-        entries.append(_dlog_mod(data.gamma, r1, q) % M)
+        entries.append(int_dlog(data.gamma, r1, q) % M)
     return IdealVector(q, M, tuple(entries))
-
-
-def _dlog_mod(base: int, target: int, q: int) -> int:
-    if target % q == 0:
-        raise DomainError("zero has no discrete log")
-    cur = 1
-    for e in range(q - 1):
-        if cur == target % q:
-            return e
-        cur = cur * base % q
-    raise DomainError("not in cyclic span")
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +363,7 @@ def class_relation(
 
 @dataclass
 class MthPowerVerdict:
-    is_power: bool
+    is_power: bool | None  # None: neither proved nor refuted
     method: str
     detail: str = ""
 
@@ -389,8 +379,8 @@ def is_mth_power(
     Three stages: ideal vectors at a probing set of split primes must vanish
     mod M; a unit input is decided exactly by decomposing over the
     cyclotomic-unit generators; otherwise an explicit witness (an exact M-th
-    root) decides.  Without a witness the non-unit case is probing-only and
-    reported as such.
+    root) decides.  Without a witness the non-unit case is probing-only: the
+    verdict is unproved, is_power None.
     """
     M = params.M
     if v.is_zero():
@@ -408,7 +398,7 @@ def is_mth_power(
     try:
         decomp = decompose_over_cyclotomic_units(v, params.p, params.n)
     except DomainError:
-        return MthPowerVerdict(True, "probing-only", "non-unit without witness")
+        return MthPowerVerdict(None, "probing-only", "non-unit without witness")
     if all(e % M == 0 for e in decomp.exponents):
         # the only roots of unity of the real field are +-1, and -1 is an
         # M-th power for odd M

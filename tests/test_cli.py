@@ -1,18 +1,9 @@
 import json
-import os
 
 import pytest
 
 from kforge import __version__, cli, kolyvagin
 from kforge.cli import build_parser, main
-from kforge.cyclotomic import _FIELDS, get_field, set_disk_cache
-
-
-@pytest.fixture(autouse=True)
-def no_disk_cache():
-    set_disk_cache(None)
-    yield
-    set_disk_cache(None)
 
 
 def run_main(args):
@@ -158,37 +149,6 @@ class TestDecomposeCommand:
 
     def test_desk_scale_guard(self):
         assert run_main(["decompose", "--p", "5", "--n", "2"]) == 2
-
-
-class TestFieldTableCache:
-    def test_round_trip(self, tmp_path):
-        set_disk_cache(str(tmp_path))
-        fresh = get_field(33)
-        _FIELDS.clear()
-        reloaded = get_field(33)
-        assert (fresh.m, fresh.phi, fresh.poly, fresh.unit_group) == (
-            reloaded.m,
-            reloaded.phi,
-            reloaded.poly,
-            reloaded.unit_group,
-        )
-        assert (tmp_path / "cyclo_33.json").exists()
-
-    def test_checksum_mismatch_recomputes(self, tmp_path):
-        set_disk_cache(str(tmp_path))
-        get_field(21)
-        path = tmp_path / "cyclo_21.json"
-        payload = json.loads(path.read_text())
-        payload["poly"][0] = 99  # corrupt
-        path.write_text(json.dumps(payload))
-        _FIELDS.clear()
-        field = get_field(21)  # falls back to recomputation
-        assert field.poly[0] != 99
-
-    def test_env_variable_wires_cache(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("KFORGE_CACHE", str(tmp_path))
-        assert run_main(["primes", "--limit", "50"]) == 0
-        assert (tmp_path / "cyclo_5.json").exists()
 
 
 def test_parser_rejects_bad_lists():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from kforge import euler
 from kforge.errors import ConfigError, DomainError
 from kforge.cyclotomic import (
     RootOfUnity,
@@ -157,6 +158,14 @@ class TestAxioms:
         with pytest.raises(DomainError, match="coprime"):
             check_E3(parse_omega(BASIC), RootOfUnity(3, 1), 3)
 
+    def test_E3_fails_off_zero_weight_sum(self):
+        # weights summing to 1: delta = (zeta_3^-1 - zeta_3) - 1, whose image
+        # under zeta_3 -> 1 is -1, a unit at the prime above 3
+        E = EulerSystem(OmegaSpec(((1, 1),), frozenset({2})))
+        rep = check_E3(E, RootOfUnity.one(), 3)
+        assert not rep.passed
+        assert rep.params["residue_field"] == "F_3^1"
+
     def test_axioms_for_derived_systems(self):
         for omega in (BASIC + ",compose=2", BASIC + ",twist=3:1"):
             E = parse_omega(omega)
@@ -262,3 +271,66 @@ class TestDecompose:
     def test_non_unit_rejected(self):
         with pytest.raises(DomainError, match="not a unit"):
             decompose_over_cyclotomic_units(get_field(5).from_rational(2), 5, 0)
+
+
+E3_SYSTEMS = (BASIC, BASIC + ",twist=3:1", "1:2,3:-2", "2:1,3:-1", BASIC + ",compose=2")
+E3_CASES = [
+    (omega, order, q)
+    for omega in E3_SYSTEMS
+    for order in (1, 3, 5, 7)
+    for q in (3, 7, 11)
+    if order % q
+    and parse_omega(omega).admissible(RootOfUnity(order, 1 % order))
+    and q not in parse_omega(omega).effective_excluded
+]
+
+
+def e3_oracle(sympy, witness, q):
+    """Whether delta vanishes at every prime above q, from sympy's factors of
+    Phi_m' mod q: the primes above q correspond to those factors under
+    zeta_N -> x^a', a' = q^-1 mod m', and x^m' = 1 modulo each of them."""
+    N = int(witness["conductor"])
+    m_prime = N // q
+    if int(witness["den"]) % q == 0:
+        raise AssertionError("delta is not integral at q")
+    x = sympy.symbols("x")
+    a_prime = pow(q, -1, m_prime)
+    image = [0] * m_prime
+    for i, c in enumerate(witness["num"]):
+        image[i * a_prime % m_prime] += int(c)
+    image = sympy.Poly(list(reversed(image)), x, modulus=q)
+    _, factors = sympy.factor_list(sympy.cyclotomic_poly(m_prime, x), modulus=q)
+    return all(image.rem(sympy.Poly(f, x, modulus=q)).is_zero for f, _ in factors)
+
+
+@pytest.mark.filterwarnings(r"ignore:\s*Ordered comparisons with modular integers")
+@pytest.mark.parametrize("omega,order,q", E3_CASES)
+def test_E3_against_sympy_factors(omega, order, q, monkeypatch):
+    """check_E3 passes exactly when delta vanishes modulo every factor of
+    Phi_m' mod q.  Checked on delta itself and on delta plus 1 or zeta_N,
+    which must fail, and plus q*zeta_N^3 or 1 - zeta_q, which lie in every
+    prime above q and so must pass."""
+    sympy = pytest.importorskip("sympy")
+    E = parse_omega(omega)
+    eta = RootOfUnity(order, 1 % order)
+    rep = check_E3(E, eta, q)
+    assert rep.passed and e3_oracle(sympy, rep.witness["delta"], q)
+    field = get_field(int(rep.witness["delta"]["conductor"]))
+    m_prime = field.m // q
+    translate = eta.times(RootOfUnity(q, 1))
+    real_phi_eval_in = euler.phi_eval_in
+    for pert, expected in (
+        (field.one, False),
+        (field.root(1), False),
+        (field.root(3).scale(q), True),
+        (field.one - field.root(m_prime), True),
+    ):
+
+        def perturbed(E_, eta_, N, invert=False):
+            value = real_phi_eval_in(E_, eta_, N, invert)
+            return value + pert if eta_.canonical() == translate else value
+
+        monkeypatch.setattr(euler, "phi_eval_in", perturbed)
+        rep = check_E3(E, eta, q)
+        assert rep.passed is expected
+        assert e3_oracle(sympy, rep.witness["delta"], q) is expected

@@ -6,14 +6,11 @@ from hypothesis import given, settings, strategies as st
 from kforge import exact_arith
 from kforge.errors import DomainError, InternalInconsistency
 from kforge.exact_arith import (
-    FiniteField,
     ResidueInt,
     crt_pair,
     factorize,
-    ff_discrete_log,
-    ff_element_order,
-    field_with_unity_root,
     hensel_lift_root,
+    int_dlog,
     int_padic_valuation,
     ip_eval,
     is_prime,
@@ -91,58 +88,52 @@ def zip_pad(a, b):
     )
 
 
-class TestFiniteField:
-    def field11(self):
-        return FiniteField(11, 1, (0, 1))
-
+class TestIntDlog:
     def test_element_order(self):
-        f = self.field11()
-        assert ff_element_order(f.from_int(1)) == 1
-        assert ff_element_order(f.from_int(10)) == 2
-        assert ff_element_order(f.from_int(2)) == 10
+        assert multiplicative_order(1, 11) == 1
+        assert multiplicative_order(10, 11) == 2
+        assert multiplicative_order(2, 11) == 10
         with pytest.raises(DomainError):
-            ff_element_order(f.zero)
+            multiplicative_order(0, 11)
 
     def test_discrete_log_examples(self):
-        f = self.field11()
-        two = f.from_int(2)
-        assert ff_discrete_log(two, f.from_int(8)) == 3
-        assert ff_discrete_log(two, f.from_int(5)) == 4
-        assert ff_discrete_log(two, f.from_int(1)) == 0
+        assert int_dlog(2, 8, 11) == 3
+        assert int_dlog(2, 5, 11) == 4
+        assert int_dlog(2, 1, 11) == 0
+        assert int_dlog(2, 5 + 11, 11) == 4  # targets are residues
 
     def test_discrete_log_outside_span(self):
-        f = self.field11()
         with pytest.raises(DomainError, match="cyclic span"):
-            ff_discrete_log(f.from_int(10), f.from_int(2))
+            int_dlog(10, 2, 11)
 
-    def test_discrete_log_bsgs_branch(self):
-        f = FiniteField(10007, 1, (0, 1))
-        g = f.from_int(least_primitive_root(10007))
+    def test_zero_target_rejected(self):
+        for target in (0, 11, -22):
+            with pytest.raises(DomainError, match="zero"):
+                int_dlog(2, target, 11)
+
+    def test_discrete_log_large_prime(self):
+        g = least_primitive_root(10007)
         for e in (0, 1, 977, 5003, 10005):
-            assert ff_discrete_log(g, g**e) == e
+            assert int_dlog(g, pow(g, e, 10007), 10007) == e
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([11, 31, 41, 61, 71, 101, 131, 151, 181, 191]), st.integers(0, 500))
     def test_dlog_round_trip_kolyvagin_fields(self, q, e):
-        f = FiniteField(q, 1, (0, 1))
-        g = f.from_int(least_primitive_root(q))
-        assert ff_discrete_log(g, g**e) == e % (q - 1)
+        g = least_primitive_root(q)
+        assert int_dlog(g, pow(g, e, q), q) == e % (q - 1)
 
-    def test_extension_field_arithmetic(self):
-        # the residue field above 3 containing a fifth root of unity
-        fld, omega = field_with_unity_root(3, 5)
-        assert fld.order == 81
-        assert ff_element_order(omega) == 5
-        assert (omega**5).coeffs == (1,)
-        assert (omega * omega.inverse()).coeffs == (1,)
-
-    def test_reducible_modulus_rejected(self):
-        with pytest.raises(DomainError, match="reducible"):
-            FiniteField(3, 2, (1, 2, 1))  # (x+1)^2 mod 3
-
-    def test_composite_characteristic_rejected(self):
-        with pytest.raises(DomainError, match="not prime"):
-            FiniteField(10, 1, (0, 1))
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([11, 31, 61, 101, 181]), st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_against_sympy(self, q, base, target):
+        sympy = pytest.importorskip("sympy")
+        base, target = 1 + base % (q - 1), 1 + target % (q - 1)
+        try:
+            e = sympy.discrete_log(q, target, base)
+        except ValueError:
+            with pytest.raises(DomainError, match="cyclic span"):
+                int_dlog(base, target, q)
+            return
+        assert int_dlog(base, target, q) == e % sympy.n_order(base, q)
 
 
 class TestHensel:

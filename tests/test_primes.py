@@ -253,18 +253,19 @@ class TestMthPower:
         assert verdict.is_power and verdict.method == "unit-decomposition"
 
     def test_rejects_unit_nonpowers(self, golden):
-        assert not is_mth_power(golden**6, PARAMS).is_power
-        assert not is_mth_power(golden, PARAMS).is_power
+        assert is_mth_power(golden**6, PARAMS).is_power is False
+        assert is_mth_power(golden, PARAMS).is_power is False
 
     def test_rejects_probe_visible_ideal_part(self, golden):
         f5 = get_field(5)
-        assert not is_mth_power(f5.from_rational(11) * golden**5, PARAMS).is_power
+        assert is_mth_power(f5.from_rational(11) * golden**5, PARAMS).is_power is False
 
     def test_accepts_split_prime_powers(self):
         f5 = get_field(5)
         v = f5.from_rational(11**5)
         verdict = is_mth_power(v, PARAMS)
-        assert verdict.is_power  # probing passes; not a unit, so probing-only
+        # probing passes, but a non-unit without a witness is left unproved
+        assert verdict.is_power is None
         assert verdict.method == "probing-only"
 
     def test_witness_path(self):
@@ -276,4 +277,4 @@ class TestMthPower:
 
     def test_bad_witness_rejected(self, golden):
         verdict = is_mth_power(golden**5, PARAMS, witness=golden**2)
-        assert not verdict.is_power
+        assert verdict.is_power is False
