@@ -88,7 +88,9 @@ def zip_pad(a, b):
     )
 
 
-class TestIntDlog:
+class TestFiniteField:
+    """The prime field F_q = Z/q: unit orders and the integer discrete log."""
+
     def test_element_order(self):
         assert multiplicative_order(1, 11) == 1
         assert multiplicative_order(10, 11) == 2
@@ -121,6 +123,10 @@ class TestIntDlog:
     def test_dlog_round_trip_kolyvagin_fields(self, q, e):
         g = least_primitive_root(q)
         assert int_dlog(g, pow(g, e, q), q) == e % (q - 1)
+
+    def test_composite_characteristic_rejected(self):
+        with pytest.raises(DomainError, match="not prime"):
+            least_primitive_root(10)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([11, 31, 61, 101, 181]), st.integers(0, 10**6), st.integers(0, 10**6))
