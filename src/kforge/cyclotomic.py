@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, InternalInconsistency
-from .exact_arith import PolyZ, euler_phi, ip_divmod_monic, poly_extended_gcd, poly_trim
+from .exact_arith import PolyZ, euler_phi, ip_divmod_monic, poly_trim
 
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and field tables
@@ -306,20 +306,6 @@ class CycloElt:
         return f"CycloElt(m={self.field.m}, num={self.num}, den={self.den})"
 
 
-def elt_inverse(x: CycloElt) -> CycloElt:
-    """Exact inverse; the cyclotomic polynomial is irreducible so any nonzero
-    element is a unit of the field."""
-    if x.is_zero():
-        raise DomainError("division by zero")
-    a = poly_trim([Fraction(c, x.den) for c in x.num])
-    phi_poly = poly_trim(x.field.poly)
-    g, u, _ = poly_extended_gcd(a, phi_poly)
-    if len(g) != 1:
-        raise InternalInconsistency("nonzero element shares a factor with the modulus")
-    inv = [c / g[0] for c in u]
-    return x.field.from_coeffs(inv)
-
-
 def one_minus_root_inverse(field: CycloField, k: int) -> CycloElt:
     """Inverse of 1 - zeta_m^k, via the closed form
     (1 - w)^(-1) = (1/r) * sum_{i=0}^{r-2} (r-1-i) w^i  for w of order r."""
@@ -349,16 +335,6 @@ class GaloisElt:
     def __post_init__(self):
         if self.field.m > 1 and math.gcd(self.a, self.field.m) != 1:
             raise DomainError(f"{self.a} is not invertible mod {self.field.m}")
-
-    def compose(self, other: "GaloisElt") -> "GaloisElt":
-        if self.field.m != other.field.m:
-            raise DomainError("automorphisms of different fields")
-        return GaloisElt(self.field, self.a * other.a % self.field.m)
-
-    def inverse(self) -> "GaloisElt":
-        if self.field.m == 1:
-            return self
-        return GaloisElt(self.field, pow(self.a, -1, self.field.m))
 
 
 def galois_apply(s: GaloisElt, x: CycloElt) -> CycloElt:
@@ -554,16 +530,32 @@ def tower_subgroup(field: CycloField, m_small: int) -> list[GaloisElt]:
     return [GaloisElt(field, a) for a in field.unit_group if a % m_small == 1 % m_small]
 
 
+def _norm_and_cofactor(x: CycloElt) -> tuple[Fraction, CycloElt]:
+    """N(x) down to Q and the product of the conjugates of x other than x."""
+    cofactor = x.field.one
+    for a in x.field.unit_group:
+        if a != 1:
+            cofactor = cofactor * galois_apply(GaloisElt(x.field, a), x)
+    norm = x * cofactor
+    if not norm.is_rational():
+        raise InternalInconsistency("norm failed to land in Q")
+    return norm.as_rational(), cofactor
+
+
 def absolute_norm(x: CycloElt) -> Fraction:
     """Norm down to Q: the product over the full unit-group action."""
     if x.is_zero():
         return Fraction(0)
-    result = x.field.one
-    for a in x.field.unit_group:
-        result = result * galois_apply(GaloisElt(x.field, a), x)
-    if not result.is_rational():
-        raise InternalInconsistency("norm failed to land in Q")
-    return result.as_rational()
+    return _norm_and_cofactor(x)[0]
+
+
+def elt_inverse(x: CycloElt) -> CycloElt:
+    """Exact inverse of a nonzero x: the product of its other conjugates
+    divided by the norm N(x), a nonzero rational since Phi_m is irreducible."""
+    if x.is_zero():
+        raise DomainError("division by zero")
+    norm, cofactor = _norm_and_cofactor(x)
+    return cofactor.scale(1 / norm)
 
 
 def minimal_polynomial(x: CycloElt):

@@ -155,7 +155,7 @@ def _cached_one_minus_inverse(m: int, k: int) -> CycloElt:
     return one_minus_root_inverse(get_field(m), k)
 
 
-def _lambda_eval(pairs, field: CycloField, e: int, invert: bool) -> CycloElt:
+def _lambda_eval(pairs, field: CycloField, e: int) -> CycloElt:
     """Product of (zeta^(-ea) - zeta^(ea))^n in the given field, e != 0.
 
     Each factor is zeta^(-ea) * (1 - zeta^(2ea)); inverses of 1 - zeta^k come
@@ -165,8 +165,6 @@ def _lambda_eval(pairs, field: CycloField, e: int, invert: bool) -> CycloElt:
     shift = 0
     result = field.one
     for a, n in pairs:
-        if invert:
-            n = -n
         k = (2 * e * a) % m
         if k == 0:
             raise DomainError("zero factor: argument outside the admissible domain")
@@ -191,16 +189,7 @@ def phi_eval(E: EulerSystem, eta: RootOfUnity) -> CycloElt:
     return restrict_down(value, eta.order)
 
 
-def phi_eval_inverse(E: EulerSystem, eta: RootOfUnity) -> CycloElt:
-    """Exact inverse of phi_eval, computed directly from the negated weights."""
-    eta = eta.canonical()
-    if not E.admissible(eta):
-        raise DomainError(f"root of order {eta.order} is outside the admissible domain")
-    value = phi_eval_in(E, eta, math.lcm(eta.order, _twist_order(E)), invert=True)
-    return restrict_down(value, eta.order)
-
-
-def phi_eval_in(E: EulerSystem, eta: RootOfUnity, N: int, invert: bool = False) -> CycloElt:
+def phi_eval_in(E: EulerSystem, eta: RootOfUnity, N: int) -> CycloElt:
     """Value at eta represented inside Q(zeta_N), without intermediate
     subfield descents; intended for product identities that compare several
     values in one ambient field.  N must be a multiple of ord(eta) and of
@@ -216,18 +205,18 @@ def phi_eval_in(E: EulerSystem, eta: RootOfUnity, N: int, invert: bool = False) 
         for b in range(1, h + 1):
             if math.gcd(b, h) != 1:
                 continue
-            acc = acc * phi_eval_in(inner, eta.times(twist**b), N, invert)
+            acc = acc * phi_eval_in(inner, eta.times(twist**b), N)
         return acc
     if E.compose_n:
         inner = EulerSystem(E.base, None, None)
-        return phi_eval_in(inner, eta**E.compose_n, N, invert)
+        return phi_eval_in(inner, eta**E.compose_n, N)
     field = get_field(N)
     if eta.order == 1:
         value = Fraction(1)
         for a, n in E.base.pairs:
-            value *= Fraction(a) ** (n if not invert else -n)
+            value *= Fraction(a) ** n
         return field.from_rational(value)
-    return _lambda_eval(E.base.pairs, field, eta.exp * (N // eta.order), invert)
+    return _lambda_eval(E.base.pairs, field, eta.exp * (N // eta.order))
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +452,8 @@ def decompose_over_cyclotomic_units(u: CycloElt, p: int, n: int) -> Decompositio
         exps = _propose_exponents(u, gens, reps, m, prec, mpmath)
         if exps is not None:
             residue = u
-            for g_inv, e in zip(gen_invs, exps):
-                residue = residue * (g_inv**e if e >= 0 else elt_inverse(g_inv) ** (-e))
+            for g, g_inv, e in zip(gens, gen_invs, exps):
+                residue = residue * (g_inv**e if e >= 0 else g ** (-e))
             if residue == one:
                 return Decomposition(tuple(exps), Fraction(1), gens, prec)
             if residue == -one:

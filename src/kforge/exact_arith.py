@@ -1,5 +1,5 @@
-"""Exact arithmetic kernels: integer number theory, rational and integer
-polynomials, Hensel lifts.
+"""Exact arithmetic kernels: integer number theory, integer polynomials,
+Hensel lifts.
 
 Conventions used throughout the package:
 
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistency
-
-Rational = Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -142,79 +140,6 @@ def poly_trim(coeffs) -> PolyQ:
     return tuple(Fraction(c) for c in cs)
 
 
-def poly_add(a: PolyQ, b: PolyQ) -> PolyQ:
-    n = max(len(a), len(b))
-    return poly_trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def poly_sub(a: PolyQ, b: PolyQ) -> PolyQ:
-    n = max(len(a), len(b))
-    return poly_trim(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def poly_mul(a: PolyQ, b: PolyQ) -> PolyQ:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return poly_trim(out)
-
-
-def poly_scale(a: PolyQ, c) -> PolyQ:
-    return poly_trim([Fraction(c) * x for x in a])
-
-
-def poly_eval(a: PolyQ, x) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def poly_divmod(a: PolyQ, b: PolyQ) -> tuple[PolyQ, PolyQ]:
-    if not b:
-        raise DomainError("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = b[-1]
-    while len(rem) >= len(b) and any(rem):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - len(b)
-        c = rem[-1] / lead
-        quo[shift] = c
-        for j, cb in enumerate(b):
-            rem[shift + j] -= c * cb
-        rem.pop()
-    return poly_trim(quo), poly_trim(rem)
-
-
-def poly_extended_gcd(a: PolyQ, b: PolyQ) -> tuple[PolyQ, PolyQ, PolyQ]:
-    """Monic g with g = u*a + v*b; errors on the (0, 0) pair."""
-    a, b = poly_trim(a), poly_trim(b)
-    if not a and not b:
-        raise DomainError("gcd of zero pair")
-    one, zero = (Fraction(1),), ()
-    r0, r1 = a, b
-    u0, u1 = one, zero
-    v0, v1 = zero, one
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, poly_sub(u0, poly_mul(q, u1))
-        v0, v1 = v1, poly_sub(v0, poly_mul(q, v1))
-    lead = Fraction(1) / r0[-1]
-    return poly_scale(r0, lead), poly_scale(u0, lead), poly_scale(v0, lead)
-
-
 # ---------------------------------------------------------------------------
 # dense integer polynomials (used for cyclotomic moduli)
 # ---------------------------------------------------------------------------
@@ -227,17 +152,6 @@ def ip_trim(coeffs) -> PolyZ:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def ip_mul(a, b) -> PolyZ:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return ip_trim(out)
 
 
 def ip_divmod_monic(a, b) -> tuple[PolyZ, PolyZ]:

@@ -38,7 +38,7 @@ from .cyclotomic import (
     get_field,
     is_in_real_subfield,
 )
-from .euler import EulerSystem, phi_eval, phi_eval_inverse
+from .euler import EulerSystem, phi_eval
 from .exact_arith import (
     crt_pair,
     factorize,
@@ -268,13 +268,16 @@ def level_root(params: KolyParams, s: int) -> RootOfUnity:
 @dataclass
 class Cocycle:
     """Values c_sigma with c_sigma^M = (sigma - 1) D_s phi, one per generator,
-    together with the exactly verified certificate."""
+    together with the exactly verified certificate.
+
+    norm_trivial records that every c_sigma has norm 1 over the cyclic group
+    of sigma; each inverse the construction needs is then the product of the
+    other conjugates, c^(-1) = prod_{0<i<order} sigma^i(c)."""
 
     params: KolyParams
     s: int
     field: CycloField
     values: dict[int, CycloElt]
-    inv_values: dict[int, CycloElt]
     dsphi: CycloElt
     certified: bool
     norm_trivial: bool
@@ -286,19 +289,11 @@ def _certify(coc: Cocycle) -> None:
     M = coc.params.M
     coc.certified = True
     coc.norm_trivial = True
-    one = coc.field.one
     for q, c in coc.values.items():
         sigma = lifted_sigma(coc.field, q)
         if c**M * coc.dsphi != galois_apply(sigma, coc.dsphi):
             coc.certified = False
-        if c * coc.inv_values[q] != one:
-            coc.certified = False
-        acc = one
-        cur = c
-        for _ in range(q - 1):
-            acc = acc * cur
-            cur = galois_apply(sigma, cur)
-        if acc != one:
+        if apply_norm(c, q) != coc.field.one:
             coc.norm_trivial = False
 
 
@@ -308,7 +303,9 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
     Level s = q: the Frobenius term is trivial (q splits completely), so the
     root is phi(level q)^((q-1)/M).  Level s = q*r: the Frobenius of q acts
     on the level-r group as sigma_r^e with t_r^e = q mod r, contributing the
-    first e conjugates of the level-r closed form.
+    inverse of the first e conjugates of the level-r closed form c_r.  The
+    level-r value has norm 1 over sigma_r, so that inverse is the product of
+    the remaining conjugates sigma_r^i(c_r), e <= i < r - 1.
     """
     params.validate_system(E)
     qs = sorted(factorize(s))
@@ -326,16 +323,12 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
     M = params.M
     root = level_root(params, s)
     x = phi_eval(E, root)
-    x_inv = phi_eval_inverse(E, root)
 
     values: dict[int, CycloElt] = {}
-    inv_values: dict[int, CycloElt] = {}
     frob_exps: dict[int, int] = {}
     if len(qs) == 1:
         q = qs[0]
-        e = (q - 1) // M
-        values[q] = x**e
-        inv_values[q] = x_inv**e
+        values[q] = x ** ((q - 1) // M)
         dsphi = apply_derivative(x, q)
     else:
         d_x = {r: apply_derivative(x, r) for r in qs}
@@ -346,23 +339,12 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
             t_r = least_primitive_root(r)
             e_frob = int_dlog(t_r, q, r)
             frob_exps[q] = e_frob
-            d_r_x = d_x[r]
-            d_r_x_inv = apply_derivative(x_inv, r)
             sub_c = embed_up(sub.values[r], N)
-            sub_c_inv = embed_up(sub.inv_values[r], N)
-            sigma_r = lifted_sigma(field, r)
-            corr = field.one
             corr_inv = field.one
-            cur, cur_inv = sub_c, sub_c_inv
-            for _ in range(e_frob):
-                corr = corr * cur
-                corr_inv = corr_inv * cur_inv
-                cur = galois_apply(sigma_r, cur)
-                cur_inv = galois_apply(sigma_r, cur_inv)
-            exp = (q - 1) // M
-            values[q] = d_r_x**exp * corr_inv
-            inv_values[q] = d_r_x_inv**exp * corr
-    coc = Cocycle(params, s, field, values, inv_values, dsphi, False, False, frob_exps)
+            for i in range(e_frob, r - 1):
+                corr_inv = corr_inv * galois_apply(lifted_sigma(field, r, i), sub_c)
+            values[q] = d_x[r] ** ((q - 1) // M) * corr_inv
+    coc = Cocycle(params, s, field, values, dsphi, False, False, frob_exps)
     _certify(coc)
     if not coc.certified:
         raise InternalInconsistency("cocycle certificate failed")
@@ -374,16 +356,19 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
 # ---------------------------------------------------------------------------
 
 
-def _generator_chain(a: CycloElt, sigma: GaloisElt, order: int) -> list[CycloElt]:
-    """[a_{sigma^e} for e < order] from a = a_sigma by a_{sigma^(e+1)} =
-    a_{sigma^e} * sigma^e(a), after checking the norm a_{sigma^order} is 1."""
-    one = a.field.one
-    chain = [one, a]
-    moved = a
-    while len(chain) <= order:
-        moved = galois_apply(sigma, moved)
-        chain.append(chain[-1] * moved)
-    if chain.pop() != one:
+def _generator_chain(c: CycloElt, sigma: GaloisElt, order: int) -> list[CycloElt]:
+    """[a_{sigma^e} for e < order] for c = c_sigma, after checking that the
+    norm of c is 1.  The inverse of the cocycle value c * ... * sigma^(e-1)(c)
+    is then the product of the remaining conjugates of c, so the chain holds
+    their suffix products, with the norm at e = 0."""
+    conj = [c]
+    for _ in range(order - 1):
+        conj.append(galois_apply(sigma, conj[-1]))
+    chain = [conj.pop()]
+    while conj:
+        chain.append(conj.pop() * chain[-1])
+    chain.reverse()
+    if chain[0] != c.field.one:
         raise InternalInconsistency("cocycle norm condition failed")
     return chain
 
@@ -423,20 +408,20 @@ def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:
         beta = R_1(R_2(... R_k(theta))),  R_q(y) = sum_e a_{sigma_q^e} sigma_q^e(y),
 
     sum (q - 1) products in place of prod (q - 1).  It is the same element
-    as the sum over G(s), not merely another solution.  The chains
-    a_{sigma_q^e} are checked against the norm condition and the generator
-    pairs against a_1 sigma_1(a_2) = a_2 sigma_2(a_1) before any sum is
-    formed.  theta is drawn deterministically from the seed and resampled
-    while beta vanishes.
+    as the sum over G(s), not merely another solution.  No inverse is
+    formed: c_q has norm 1, so each a_{sigma_q^e} is a product of conjugates
+    of c_q.  The norms and the generator pairs, c_1 sigma_1(c_2) =
+    c_2 sigma_2(c_1), are checked before any sum is formed.  theta is drawn
+    deterministically from the seed and resampled while beta vanishes.
     """
     field = coc.field
     qs = sorted(coc.values)
     sigmas = {q: lifted_sigma(field, q) for q in qs}
-    chains = {q: _generator_chain(coc.inv_values[q], sigmas[q], q - 1) for q in qs}
+    chains = {q: _generator_chain(coc.values[q], sigmas[q], q - 1) for q in qs}
     for i, q1 in enumerate(qs):
         for q2 in qs[i + 1 :]:
-            a1, a2 = coc.inv_values[q1], coc.inv_values[q2]
-            if a1 * galois_apply(sigmas[q1], a2) != a2 * galois_apply(sigmas[q2], a1):
+            c1, c2 = coc.values[q1], coc.values[q2]
+            if c1 * galois_apply(sigmas[q1], c2) != c2 * galois_apply(sigmas[q2], c1):
                 raise InternalInconsistency("cocycle extension is inconsistent")
     rng = random.Random(seed)
     for _ in range(32):

@@ -49,10 +49,6 @@ class SplitPrimeData:
     gamma: int
     precision: int
 
-    @property
-    def prime_count(self) -> int:
-        return len(self.pairs)
-
 
 def split_prime_data(q: int, m: int, precision: int = 8) -> SplitPrimeData:
     """Find and pair the roots of the m-th cyclotomic polynomial mod q."""

@@ -25,7 +25,19 @@ from kforge.cyclotomic import (
     _pack,
     _unpack,
 )
-from kforge.exact_arith import euler_phi, factorize, ip_divmod_monic, ip_mul, ip_trim, poly_trim
+from kforge.exact_arith import euler_phi, factorize, ip_divmod_monic, ip_trim, poly_trim
+
+
+def ip_mul(a, b):
+    """Schoolbook product of integer polynomials, the reference for the
+    cyclotomic-polynomial tests."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return ip_trim(out)
 
 
 def mobius(n):
@@ -454,3 +466,21 @@ def test_product_against_sympy(m):
         expected = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
         expected += [Fraction(0)] * (max(field.phi, 1) - len(expected))
         assert (field.from_coeffs(a) * field.from_coeffs(b)).coeffs == tuple(expected)
+
+
+@pytest.mark.parametrize("m", [3, 5, 9, 12, 15, 21, 35])
+def test_inverse_against_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    modulus = sympy.cyclotomic_poly(m, x)
+    field = get_field(m)
+    rng = random.Random(m)
+    for _ in range(3):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(field.phi)]
+        if not any(coeffs):
+            continue
+        a = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
+        inv = sympy.Poly(sympy.invert(a, modulus), x, domain="QQ")
+        expected = [Fraction(int(c.p), int(c.q)) for c in reversed(inv.all_coeffs())]
+        expected += [Fraction(0)] * (field.phi - len(expected))
+        assert elt_inverse(field.from_coeffs(coeffs)).coeffs == tuple(expected)

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,15 +14,8 @@ from kforge.exact_arith import (
     is_prime,
     least_primitive_root,
     multiplicative_order,
-    poly_divmod,
-    poly_eval,
-    poly_extended_gcd,
-    poly_mul,
-    poly_trim,
     primes_upto,
 )
-
-PHI5 = poly_trim([1, 1, 1, 1, 1])
 
 
 def test_primes_basics():
@@ -36,56 +27,6 @@ def test_primes_basics():
     assert least_primitive_root(31) == 3
     assert multiplicative_order(3, 5) == 4
     assert crt_pair(1, 5, 2, 11) == 46
-
-
-class TestPolyGcd:
-    def test_common_factor(self):
-        a = poly_trim([-1, 0, 1])  # x^2 - 1
-        b = poly_trim([-1, 1])  # x - 1
-        g, u, v = poly_extended_gcd(a, b)
-        assert g == b
-
-    def test_coprime_with_bezout(self):
-        g, u, v = poly_extended_gcd(PHI5, poly_trim([-1, 1]))
-        assert g == poly_trim([1])
-        lhs = poly_mul(u, PHI5)
-        rhs = poly_mul(v, poly_trim([-1, 1]))
-        assert poly_trim([x + y for x, y in zip_pad(lhs, rhs)]) == poly_trim([1])
-
-    def test_zero_first_argument(self):
-        f = poly_trim([2, 4])
-        g, u, v = poly_extended_gcd((), f)
-        assert g == poly_trim([Fraction(1, 2), 1])
-        assert u == ()
-
-    def test_zero_pair_rejected(self):
-        with pytest.raises(DomainError, match="zero pair"):
-            poly_extended_gcd((), ())
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.integers(-9, 9), min_size=1, max_size=21),
-        st.lists(st.integers(-9, 9), min_size=1, max_size=21),
-    )
-    def test_bezout_identity_random(self, ca, cb):
-        a, b = poly_trim(ca), poly_trim(cb)
-        if not a and not b:
-            return
-        g, u, v = poly_extended_gcd(a, b)
-        lhs = [x + y for x, y in zip_pad(poly_mul(u, a), poly_mul(v, b))]
-        assert poly_trim(lhs) == g
-        if a:
-            assert poly_divmod(a, g)[1] == ()
-        if b:
-            assert poly_divmod(b, g)[1] == ()
-
-
-def zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(
-        list(a) + [Fraction(0)] * (n - len(a)),
-        list(b) + [Fraction(0)] * (n - len(b)),
-    )
 
 
 class TestFiniteField:
@@ -190,7 +131,3 @@ def test_padic_valuation():
     assert int_padic_valuation(5, 11) == 0
     with pytest.raises(DomainError):
         int_padic_valuation(0, 11)
-
-
-def test_poly_eval():
-    assert poly_eval(PHI5, Fraction(1)) == 5

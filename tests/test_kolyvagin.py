@@ -37,6 +37,7 @@ from kforge.kolyvagin import (
 )
 
 BASIC = parse_omega("1:1,2:-1")
+NEGATED = parse_omega("1:-1,2:1")  # the same pairs with negated weights: phi^(-1)
 
 
 class TestParams:
@@ -203,19 +204,23 @@ class TestPerturbedCocycle:
             kappa(BASIC, params, 11, 42, stale)
 
 
-def product_sum_terms(coc):
+def product_sum_terms(coc, inverse_coc):
     """Reference for the resolvent: (a_tau, tau) for every tau in G(s), with
     a_tau built element by element by the cocycle rule
     a_tau = a_{sigma_1^e_1} * sigma_1^e_1(a_{sigma_2^e_2}) * ...,
-    where a_{sigma_q^e} = prod_{i<e} sigma_q^i(a_q)."""
+    where a_{sigma_q^e} = prod_{i<e} sigma_q^i(a_q).  a_q = c_q^(-1) is taken
+    from inverse_coc, the cocycle of the negated-weight system, and checked
+    against c_q."""
     field = coc.field
     qs = sorted(coc.values)
     gens = {q: lifted_sigma(field, q).a for q in qs}
     chains = {}
     for q in qs:
+        a_q = inverse_coc.values[q]
+        assert coc.values[q] * a_q == field.one
         chain = [field.one]
         for i in range(q - 2):
-            moved = galois_apply(GaloisElt(field, pow(gens[q], i, field.m)), coc.inv_values[q])
+            moved = galois_apply(GaloisElt(field, pow(gens[q], i, field.m)), a_q)
             chain.append(chain[-1] * moved)
         chains[q] = chain
     terms = []
@@ -248,20 +253,26 @@ def two_prime_cocycle():
     return cocycle_closed_form(BASIC, KolyParams(3, 0, 3), 7 * 13)
 
 
+@pytest.fixture(scope="module")
+def two_prime_inverse_cocycle():
+    return cocycle_closed_form(NEGATED, KolyParams(3, 0, 3), 7 * 13)
+
+
 class TestFactoredResolvent:
     """The resolvent summed one cyclic factor at a time is the same element
     as the sum over all of G(s), and its input checks refuse bad cocycles."""
 
     def test_single_prime_matches_product_sum(self):
-        coc = cocycle_closed_form(BASIC, KolyParams(5, 0, 5), 11)
-        terms = product_sum_terms(coc)
+        params = KolyParams(5, 0, 5)
+        coc = cocycle_closed_form(BASIC, params, 11)
+        terms = product_sum_terms(coc, cocycle_closed_form(NEGATED, params, 11))
         assert len(terms) == 10
         for seed in (0, 1, 7, 42, 43):
             assert hilbert90_beta(coc, seed) == product_sum_beta(coc, terms, seed)
 
-    def test_two_prime_matches_product_sum(self, two_prime_cocycle):
+    def test_two_prime_matches_product_sum(self, two_prime_cocycle, two_prime_inverse_cocycle):
         coc = two_prime_cocycle
-        terms = product_sum_terms(coc)
+        terms = product_sum_terms(coc, two_prime_inverse_cocycle)
         assert len(terms) == 6 * 12
         for seed in (0, 7, 42):
             assert hilbert90_beta(coc, seed) == product_sum_beta(coc, terms, seed)
@@ -279,19 +290,19 @@ class TestFactoredResolvent:
         assert galois_apply(lifted_sigma(field, q), field.one - field.root(1)) == (
             field.one - field.root(1)
         ) * ratio
-        inv_values = dict(coc.inv_values)
-        inv_values[q] = inv_values[q] * ratio
+        values = dict(coc.values)
+        values[q] = values[q] * ratio
         with pytest.raises(InternalInconsistency, match="inconsistent"):
-            hilbert90_beta(dataclasses.replace(coc, inv_values=inv_values), 42)
+            hilbert90_beta(dataclasses.replace(coc, values=values), 42)
 
     @pytest.mark.parametrize("which", [min, max])
     def test_norm_condition_refuses_a_scaled_generator(self, two_prime_cocycle, which):
         coc = two_prime_cocycle
         q = which(coc.values)
-        inv_values = dict(coc.inv_values)
-        inv_values[q] = inv_values[q].scale(2)
+        values = dict(coc.values)
+        values[q] = values[q].scale(2)
         with pytest.raises(InternalInconsistency, match="norm condition"):
-            hilbert90_beta(dataclasses.replace(coc, inv_values=inv_values), 42)
+            hilbert90_beta(dataclasses.replace(coc, values=values), 42)
 
 
 class TestHilbert90:
