@@ -431,15 +431,20 @@ def embed_up(x: CycloElt, m_big: int) -> CycloElt:
     return _normalized(big, reduced, x.den)
 
 
-def _solve_against_columns(columns: list["CycloElt"], target: "CycloElt", small: CycloField):
+def _solve_against_columns(columns: list["CycloElt"], target: "CycloElt"):
     """Rationals b_i with sum b_i * columns_i = target, by Gaussian elimination.
 
-    Raises DomainError when the system is inconsistent (target outside the
-    span).  The caller re-verifies the full identity exactly afterwards.
+    Rows are read only until there is one pivot per column; those rows fix
+    the only candidate.  The rows after them are never read, so consistency
+    is decided by the caller, which re-verifies the full identity exactly and
+    raises DomainError when it fails.  A row that is zero in every column but
+    not in the target raises DomainError at once.
     """
     ncols = len(columns)
     pivots: list[tuple[int, list[Fraction]]] = []
     for r in range(target.field.phi):
+        if len(pivots) == ncols:
+            break
         row = [Fraction(b.num[r], b.den) for b in columns]
         row.append(Fraction(target.num[r], target.den))
         for col, prow in pivots:
@@ -474,7 +479,7 @@ def restrict_down(x: CycloElt, m_small: int) -> CycloElt:
         return x
     small = get_field(m_small)
     basis = [embed_up(small.root(i), m) for i in range(small.phi)]
-    sol = _solve_against_columns(basis, x, small)
+    sol = _solve_against_columns(basis, x)
     cand = small.from_coeffs(sol)
     if embed_up(cand, m) != x:
         raise DomainError("element does not lie in the requested subfield")
@@ -494,7 +499,7 @@ def divide_into_subfield(target: CycloElt, multiplier: CycloElt, m_small: int) -
         raise DomainError("division by zero")
     small = get_field(m_small)
     columns = [embed_up(small.root(i), m) * multiplier for i in range(small.phi)]
-    sol = _solve_against_columns(columns, target, small)
+    sol = _solve_against_columns(columns, target)
     cand = small.from_coeffs(sol)
     if embed_up(cand, m) * multiplier != target:
         raise DomainError("quotient does not lie in the requested subfield")

@@ -30,9 +30,10 @@ from .cyclotomic import (
     CycloField,
     GaloisElt,
     RootOfUnity,
+    _normalized,
+    _reduce_vec,
     conjugate,
     divide_into_subfield,
-    elt_inverse,
     embed_up,
     galois_apply,
     get_field,
@@ -94,104 +95,8 @@ def is_kolyvagin_prime(params: KolyParams, q: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# formal group-ring operators
+# the lifted generators and the derivative operator
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupRingOp:
-    """Integer combination of elements of a product of cyclic groups.
-
-    gens lists (q, order) per generator sigma_q; terms maps exponent tuples
-    (reduced mod the orders) to integer coefficients.
-    """
-
-    gens: tuple[tuple[int, int], ...]
-    terms: tuple[tuple[tuple[int, ...], int], ...]
-
-    @staticmethod
-    def make(gens, mapping) -> "GroupRingOp":
-        gens = tuple(gens)
-        orders = [o for _, o in gens]
-        acc: dict[tuple[int, ...], int] = {}
-        for exps, coeff in mapping.items():
-            key = tuple(e % o for e, o in zip(exps, orders))
-            acc[key] = acc.get(key, 0) + coeff
-        items = tuple(sorted((k, v) for k, v in acc.items() if v))
-        return GroupRingOp(gens, items)
-
-    @staticmethod
-    def constant(gens, c: int) -> "GroupRingOp":
-        zero = tuple(0 for _ in gens)
-        return GroupRingOp.make(gens, {zero: c})
-
-    @staticmethod
-    def sigma(gens, index: int, power: int = 1) -> "GroupRingOp":
-        exps = [0] * len(gens)
-        exps[index] = power
-        return GroupRingOp.make(gens, {tuple(exps): 1})
-
-    def _check_compatible(self, other: "GroupRingOp") -> None:
-        if self.gens != other.gens:
-            raise DomainError("operators over different groups")
-
-    def __add__(self, other: "GroupRingOp") -> "GroupRingOp":
-        self._check_compatible(other)
-        acc = dict(self.terms)
-        for k, v in other.terms:
-            acc[k] = acc.get(k, 0) + v
-        return GroupRingOp.make(self.gens, acc)
-
-    def __sub__(self, other: "GroupRingOp") -> "GroupRingOp":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "GroupRingOp":
-        return GroupRingOp.make(self.gens, {k: v * c for k, v in self.terms})
-
-    def __mul__(self, other: "GroupRingOp") -> "GroupRingOp":
-        self._check_compatible(other)
-        orders = [o for _, o in self.gens]
-        acc: dict[tuple[int, ...], int] = {}
-        for k1, v1 in self.terms:
-            for k2, v2 in other.terms:
-                key = tuple((a + b) % o for a, b, o in zip(k1, k2, orders))
-                acc[key] = acc.get(key, 0) + v1 * v2
-        return GroupRingOp.make(self.gens, acc)
-
-    def inflate(self, gens_full) -> "GroupRingOp":
-        """View the operator inside a larger product of cyclic groups."""
-        gens_full = tuple(gens_full)
-        positions = []
-        for q, o in self.gens:
-            positions.append(gens_full.index((q, o)))
-        acc = {}
-        for k, v in self.terms:
-            exps = [0] * len(gens_full)
-            for pos, e in zip(positions, k):
-                exps[pos] = e
-            acc[tuple(exps)] = v
-        return GroupRingOp.make(gens_full, acc)
-
-
-def build_operators(q: int) -> tuple[GroupRingOp, GroupRingOp]:
-    """The norm and derivative operators attached to sigma_q of order q-1."""
-    if not is_prime(q) or q < 3:
-        raise DomainError("q must be an odd prime")
-    gens = ((q, q - 1),)
-    norm_op = GroupRingOp.make(gens, {(i,): 1 for i in range(q - 1)})
-    deriv_op = GroupRingOp.make(gens, {(i,): i for i in range(1, q - 1)})
-    return norm_op, deriv_op
-
-
-def operator_identity_holds(q: int) -> bool:
-    """(sigma_q - 1) D_q == (q - 1) - N_q as formal group-ring equality."""
-    norm_op, deriv_op = build_operators(q)
-    gens = norm_op.gens
-    sigma = GroupRingOp.sigma(gens, 0)
-    one = GroupRingOp.constant(gens, 1)
-    lhs = (sigma - one) * deriv_op
-    rhs = GroupRingOp.constant(gens, q - 1) - norm_op
-    return lhs == rhs
 
 
 def lifted_sigma(field: CycloField, q: int, power: int = 1) -> GaloisElt:
@@ -202,26 +107,6 @@ def lifted_sigma(field: CycloField, q: int, power: int = 1) -> GaloisElt:
     t = least_primitive_root(q)
     a = crt_pair(pow(t, power % (q - 1), q), q, 1, N // q)
     return GaloisElt(field, a)
-
-
-def apply_group_ring(op: GroupRingOp, x: CycloElt) -> CycloElt:
-    """Evaluate a formal operator on a field element, multiplicatively."""
-    field = x.field
-    x_inv = None
-    result = field.one
-    for exps, coeff in op.terms:
-        sigma_a = 1
-        for (q, _), e in zip(op.gens, exps):
-            sigma_a = sigma_a * lifted_sigma(field, q, e).a % field.m
-        moved = galois_apply(GaloisElt(field, sigma_a), x)
-        if coeff >= 0:
-            result = result * moved**coeff
-        else:
-            if x_inv is None:
-                x_inv = elt_inverse(x)
-            moved_inv = galois_apply(GaloisElt(field, sigma_a), x_inv)
-            result = result * moved_inv ** (-coeff)
-    return result
 
 
 def apply_derivative(x: CycloElt, q: int) -> CycloElt:
@@ -236,18 +121,6 @@ def apply_derivative(x: CycloElt, q: int) -> CycloElt:
     for i in range(q - 2, 0, -1):
         tail = tail * conj[i]
         acc = acc * tail
-    return acc
-
-
-def apply_norm(x: CycloElt, q: int) -> CycloElt:
-    """N_q x: the product over the full cyclic group of sigma_q."""
-    field = x.field
-    sigma = lifted_sigma(field, q)
-    acc = field.one
-    cur = x
-    for _ in range(q - 1):
-        acc = acc * cur
-        cur = galois_apply(sigma, cur)
     return acc
 
 
@@ -272,7 +145,11 @@ class Cocycle:
 
     norm_trivial records that every c_sigma has norm 1 over the cyclic group
     of sigma; each inverse the construction needs is then the product of the
-    other conjugates, c^(-1) = prod_{0<i<order} sigma^i(c)."""
+    other conjugates, c^(-1) = prod_{0<i<order} sigma^i(c).  chains[q] holds
+    those inverses for sigma = sigma_q: chains[q][e] = a_{sigma^e} =
+    prod_{e<=i<q-1} sigma^i(c_q), with the norm at e = 0.  _certify builds
+    the chains from values; a cocycle whose values change must be certified
+    again before its chains are read."""
 
     params: KolyParams
     s: int
@@ -282,18 +159,31 @@ class Cocycle:
     certified: bool
     norm_trivial: bool
     frobenius_exponents: dict[int, int] = dc_field(default_factory=dict)
+    chains: dict[int, list[CycloElt]] = dc_field(default_factory=dict)
 
 
 def _certify(coc: Cocycle) -> None:
-    """Re-verify c^M * D_s phi = sigma(D_s phi) and cyclic-norm triviality."""
+    """Re-verify c^M * D_s phi = sigma(D_s phi) and cyclic-norm triviality.
+
+    The norm is the last of the suffix products of the conjugates of c, so
+    one sweep over the conjugates checks it and builds coc.chains."""
     M = coc.params.M
     coc.certified = True
     coc.norm_trivial = True
+    coc.chains = {}
     for q, c in coc.values.items():
         sigma = lifted_sigma(coc.field, q)
         if c**M * coc.dsphi != galois_apply(sigma, coc.dsphi):
             coc.certified = False
-        if apply_norm(c, q) != coc.field.one:
+        conj = [c]
+        for _ in range(q - 2):
+            conj.append(galois_apply(sigma, conj[-1]))
+        chain = [conj.pop()]
+        while conj:
+            chain.append(conj.pop() * chain[-1])
+        chain.reverse()
+        coc.chains[q] = chain
+        if chain[0] != coc.field.one:
             coc.norm_trivial = False
 
 
@@ -305,7 +195,9 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
     on the level-r group as sigma_r^e with t_r^e = q mod r, contributing the
     inverse of the first e conjugates of the level-r closed form c_r.  The
     level-r value has norm 1 over sigma_r, so that inverse is the product of
-    the remaining conjugates sigma_r^i(c_r), e <= i < r - 1.
+    the remaining conjugates sigma_r^i(c_r), e <= i < r - 1: the level-r
+    cocycle's chain[e], formed in Q(zeta_{m*r}) and embedded once, since
+    sigma_r acts on the subfield as it does on Q(zeta_{m*s}).
     """
     params.validate_system(E)
     qs = sorted(factorize(s))
@@ -339,11 +231,7 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
             t_r = least_primitive_root(r)
             e_frob = int_dlog(t_r, q, r)
             frob_exps[q] = e_frob
-            sub_c = embed_up(sub.values[r], N)
-            corr_inv = field.one
-            for i in range(e_frob, r - 1):
-                corr_inv = corr_inv * galois_apply(lifted_sigma(field, r, i), sub_c)
-            values[q] = d_x[r] ** ((q - 1) // M) * corr_inv
+            values[q] = d_x[r] ** ((q - 1) // M) * embed_up(sub.chains[r][e_frob], N)
     coc = Cocycle(params, s, field, values, dsphi, False, False, frob_exps)
     _certify(coc)
     if not coc.certified:
@@ -354,23 +242,6 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
 # ---------------------------------------------------------------------------
 # constructive Hilbert 90 and the class itself
 # ---------------------------------------------------------------------------
-
-
-def _generator_chain(c: CycloElt, sigma: GaloisElt, order: int) -> list[CycloElt]:
-    """[a_{sigma^e} for e < order] for c = c_sigma, after checking that the
-    norm of c is 1.  The inverse of the cocycle value c * ... * sigma^(e-1)(c)
-    is then the product of the remaining conjugates of c, so the chain holds
-    their suffix products, with the norm at e = 0."""
-    conj = [c]
-    for _ in range(order - 1):
-        conj.append(galois_apply(sigma, conj[-1]))
-    chain = [conj.pop()]
-    while conj:
-        chain.append(conj.pop() * chain[-1])
-    chain.reverse()
-    if chain[0] != c.field.one:
-        raise InternalInconsistency("cocycle norm condition failed")
-    return chain
 
 
 def _resolvent_factor(y: CycloElt, chain: list[CycloElt], sigma: GaloisElt) -> CycloElt:
@@ -384,13 +255,16 @@ def _resolvent_factor(y: CycloElt, chain: list[CycloElt], sigma: GaloisElt) -> C
 
 def _sample_theta(field: CycloField, rng: random.Random) -> CycloElt:
     """Conjugation-invariant element with small coefficients drawn from the
-    seeded generator: c_0 + sum c_k (zeta^k + zeta^(-k))."""
-    theta = field.from_rational(rng.randint(-3, 3))
+    seeded generator: c_0 + sum c_k (zeta^k + zeta^(-k)), written into one
+    length-m vector and reduced once."""
+    m = field.m
+    vec = [0] * m
+    vec[0] = rng.randint(-3, 3)
     for k in range(1, field.phi // 2 + 1):
         c = rng.randint(-3, 3)
-        if c:
-            theta = theta + (field.root(k) + field.root(-k)).scale(c)
-    return theta
+        vec[k % m] += c
+        vec[-k % m] += c
+    return _normalized(field, _reduce_vec(field, vec), 1)
 
 
 def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:
@@ -410,14 +284,17 @@ def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:
     sum (q - 1) products in place of prod (q - 1).  It is the same element
     as the sum over G(s), not merely another solution.  No inverse is
     formed: c_q has norm 1, so each a_{sigma_q^e} is a product of conjugates
-    of c_q.  The norms and the generator pairs, c_1 sigma_1(c_2) =
-    c_2 sigma_2(c_1), are checked before any sum is formed.  theta is drawn
-    deterministically from the seed and resampled while beta vanishes.
+    of c_q, read from coc.chains[q] as _certify built it.  A cocycle whose
+    norm_trivial flag is False is refused, and the generator pairs,
+    c_1 sigma_1(c_2) = c_2 sigma_2(c_1), are checked before any sum is
+    formed.  theta is drawn deterministically from the seed and resampled
+    while beta vanishes.
     """
+    if not coc.norm_trivial:
+        raise InternalInconsistency("cocycle norm condition failed")
     field = coc.field
     qs = sorted(coc.values)
     sigmas = {q: lifted_sigma(field, q) for q in qs}
-    chains = {q: _generator_chain(coc.values[q], sigmas[q], q - 1) for q in qs}
     for i, q1 in enumerate(qs):
         for q2 in qs[i + 1 :]:
             c1, c2 = coc.values[q1], coc.values[q2]
@@ -427,7 +304,7 @@ def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:
     for _ in range(32):
         beta = _sample_theta(field, rng)
         for q in reversed(qs):
-            beta = _resolvent_factor(beta, chains[q], sigmas[q])
+            beta = _resolvent_factor(beta, coc.chains[q], sigmas[q])
         if beta.is_zero():
             continue
         for q, c in coc.values.items():
@@ -479,19 +356,3 @@ def kappa(
     if not is_in_real_subfield(value):
         raise InternalInconsistency("class representative is not real")
     return KappaClass(params, s, value, beta, seed, coc)
-
-
-def ratio_mth_power_witness(ka: KappaClass, kb: KappaClass) -> CycloElt:
-    """Exact w in F with ka.kappa = kb.kappa * w^M, from the beta ratio.
-
-    Verifies the representative ambiguity: two seeds change the class by an
-    M-th power of a field element.
-    """
-    if ka.params != kb.params or ka.s != kb.s:
-        raise DomainError("classes from different configurations")
-    if ka.s == 1:
-        return get_field(ka.params.conductor).one
-    w = divide_into_subfield(kb.beta, ka.beta, ka.params.conductor)
-    if kb.kappa * w**ka.params.M != ka.kappa:
-        raise InternalInconsistency("beta ratio does not witness the class ambiguity")
-    return w

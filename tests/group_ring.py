@@ -1,0 +1,168 @@
+"""Group-ring operators and certificates that only the tests use.
+
+The formal operators check the telescoping identity (sigma_q - 1) D_q =
+(q - 1) - N_q in the group ring, and apply_group_ring evaluates an operator
+on a field element term by term, as an independent reference for the
+suffix-product derivative.  apply_norm is the plain cyclic norm, and
+ratio_mth_power_witness exhibits the representative ambiguity of a class.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from kforge.cyclotomic import (
+    CycloElt,
+    GaloisElt,
+    divide_into_subfield,
+    elt_inverse,
+    galois_apply,
+    get_field,
+)
+from kforge.errors import DomainError, InternalInconsistency
+from kforge.exact_arith import is_prime
+from kforge.kolyvagin import KappaClass, lifted_sigma
+
+
+@dataclass(frozen=True)
+class GroupRingOp:
+    """Integer combination of elements of a product of cyclic groups.
+
+    gens lists (q, order) per generator sigma_q; terms maps exponent tuples
+    (reduced mod the orders) to integer coefficients.
+    """
+
+    gens: tuple[tuple[int, int], ...]
+    terms: tuple[tuple[tuple[int, ...], int], ...]
+
+    @staticmethod
+    def make(gens, mapping) -> "GroupRingOp":
+        gens = tuple(gens)
+        orders = [o for _, o in gens]
+        acc: dict[tuple[int, ...], int] = {}
+        for exps, coeff in mapping.items():
+            key = tuple(e % o for e, o in zip(exps, orders))
+            acc[key] = acc.get(key, 0) + coeff
+        items = tuple(sorted((k, v) for k, v in acc.items() if v))
+        return GroupRingOp(gens, items)
+
+    @staticmethod
+    def constant(gens, c: int) -> "GroupRingOp":
+        zero = tuple(0 for _ in gens)
+        return GroupRingOp.make(gens, {zero: c})
+
+    @staticmethod
+    def sigma(gens, index: int, power: int = 1) -> "GroupRingOp":
+        exps = [0] * len(gens)
+        exps[index] = power
+        return GroupRingOp.make(gens, {tuple(exps): 1})
+
+    def _check_compatible(self, other: "GroupRingOp") -> None:
+        if self.gens != other.gens:
+            raise DomainError("operators over different groups")
+
+    def __add__(self, other: "GroupRingOp") -> "GroupRingOp":
+        self._check_compatible(other)
+        acc = dict(self.terms)
+        for k, v in other.terms:
+            acc[k] = acc.get(k, 0) + v
+        return GroupRingOp.make(self.gens, acc)
+
+    def __sub__(self, other: "GroupRingOp") -> "GroupRingOp":
+        return self + other.scale(-1)
+
+    def scale(self, c: int) -> "GroupRingOp":
+        return GroupRingOp.make(self.gens, {k: v * c for k, v in self.terms})
+
+    def __mul__(self, other: "GroupRingOp") -> "GroupRingOp":
+        self._check_compatible(other)
+        orders = [o for _, o in self.gens]
+        acc: dict[tuple[int, ...], int] = {}
+        for k1, v1 in self.terms:
+            for k2, v2 in other.terms:
+                key = tuple((a + b) % o for a, b, o in zip(k1, k2, orders))
+                acc[key] = acc.get(key, 0) + v1 * v2
+        return GroupRingOp.make(self.gens, acc)
+
+    def inflate(self, gens_full) -> "GroupRingOp":
+        """View the operator inside a larger product of cyclic groups."""
+        gens_full = tuple(gens_full)
+        positions = []
+        for q, o in self.gens:
+            positions.append(gens_full.index((q, o)))
+        acc = {}
+        for k, v in self.terms:
+            exps = [0] * len(gens_full)
+            for pos, e in zip(positions, k):
+                exps[pos] = e
+            acc[tuple(exps)] = v
+        return GroupRingOp.make(gens_full, acc)
+
+
+def build_operators(q: int) -> tuple[GroupRingOp, GroupRingOp]:
+    """The norm and derivative operators attached to sigma_q of order q-1."""
+    if not is_prime(q) or q < 3:
+        raise DomainError("q must be an odd prime")
+    gens = ((q, q - 1),)
+    norm_op = GroupRingOp.make(gens, {(i,): 1 for i in range(q - 1)})
+    deriv_op = GroupRingOp.make(gens, {(i,): i for i in range(1, q - 1)})
+    return norm_op, deriv_op
+
+
+def operator_identity_holds(q: int) -> bool:
+    """(sigma_q - 1) D_q == (q - 1) - N_q as formal group-ring equality."""
+    norm_op, deriv_op = build_operators(q)
+    gens = norm_op.gens
+    sigma = GroupRingOp.sigma(gens, 0)
+    one = GroupRingOp.constant(gens, 1)
+    lhs = (sigma - one) * deriv_op
+    rhs = GroupRingOp.constant(gens, q - 1) - norm_op
+    return lhs == rhs
+
+
+def apply_group_ring(op: GroupRingOp, x: CycloElt) -> CycloElt:
+    """Evaluate a formal operator on a field element, multiplicatively."""
+    field = x.field
+    x_inv = None
+    result = field.one
+    for exps, coeff in op.terms:
+        sigma_a = 1
+        for (q, _), e in zip(op.gens, exps):
+            sigma_a = sigma_a * lifted_sigma(field, q, e).a % field.m
+        moved = galois_apply(GaloisElt(field, sigma_a), x)
+        if coeff >= 0:
+            result = result * moved**coeff
+        else:
+            if x_inv is None:
+                x_inv = elt_inverse(x)
+            moved_inv = galois_apply(GaloisElt(field, sigma_a), x_inv)
+            result = result * moved_inv ** (-coeff)
+    return result
+
+
+def apply_norm(x: CycloElt, q: int) -> CycloElt:
+    """N_q x: the product over the full cyclic group of sigma_q."""
+    field = x.field
+    sigma = lifted_sigma(field, q)
+    acc = field.one
+    cur = x
+    for _ in range(q - 1):
+        acc = acc * cur
+        cur = galois_apply(sigma, cur)
+    return acc
+
+
+def ratio_mth_power_witness(ka: KappaClass, kb: KappaClass) -> CycloElt:
+    """Exact w in F with ka.kappa = kb.kappa * w^M, from the beta ratio.
+
+    Verifies the representative ambiguity: two seeds change the class by an
+    M-th power of a field element.
+    """
+    if ka.params != kb.params or ka.s != kb.s:
+        raise DomainError("classes from different configurations")
+    if ka.s == 1:
+        return get_field(ka.params.conductor).one
+    w = divide_into_subfield(kb.beta, ka.beta, ka.params.conductor)
+    if kb.kappa * w**ka.params.M != ka.kappa:
+        raise InternalInconsistency("beta ratio does not witness the class ambiguity")
+    return w

@@ -36,17 +36,15 @@ from kforge.euler import (
 from kforge.exact_arith import ip_eval, primes_upto
 from kforge.kolyvagin import (
     KolyParams,
-    apply_norm,
     cocycle_closed_form,
     find_kolyvagin_primes,
     hilbert90_beta,
     kappa,
     level_root,
     lifted_sigma,
-    operator_identity_holds,
-    ratio_mth_power_witness,
 )
 from kforge.primes import check_factorization, is_mth_power
+from group_ring import apply_norm, operator_identity_holds, ratio_mth_power_witness
 
 BASIC = "1:1,2:-1"
 A2_OMEGAS = [BASIC, "1:2,3:-2", "2:1,3:-1", BASIC + ",compose=2", BASIC + ",twist=3:1"]

@@ -90,6 +90,32 @@ class TestReports:
         err = capsys.readouterr().err
         assert "[timing] cocycle_certificate:" in err and "[timing] kappa_class:" in err
 
+    def test_kappa_builds_each_conjugate_chain_once(self, capsys, monkeypatch):
+        # one chain per (level, q): two for the level-91 cocycle, and one for
+        # each single-prime sub-cocycle, which gives its Frobenius correction;
+        # the resolvent reads the level-91 chains and forms no norm of its own
+        built, read = [], []
+        certify, factor = kolyvagin._certify, kolyvagin._resolvent_factor
+
+        def counted_certify(coc):
+            certify(coc)
+            built.extend((coc.s, q, chain) for q, chain in coc.chains.items())
+
+        def counted_factor(y, chain, sigma):
+            read.append(chain)
+            return factor(y, chain, sigma)
+
+        monkeypatch.setattr(kolyvagin, "_certify", counted_certify)
+        monkeypatch.setattr(kolyvagin, "_resolvent_factor", counted_factor)
+        args = ["kappa", "--p", "3", "--n", "0", "--M", "3", "--s", "7,13", "--seed", "42"]
+        assert run_main(args) == 0
+        assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+        assert sorted((s, q) for s, q, _ in built) == [(7, 7), (13, 13), (91, 7), (91, 13)]
+        top = {id(chain) for s, _, chain in built if s == 91}
+        assert {id(chain) for chain in read} == top
+        assert not hasattr(kolyvagin, "apply_norm")
+        assert not hasattr(kolyvagin, "_generator_chain")
+
     def test_factorize_builds_each_level_q_class_once(self, capsys, monkeypatch):
         # at s = 1 the class checked by the factorization law is also the
         # class relation's witness: one cocycle and one resolvent per q

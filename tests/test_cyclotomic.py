@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kforge.errors import DomainError
+from kforge.errors import DomainError, InternalInconsistency
 from kforge.cyclotomic import (
     GaloisElt,
     RootOfUnity,
@@ -23,6 +23,7 @@ from kforge.cyclotomic import (
     restrict_down,
     tower_subgroup,
     _pack,
+    _solve_against_columns,
     _unpack,
 )
 from kforge.exact_arith import euler_phi, factorize, ip_divmod_monic, ip_trim, poly_trim
@@ -210,6 +211,57 @@ class TestTower:
         mult = f55.root(7) + f55.from_rational(2)
         target = embed_up(y, 55) * mult
         assert divide_into_subfield(target, mult, 5) == y
+
+
+class TestSubfieldSolve:
+    """The solve reads rows only until it has one pivot per column, so the
+    caller's exact re-check alone must refuse a target that is wrong in a
+    later row."""
+
+    @staticmethod
+    def system(kind):
+        f5, f55 = get_field(5), get_field(55)
+        y = f5.root(1).scale(Fraction(2, 3)) + f5.from_rational(3)
+        mult = f55.one if kind == "restrict" else f55.root(7) + f55.from_rational(2)
+        columns = [embed_up(f5.root(i), 55) * mult for i in range(f5.phi)]
+        return y, mult, columns, embed_up(y, 55) * mult
+
+    @staticmethod
+    def solve(kind, target, mult):
+        if kind == "restrict":
+            return restrict_down(target, 5)
+        return divide_into_subfield(target, mult, 5)
+
+    @pytest.mark.parametrize("kind", ["restrict", "divide"])
+    def test_inconsistent_tail_fails_the_final_check(self, kind):
+        y, mult, columns, target = self.system(kind)
+        f55 = target.field
+        assert self.solve(kind, target, mult) == y
+        # the last row comes after the pivot rows: the solver never reads it
+        # and returns the valid quotient's coefficients
+        bad = target + f55.root(f55.phi - 1)
+        assert bad.num[:-1] == target.num[:-1] and bad.num[-1] != target.num[-1]
+        assert _solve_against_columns(columns, bad) == list(y.coeffs)
+        with pytest.raises(DomainError, match="does not lie in the requested subfield"):
+            self.solve(kind, bad, mult)
+
+    def test_row_outside_every_column_raises_at_once(self):
+        _, _, columns, target = self.system("restrict")
+        # the embedded powers of zeta_5 are zeta_55^(11 i): row 1 is zero in
+        # every column
+        assert all(c.num[1] == 0 for c in columns)
+        bad = target + target.field.root(1)
+        with pytest.raises(DomainError, match="requested subfield"):
+            _solve_against_columns(columns, bad)
+
+    def test_degenerate_columns(self):
+        _, _, columns, _ = self.system("divide")
+        columns[1] = columns[0].scale(3)
+        # a target inside their span: every row is consistent, but no row
+        # gives the fourth pivot
+        target = columns[0] + columns[2] - columns[3]
+        with pytest.raises(InternalInconsistency, match="degenerate"):
+            _solve_against_columns(columns, target)
 
 
 class TestNorms:

@@ -18,20 +18,22 @@ from kforge.cyclotomic import (
 from kforge.euler import parse_omega, phi_eval
 from kforge.exact_arith import ip_eval, primes_upto
 from kforge.kolyvagin import (
-    GroupRingOp,
     _certify,
     _sample_theta,
     KolyParams,
     apply_derivative,
-    apply_group_ring,
-    apply_norm,
-    build_operators,
     cocycle_closed_form,
     find_kolyvagin_primes,
     hilbert90_beta,
     kappa,
     level_root,
     lifted_sigma,
+)
+from group_ring import (
+    GroupRingOp,
+    apply_group_ring,
+    apply_norm,
+    build_operators,
     operator_identity_holds,
     ratio_mth_power_witness,
 )
@@ -165,6 +167,32 @@ class TestCocycle:
         assert coc.certified and coc.norm_trivial
         assert coc.values[19] == phi_eval(BASIC, level_root(params, 19)) ** 6
 
+    def test_chains_are_suffix_products_of_conjugates(self):
+        coc = cocycle_closed_form(BASIC, KolyParams(5, 0, 5), 11)
+        c, chain = coc.values[11], coc.chains[11]
+        assert len(chain) == 10 and chain[0] == coc.field.one
+        suffix = coc.field.one
+        for e in range(9, -1, -1):
+            suffix = galois_apply(lifted_sigma(coc.field, 11, e), c) * suffix
+            assert chain[e] == suffix
+
+    @pytest.mark.parametrize("q", [7, 13])
+    def test_frobenius_correction_from_the_sub_chain(self, two_prime_cocycle, q):
+        # reference: the correction formed at level N as the product of the
+        # conjugates sigma_r^i(embed(c_r)), e <= i < r - 1
+        coc = two_prime_cocycle
+        params, field, N = coc.params, coc.field, coc.field.m
+        r = coc.s // q
+        e = coc.frobenius_exponents[q]
+        sub = cocycle_closed_form(BASIC, params, r)
+        sub_c = embed_up(sub.values[r], N)
+        reference = field.one
+        for i in range(e, r - 1):
+            reference = reference * galois_apply(lifted_sigma(field, r, i), sub_c)
+        assert embed_up(sub.chains[r][e], N) == reference
+        x = phi_eval(BASIC, level_root(params, coc.s))
+        assert coc.values[q] == apply_derivative(x, r) ** ((q - 1) // params.M) * reference
+
 
 class TestPerturbedCocycle:
     """Negative controls: the certificate and everything downstream of it must
@@ -202,6 +230,43 @@ class TestPerturbedCocycle:
         _certify(stale)
         with pytest.raises(InternalInconsistency, match="certificate"):
             kappa(BASIC, params, 11, 42, stale)
+
+    def test_recertified_copy_leaves_the_original_chains(self):
+        coc = cocycle_closed_form(BASIC, KolyParams(5, 0, 5), 11)
+        chain = coc.chains[11]
+        bad = self.perturbed(coc, "two")
+        _certify(bad)
+        assert not bad.norm_trivial and bad.chains[11][0] != coc.field.one
+        assert coc.chains[11] is chain and chain[0] == coc.field.one
+
+    def test_no_class_from_a_cocycle_without_trivial_norm(self):
+        params = KolyParams(5, 0, 5)
+        coc = cocycle_closed_form(BASIC, params, 11)
+        unnormed = dataclasses.replace(coc, norm_trivial=False)
+        with pytest.raises(InternalInconsistency, match="cocycle norm condition failed"):
+            kappa(BASIC, params, 11, 42, unnormed)
+
+
+def reference_theta(field, rng):
+    """theta as a sum of field elements, one root pair at a time: the
+    reference for the single reduction in _sample_theta."""
+    theta = field.from_rational(rng.randint(-3, 3))
+    for k in range(1, field.phi // 2 + 1):
+        c = rng.randint(-3, 3)
+        if c:
+            theta = theta + (field.root(k) + field.root(-k)).scale(c)
+    return theta
+
+
+@pytest.mark.parametrize("m", [3, 21, 39, 155, 273])
+def test_sample_theta_matches_reference(m):
+    field = get_field(m)
+    for seed in (0, 1, 42):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            theta = _sample_theta(field, fast)
+            assert theta == reference_theta(field, slow)
+            assert conjugate(theta) == theta
 
 
 def product_sum_terms(coc, inverse_coc):
@@ -246,6 +311,14 @@ def product_sum_beta(coc, terms, seed):
         if not beta.is_zero():
             return beta
     raise AssertionError("reference resolvent exhausted")
+
+
+def recertified(coc, values):
+    """A copy of coc with the given values, certified again, so that its
+    norm flag and chains are built from those values."""
+    bad = dataclasses.replace(coc, values=values)
+    _certify(bad)
+    return bad
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +366,7 @@ class TestFactoredResolvent:
         values = dict(coc.values)
         values[q] = values[q] * ratio
         with pytest.raises(InternalInconsistency, match="inconsistent"):
-            hilbert90_beta(dataclasses.replace(coc, values=values), 42)
+            hilbert90_beta(recertified(coc, values), 42)
 
     @pytest.mark.parametrize("which", [min, max])
     def test_norm_condition_refuses_a_scaled_generator(self, two_prime_cocycle, which):
@@ -302,7 +375,7 @@ class TestFactoredResolvent:
         values = dict(coc.values)
         values[q] = values[q].scale(2)
         with pytest.raises(InternalInconsistency, match="norm condition"):
-            hilbert90_beta(dataclasses.replace(coc, values=values), 42)
+            hilbert90_beta(recertified(coc, values), 42)
 
 
 class TestHilbert90:

@@ -12,7 +12,7 @@ from kforge.cyclotomic import (
 )
 from kforge.euler import parse_omega, phi_eval
 from kforge.exact_arith import int_padic_valuation
-from kforge.kolyvagin import KolyParams, cocycle_closed_form, kappa, ratio_mth_power_witness
+from kforge.kolyvagin import KolyParams, cocycle_closed_form, kappa
 from kforge.primes import (
     annihilator_from_dlogs,
     apply_galois_to_annihilator,
@@ -25,6 +25,7 @@ from kforge.primes import (
     split_prime_data,
     valuation,
 )
+from group_ring import ratio_mth_power_witness
 
 BASIC = parse_omega("1:1,2:-1")
 PARAMS = KolyParams(5, 0, 5)
