@@ -4,9 +4,9 @@
 Certifies the composite-level cocycle closed form (ambient field of degree
 1200) and then verifies the factorization law for s = 11, q = 31, whose
 level-s*q class lives in the same field and is built from that certified
-cocycle.  Expect a run of about a minute on one core: the cocycle
-certificate takes about 40 s, most of it in the derivative D_s phi and the
-products at degree 1200, and the factorization under 20 s.
+cocycle.  Expect a run of about 40 s on one core: the cocycle certificate
+takes about 30 s, most of it in the degree-1200 products of the derivative
+D_s phi and of the certificate, and the factorization about 10 s.
 """
 
 import pathlib

@@ -16,66 +16,84 @@ borrows one from the slot above, on packing and on unpacking alike.
 Every vector that leaves the power basis (a product, a Galois image, an
 embedding, a power of zeta) goes through one reduction.  It first folds the
 vector modulo x^m - 1, which is exact because Phi_m divides x^m - 1, and
-leaves at most m coefficients.  It then clears the top m - phi(m) of them
-with the nonzero coefficients of Phi_m alone, which are split once per field
-into +1, -1 and the rest.
+leaves at most m coefficients.  It then divides by Phi_m by reversal.  Phi_m
+is the Mobius product of binomials 1 - x^d, so multiplying by Phi_m or by the
+power series 1/Phi_m is one pass over the list per binomial; Phi_m itself is
+built by the same passes.
 
-Field tables (the cyclotomic polynomial and the unit-group enumeration) are
-cached in memory per conductor.
+Field tables (the cyclotomic polynomial, its binomial factors and the
+unit-group enumeration) are cached in memory per conductor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 
 from .errors import DomainError, InternalInconsistency
-from .exact_arith import PolyZ, euler_phi, ip_divmod_monic, poly_trim
+from .exact_arith import PolyZ, euler_phi, factorize, poly_trim
 
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and field tables
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _binomial_factors(m: int) -> tuple[tuple[int, int], ...]:
+    """(d, mu(m/d)) for the divisors d of m with mu(m/d) != 0.  For m > 1,
+    Phi_m = prod (1 - x^d)^mu(m/d), since the exponents sum to zero."""
+    pairs = [(m, 1)]
+    for p in factorize(m):
+        pairs += [(d // p, -mu) for d, mu in pairs]
+    return tuple(pairs)
+
+
+def _times_binomials(t: list[int], binomials, sign: int) -> list[int]:
+    """t * prod (1 - x^d)^(sign * mu) mod x^len(t), in place, over the (d, mu)
+    pairs of `binomials`.
+
+    Multiplying by 1 - x^d subtracts t shifted up by d; dividing by it is the
+    running sum at stride d.  A binomial with d >= len(t) is 1 and is skipped.
+    """
+    n = len(t)
+    for d, mu in binomials:
+        if d >= n:
+            continue
+        if mu == sign:
+            t[d:] = map(sub, t[d:], t[: n - d])
+        elif d == 1:
+            t[:] = accumulate(t)
+        else:
+            for i in range(d, n):
+                t[i] += t[i - d]
+    return t
+
+
 def cyclotomic_polynomial(m: int) -> PolyZ:
-    """Monic minimal polynomial of a primitive m-th root of unity over Z."""
+    """Monic minimal polynomial of a primitive m-th root of unity over Z.
+
+    For m > 1 it is the binomial product of `_binomial_factors`, taken
+    mod x^(phi(m) + 1), which holds all of it.
+    """
     if m < 1:
         raise DomainError("conductor must be positive")
     if m == 1:
         return (-1, 1)
-    num = tuple([-1] + [0] * (m - 1) + [1])  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            num, rem = ip_divmod_monic(num, cyclotomic_polynomial(d))
-            if rem:
-                raise InternalInconsistency("cyclotomic division left a remainder")
-    return num
+    return tuple(_times_binomials([1] + [0] * euler_phi(m), _binomial_factors(m), 1))
 
 
 @dataclass(frozen=True)
 class CycloField:
-    """Cached arithmetic tables for Q(zeta_m)."""
+    """Cached arithmetic tables for Q(zeta_m): Phi_m, the unit group and the
+    (d, mu(m/d)) binomial factors of Phi_m that the reduction runs through."""
 
     m: int
     phi: int
     poly: PolyZ
     unit_group: tuple[int, ...]
-    # nonzero coefficients of Phi_m below its leading term: the exponents whose
-    # coefficient is +1, those whose coefficient is -1, and (exponent, coeff)
-    # for the rest
-    tail: tuple = dc_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        low = list(enumerate(self.poly[: self.phi]))
-        tail = (
-            tuple(j for j, c in low if c == 1),
-            tuple(j for j, c in low if c == -1),
-            tuple((j, c) for j, c in low if c not in (0, 1, -1)),
-        )
-        object.__setattr__(self, "tail", tail)
+    binomials: tuple[tuple[int, int], ...]
 
     def root(self, e: int = 1) -> "CycloElt":
         """zeta_m^e as a field element."""
@@ -118,7 +136,7 @@ def get_field(m: int) -> CycloField:
         return field
     poly = cyclotomic_polynomial(m)
     units = tuple(a for a in range(1, m + 1) if math.gcd(a, m) == 1) if m > 1 else (1,)
-    field = CycloField(m, euler_phi(m), poly, units)
+    field = CycloField(m, euler_phi(m), poly, units, _binomial_factors(m))
     if len(field.poly) - 1 != field.phi or len(field.unit_group) != field.phi:
         raise InternalInconsistency("field table is inconsistent")
     return _FIELDS.setdefault(m, field)
@@ -130,27 +148,25 @@ def get_field(m: int) -> CycloField:
 
 
 def _reduce_vec(field: CycloField, vec: list[int]) -> list[int]:
-    """Reduce an integer coefficient list of any length modulo Phi_m, in place.
+    """Reduce an integer coefficient list of any length modulo Phi_m; the list
+    passed in is overwritten with the phi coefficients and returned.
 
-    Folding modulo x^m - 1 leaves at most m coefficients; each of the top
-    m - phi is then cleared with the sparse tail of Phi_m.
+    Folding modulo x^m - 1 leaves n <= m coefficients v.  If n > phi, write
+    v = Q * Phi_m + R.  Phi_m is palindromic for m >= 2, so the reversed
+    quotient is (v_(n-1), ..., v_phi) * Phi_m^(-1) mod x^(n - phi), and then
+    R = v - Q * Phi_m mod x^phi.  Both products run through the binomials.
     """
     m, phi = field.m, field.phi
     for i in range(m, len(vec)):
         vec[i % m] += vec[i]
     del vec[m:]
-    plus, minus, other = field.tail
-    for i in range(len(vec) - 1, phi - 1, -1):
-        c = vec[i]
-        if c:
-            base = i - phi
-            for j in plus:
-                vec[base + j] -= c
-            for j in minus:
-                vec[base + j] += c
-            for j, a in other:
-                vec[base + j] -= a * c
-    del vec[phi:]
+    if len(vec) > phi:
+        quo = _times_binomials(vec[: phi - 1 : -1], field.binomials, -1)
+        quo.reverse()
+        del quo[phi:]
+        quo.extend([0] * (phi - len(quo)))
+        del vec[phi:]
+        vec[:] = map(sub, vec, _times_binomials(quo, field.binomials, 1))
     vec.extend([0] * (max(phi, 1) - len(vec)))
     return vec
 

@@ -154,23 +154,6 @@ def ip_trim(coeffs) -> PolyZ:
     return tuple(cs)
 
 
-def ip_divmod_monic(a, b) -> tuple[PolyZ, PolyZ]:
-    """Divide by a monic integer polynomial; stays in Z[x]."""
-    if not b or b[-1] != 1:
-        raise DomainError("divisor must be monic")
-    rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        c = rem[-1]
-        if c:
-            shift = len(rem) - len(b)
-            quo[shift] = c
-            for j, cb in enumerate(b):
-                rem[shift + j] -= c * cb
-        rem.pop()
-    return ip_trim(quo), ip_trim(rem)
-
-
 def ip_eval(a, x: int) -> int:
     acc = 0
     for c in reversed(a):

@@ -22,11 +22,13 @@ from kforge.cyclotomic import (
     relative_norm,
     restrict_down,
     tower_subgroup,
+    _binomial_factors,
     _pack,
+    _reduce_vec,
     _solve_against_columns,
     _unpack,
 )
-from kforge.exact_arith import euler_phi, factorize, ip_divmod_monic, ip_trim, poly_trim
+from kforge.exact_arith import euler_phi, factorize, ip_trim, is_prime, poly_trim
 
 
 def ip_mul(a, b):
@@ -39,6 +41,24 @@ def ip_mul(a, b):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
     return ip_trim(out)
+
+
+def ip_divmod_monic(a, b):
+    """Division by a monic integer polynomial, staying in Z[x]; the oracle's
+    exact quotient."""
+    if not b or b[-1] != 1:
+        raise DomainError("divisor must be monic")
+    rem = list(a)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        c = rem[-1]
+        if c:
+            shift = len(rem) - len(b)
+            quo[shift] = c
+            for j, cb in enumerate(b):
+                rem[shift + j] -= c * cb
+        rem.pop()
+    return ip_trim(quo), ip_trim(rem)
 
 
 def mobius(n):
@@ -74,7 +94,8 @@ class TestCyclotomicPolynomial:
         assert cyclotomic_polynomial(5) == (1, 1, 1, 1, 1)
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
-    @pytest.mark.parametrize("m", list(range(1, 31)))
+    # 105 and 210 have a coefficient -2; 273 is a product of three odd primes
+    @pytest.mark.parametrize("m", list(range(1, 31)) + [105, 210, 273])
     def test_against_mobius_oracle(self, m):
         assert cyclotomic_polynomial(m) == cyclotomic_oracle(m)
 
@@ -89,6 +110,14 @@ class TestCyclotomicPolynomial:
     def test_zero_conductor_rejected(self):
         with pytest.raises(DomainError):
             cyclotomic_polynomial(0)
+
+    @pytest.mark.parametrize("m", [2, 12, 45, 210, 273])
+    def test_binomial_factors(self, m):
+        pairs = _binomial_factors(m)
+        divisors = [d for d in range(1, m + 1) if m % d == 0 and mobius(m // d)]
+        assert sorted(pairs) == [(d, mobius(m // d)) for d in divisors]
+        assert sum(mu for _, mu in pairs) == 0
+        assert get_field(m).binomials == pairs
 
 
 def rand_elt(field, draw_ints):
@@ -407,9 +436,10 @@ def reference_embed(x, m_big):
     return reference_element(get_field(m_big), vec, x.den)
 
 
-# 1 and 2; a prime, whose reduction is one step; a prime power; and 105,
-# whose cyclotomic polynomial has a coefficient -2
-KERNEL_CONDUCTORS = st.sampled_from([1, 2, 13, 9, 105])
+# 1 and 2; a prime, whose reduction is one step; a prime power; 45, neither
+# squarefree nor prime; 105, whose cyclotomic polynomial has a coefficient -2;
+# and 273, a product of three odd primes
+KERNEL_CONDUCTORS = st.sampled_from([1, 2, 13, 9, 45, 105, 273])
 
 
 @st.composite
@@ -496,6 +526,69 @@ class TestKernelsAgainstSchoolbook:
         value = sum(c << (8 * width * i) for i, c in enumerate(slots))
         assert _pack(slots, width) == value
         assert _unpack(value.to_bytes(width * len(slots), "little", signed=True), width) == slots
+
+
+# 1 and 2; a prime; prime powers; non-squarefree and even conductors;
+# conductors whose quotient is longer than phi (m - phi >= phi); and three odd primes
+REDUCTION_CONDUCTORS = [1, 2, 13, 9, 25, 27, 12, 20, 45, 30, 105, 210, 273]
+
+
+def input_lengths(field):
+    """1, phi, phi + 1, m (a Galois image), 2 phi - 1 (a product) and 3m + 2,
+    which the fold modulo x^m - 1 shortens."""
+    m, phi = field.m, field.phi
+    return sorted({1, phi, phi + 1, m, 2 * phi - 1, 3 * m + 2})
+
+
+def assert_reduces_like_dense(field, vec):
+    assert _reduce_vec(field, list(vec)) == dense_reduce(list(vec), field.poly, field.phi)
+
+
+class TestReduction:
+    @pytest.mark.parametrize("m", REDUCTION_CONDUCTORS)
+    @pytest.mark.parametrize("bits", [1, 64, 2000])
+    def test_against_dense_reduction(self, m, bits):
+        field = get_field(m)
+        rng = random.Random(m * 7919 + bits)
+        for n in input_lengths(field):
+            vec = [rng.randint(1 - 2**bits, 2**bits - 1) for _ in range(n)]
+            assert_reduces_like_dense(field, vec)
+
+    def test_large_conductor(self):
+        field = get_field(1705)
+        rng = random.Random(1705)
+        for n in (field.m, 2 * field.phi - 1):
+            vec = [rng.randint(-(2**63), 2**63) for _ in range(n)]
+            assert_reduces_like_dense(field, vec)
+
+    def test_phi_and_product_by_evaluation_at_5187(self):
+        # the ring map zeta -> w, for w a primitive m-th root of unity mod a
+        # prime ell = 1 (mod m), must send Phi_m to 0 and respect the product
+        m = 5187  # 3 * 7 * 13 * 19
+        field = get_field(m)
+        assert field.phi == 2592
+        ell = next(ell for ell in range(m * (2**64 // m) + 1, 2**65, m) if is_prime(ell))
+        w = next(
+            w
+            for w in (pow(g, (ell - 1) // m, ell) for g in range(2, 100))
+            if all(pow(w, m // p, ell) != 1 for p in (3, 7, 13, 19))
+        )
+
+        def at_w(coeffs):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = (acc * w + c) % ell
+            return acc
+
+        assert at_w(field.poly) == 0
+        assert field.poly[-1] == 1 and field.poly == field.poly[::-1]
+        rng = random.Random(5187)
+        x, y = (
+            field.from_coeffs([rng.randint(-(2**63), 2**63) for _ in range(field.phi)])
+            for _ in range(2)
+        )
+        z = x * y
+        assert at_w(z.num) * x.den * y.den % ell == at_w(x.num) * at_w(y.num) * z.den % ell
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 21, 105])
