@@ -230,7 +230,6 @@ class AxiomReport:
     params: dict
     passed: bool
     witness: dict = dc_field(default_factory=dict)
-    note: str = ""
 
 
 def _root_label(eta: RootOfUnity) -> str:

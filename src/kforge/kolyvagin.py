@@ -13,16 +13,21 @@ telescoping identity
 
     (sigma_q - 1) D_s phi = (q-1) D_{s/q} phi(level s) / (Frob_q - 1) D_{s/q} phi(level s/q)
 
-into an explicit M-th root, so roots are never extracted numerically.  Every
-closed form carries a certificate (the M-th power identity, re-verified by
-exact multiplication) and a cyclic-norm triviality check.
+into an explicit M-th root, so roots are never extracted numerically.  A
+cocycle exists only once its certificate holds: the M-th power identity,
+re-verified by exact multiplication, and cyclic-norm triviality; either
+failure raises InternalInconsistency.
+
+Cocycles and classes are pure functions of their arguments, kept in _MEMO
+until clear_memo(), which the command line calls at the start of every
+command.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import ConfigError, DomainError, InternalInconsistency
 from .cyclotomic import (
@@ -82,7 +87,8 @@ def find_kolyvagin_primes(params: KolyParams, limit: int) -> list[int]:
     Splitting completely in F means q = +-1 mod p^(n+1); combined with
     q = 1 mod M the minus branch is impossible, so the search reduces to a
     single congruence.  The root-counting cross-check lives in the prime
-    machinery (full root count is asserted when split data is built).
+    machinery: building split data checks the full root count and raises
+    InternalInconsistency when it is short.
     """
     if limit < 2:
         return []
@@ -99,13 +105,13 @@ def is_kolyvagin_prime(params: KolyParams, q: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def lifted_sigma(field: CycloField, q: int, power: int = 1) -> GaloisElt:
-    """sigma_q^power on Q(zeta_N): t_q^power on the q-part, identity elsewhere."""
+def lifted_sigma(field: CycloField, q: int) -> GaloisElt:
+    """sigma_q on Q(zeta_N): t_q on the q-part, identity elsewhere."""
     N = field.m
     if N % q != 0 or N % (q * q) == 0:
         raise DomainError("conductor must contain q exactly once")
     t = least_primitive_root(q)
-    a = crt_pair(pow(t, power % (q - 1), q), q, 1, N // q)
+    a = crt_pair(t, q, 1, N // q)
     return GaloisElt(field, a)
 
 
@@ -128,6 +134,14 @@ def apply_derivative(x: CycloElt, q: int) -> CycloElt:
 # cocycles and their closed forms
 # ---------------------------------------------------------------------------
 
+# cocycle_closed_form and kappa results, keyed by the function and its arguments
+_MEMO: dict[tuple, object] = {}
+
+
+def clear_memo() -> None:
+    """Forget every cocycle and class built so far."""
+    _MEMO.clear()
+
 
 def level_root(params: KolyParams, s: int) -> RootOfUnity:
     """The canonical argument zeta_m * prod eta_q inside Q(zeta_{m*s})."""
@@ -138,43 +152,39 @@ def level_root(params: KolyParams, s: int) -> RootOfUnity:
     return RootOfUnity(N, e % N)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cocycle:
     """Values c_sigma with c_sigma^M = (sigma - 1) D_s phi, one per generator,
-    together with the exactly verified certificate.
+    each of norm 1 over the cyclic group of its sigma; cocycle_closed_form
+    returns one only after _certify has verified both exactly.
 
-    norm_trivial records that every c_sigma has norm 1 over the cyclic group
-    of sigma; each inverse the construction needs is then the product of the
+    With norm 1, each inverse the construction needs is the product of the
     other conjugates, c^(-1) = prod_{0<i<order} sigma^i(c).  chains[q] holds
     those inverses for sigma = sigma_q: chains[q][e] = a_{sigma^e} =
-    prod_{e<=i<q-1} sigma^i(c_q), with the norm at e = 0.  _certify builds
-    the chains from values; a cocycle whose values change must be certified
-    again before its chains are read."""
+    prod_{e<=i<q-1} sigma^i(c_q), with the norm 1 at e = 0."""
 
     params: KolyParams
     s: int
     field: CycloField
     values: dict[int, CycloElt]
     dsphi: CycloElt
-    certified: bool
-    norm_trivial: bool
-    frobenius_exponents: dict[int, int] = dc_field(default_factory=dict)
-    chains: dict[int, list[CycloElt]] = dc_field(default_factory=dict)
+    frobenius_exponents: dict[int, int]
+    chains: dict[int, list[CycloElt]]
 
 
-def _certify(coc: Cocycle) -> None:
-    """Re-verify c^M * D_s phi = sigma(D_s phi) and cyclic-norm triviality.
+def _certify(
+    field: CycloField, M: int, values: dict[int, CycloElt], dsphi: CycloElt
+) -> dict[int, list[CycloElt]]:
+    """Verify c^M * D_s phi = sigma(D_s phi) and cyclic-norm triviality for
+    every generator and return the chains; either failure raises.
 
     The norm is the last of the suffix products of the conjugates of c, so
-    one sweep over the conjugates checks it and builds coc.chains."""
-    M = coc.params.M
-    coc.certified = True
-    coc.norm_trivial = True
-    coc.chains = {}
-    for q, c in coc.values.items():
-        sigma = lifted_sigma(coc.field, q)
-        if c**M * coc.dsphi != galois_apply(sigma, coc.dsphi):
-            coc.certified = False
+    one sweep over the conjugates checks it and builds the chain."""
+    chains = {}
+    for q, c in values.items():
+        sigma = lifted_sigma(field, q)
+        if c**M * dsphi != galois_apply(sigma, dsphi):
+            raise InternalInconsistency("cocycle certificate failed")
         conj = [c]
         for _ in range(q - 2):
             conj.append(galois_apply(sigma, conj[-1]))
@@ -182,9 +192,10 @@ def _certify(coc: Cocycle) -> None:
         while conj:
             chain.append(conj.pop() * chain[-1])
         chain.reverse()
-        coc.chains[q] = chain
-        if chain[0] != coc.field.one:
-            coc.norm_trivial = False
+        if chain[0] != field.one:
+            raise InternalInconsistency("cocycle norm condition failed")
+        chains[q] = chain
+    return chains
 
 
 def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
@@ -197,8 +208,12 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
     level-r value has norm 1 over sigma_r, so that inverse is the product of
     the remaining conjugates sigma_r^i(c_r), e <= i < r - 1: the level-r
     cocycle's chain[e], formed in Q(zeta_{m*r}) and embedded once, since
-    sigma_r acts on the subfield as it does on Q(zeta_{m*s}).
+    sigma_r acts on the subfield as it does on Q(zeta_{m*s}).  Each level is
+    built once and then read from _MEMO.
     """
+    key = ("cocycle", E, params, s)
+    if key in _MEMO:
+        return _MEMO[key]
     params.validate_system(E)
     qs = sorted(factorize(s))
     if any(v > 1 for v in factorize(s).values()):
@@ -232,11 +247,9 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
             e_frob = int_dlog(t_r, q, r)
             frob_exps[q] = e_frob
             values[q] = d_x[r] ** ((q - 1) // M) * embed_up(sub.chains[r][e_frob], N)
-    coc = Cocycle(params, s, field, values, dsphi, False, False, frob_exps)
-    _certify(coc)
-    if not coc.certified:
-        raise InternalInconsistency("cocycle certificate failed")
-    return coc
+    chains = _certify(field, M, values, dsphi)
+    _MEMO[key] = Cocycle(params, s, field, values, dsphi, frob_exps, chains)
+    return _MEMO[key]
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +297,15 @@ def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:
     sum (q - 1) products in place of prod (q - 1).  It is the same element
     as the sum over G(s), not merely another solution.  No inverse is
     formed: c_q has norm 1, so each a_{sigma_q^e} is a product of conjugates
-    of c_q, read from coc.chains[q] as _certify built it.  A cocycle whose
-    norm_trivial flag is False is refused, and the generator pairs,
+    of c_q, read from coc.chains[q] as _certify built it.  A chain whose norm
+    entry chain[0] is not 1 is refused, and the generator pairs,
     c_1 sigma_1(c_2) = c_2 sigma_2(c_1), are checked before any sum is
     formed.  theta is drawn deterministically from the seed and resampled
     while beta vanishes.
     """
-    if not coc.norm_trivial:
-        raise InternalInconsistency("cocycle norm condition failed")
     field = coc.field
+    if any(chain[0] != field.one for chain in coc.chains.values()):
+        raise InternalInconsistency("cocycle norm condition failed")
     qs = sorted(coc.values)
     sigmas = {q: lifted_sigma(field, q) for q in qs}
     for i, q1 in enumerate(qs):
@@ -316,10 +329,10 @@ def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:
     raise DomainError("resolvent exhausted")
 
 
-@dataclass
+@dataclass(frozen=True)
 class KappaClass:
     """A representative of the class D_s phi / beta^M together with the data
-    needed to re-verify it (beta, the cocycle certificate, the seed)."""
+    needed to re-verify it (beta, the certified cocycle, the seed)."""
 
     params: KolyParams
     s: int
@@ -329,30 +342,28 @@ class KappaClass:
     cocycle: Cocycle | None = None
 
 
-def kappa(
-    E: EulerSystem, params: KolyParams, s: int, seed: int = 0, cocycle: Cocycle | None = None
-) -> KappaClass:
+def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaClass:
     """The Kolyvagin class at level s, certified exactly.
 
     kappa is recovered inside Q(zeta_m) by solving kappa * beta^M = D_s phi
     linearly over the embedded power basis (so the huge beta is never
     inverted) and the identity is then re-verified by one multiplication.
-    A cocycle already built by cocycle_closed_form for (params, s) is reused
-    instead of being recomputed; it must carry a passing certificate.
+    Each class, and each cocycle, is built once and then read from _MEMO.
     """
+    key = ("kappa", E, params, s, seed)
+    if key in _MEMO:
+        return _MEMO[key]
     params.validate_system(E)
     if s == 1:
         field = get_field(params.conductor)
         value = phi_eval(E, RootOfUnity(params.conductor, 1))
-        return KappaClass(params, 1, value, field.one, seed, None)
-    coc = cocycle_closed_form(E, params, s) if cocycle is None else cocycle
-    if coc.params != params or coc.s != s:
-        raise DomainError("cocycle belongs to another configuration")
-    if not coc.certified:
-        raise InternalInconsistency("cocycle certificate failed")
+        _MEMO[key] = KappaClass(params, 1, value, field.one, seed, None)
+        return _MEMO[key]
+    coc = cocycle_closed_form(E, params, s)
     beta = hilbert90_beta(coc, seed)
     beta_m = beta**params.M
     value = divide_into_subfield(coc.dsphi, beta_m, params.conductor)
     if not is_in_real_subfield(value):
         raise InternalInconsistency("class representative is not real")
-    return KappaClass(params, s, value, beta, seed, coc)
+    _MEMO[key] = KappaClass(params, s, value, beta, seed, coc)
+    return _MEMO[key]

@@ -31,8 +31,9 @@ from .exact_arith import (
     is_prime,
     least_primitive_root,
 )
-from .kolyvagin import Cocycle, KappaClass, KolyParams, find_kolyvagin_primes, kappa
+from .kolyvagin import KappaClass, KolyParams, find_kolyvagin_primes, kappa
 
+_BASE_PRECISION = 8
 _VALUATION_BUDGET = 512
 
 
@@ -47,10 +48,9 @@ class SplitPrimeData:
     pairs: tuple[tuple[int, int], ...]
     t: int
     gamma: int
-    precision: int
 
 
-def split_prime_data(q: int, m: int, precision: int = 8) -> SplitPrimeData:
+def split_prime_data(q: int, m: int) -> SplitPrimeData:
     """Find and pair the roots of the m-th cyclotomic polynomial mod q."""
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
@@ -84,7 +84,7 @@ def split_prime_data(q: int, m: int, precision: int = 8) -> SplitPrimeData:
         pairs.append((min(c, partner), max(c, partner)))
     pairs.sort()
     t = least_primitive_root(q)
-    return SplitPrimeData(q, m, tuple(roots), tuple(pairs), t, pow(t, -1, q), precision)
+    return SplitPrimeData(q, m, tuple(roots), tuple(pairs), t, pow(t, -1, q))
 
 
 def _lifted_root(data: SplitPrimeData, root: int, k: int) -> int:
@@ -95,7 +95,8 @@ def valuation(x: CycloElt, root: int, data: SplitPrimeData) -> int:
     """Exact valuation of x at the degree-one prime (q, zeta - root).
 
     Clears the denominator, evaluates the integer numerator at the lifted
-    root modulo q^k, and raises k until the answer is below the precision.
+    root modulo q^k, and doubles k from _BASE_PRECISION until the valuation
+    is below k.
     """
     if x.field.m != data.m:
         raise DomainError("element lives in the wrong field")
@@ -103,7 +104,7 @@ def valuation(x: CycloElt, root: int, data: SplitPrimeData) -> int:
         raise DomainError("valuation of zero is infinite")
     q = data.q
     v_den = int_padic_valuation(x.den, q)
-    k = data.precision
+    k = _BASE_PRECISION
     while k <= _VALUATION_BUDGET:
         mod = q**k
         r = _lifted_root(data, root, k)
@@ -129,19 +130,12 @@ class IdealVector:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
-    def __add__(self, other: "IdealVector") -> "IdealVector":
-        if (self.q, self.M) != (other.q, other.M):
-            raise DomainError("vectors over different primes")
-        return IdealVector(
-            self.q, self.M, tuple((a + b) % self.M for a, b in zip(self.entries, other.entries))
-        )
-
 
 def ideal_vector(x: CycloElt, M: int, data: SplitPrimeData) -> IdealVector:
     """Valuations of x modulo M at the primes of F above q.
 
     x must be conjugation-invariant; the two paired roots must then agree,
-    which is asserted.
+    and a disagreement raises InternalInconsistency.
     """
     entries = []
     for c1, c2 in data.pairs:
@@ -263,30 +257,23 @@ class FactorizationReport:
     part_ii_dlogs: IdealVector
     passed: bool
     witness: dict = dc_field(default_factory=dict)
-    class_sq: KappaClass | None = None
 
 
 def check_factorization(
-    E: EulerSystem,
-    params: KolyParams,
-    s: int,
-    q: int,
-    seed: int = 0,
-    cocycle: Cocycle | None = None,
+    E: EulerSystem, params: KolyParams, s: int, q: int, seed: int = 0
 ) -> FactorizationReport:
     """Both parts of the ideal-factorization law at q.
 
     Part (i): the class at level s has trivial projection at q.  Part (ii):
     the projection of the level s*q class equals the discrete-log vector of
     the level-s class.  The two sides of (ii) come from disjoint pipelines
-    (Hensel valuations vs. residue discrete logs).  A certified cocycle for
-    level s*q is handed to kappa, under kappa's contract, instead of being
-    rebuilt; the level-s*q class is returned with the report.
+    (Hensel valuations vs. residue discrete logs).  Both classes come from
+    kappa's memo when they were built before.
     """
     data = split_prime_data(q, params.conductor)
     k_s = kappa(E, params, s, seed)
     part_i = ideal_vector(k_s.kappa, params.M, data)
-    k_sq = kappa(E, params, s * q, seed, cocycle)
+    k_sq = kappa(E, params, s * q, seed)
     lhs = ideal_vector(k_sq.kappa, params.M, data)
     rhs = ideal_dlog_vector(k_s.kappa, params.M, data)
     passed = part_i.is_zero() and lhs.entries == rhs.entries
@@ -304,7 +291,6 @@ def check_factorization(
             "t": str(data.t),
             "gamma": str(data.gamma),
         },
-        k_sq,
     )
 
 
@@ -322,24 +308,18 @@ def class_relation(
     q: int,
     seed: int = 0,
     probe_limit: int = 100,
-    witness: KappaClass | None = None,
 ) -> ClassRelation:
     """The annihilator-style relation extracted from the factorization law.
 
     theta is the group-ring form of the discrete-log vector of the level-1
     class; the witness is the level-q class, whose ideal agrees with that
-    vector at q and is trivial mod M at every other probed split prime.  A
-    level-q class already built by kappa for (params, q, seed) is reused
-    instead of being recomputed.
+    vector at q and is trivial mod M at every other probed split prime.  Both
+    classes come from kappa's memo when they were built before.
     """
-    if witness is not None and (
-        witness.params != params or witness.s != q or witness.theta_seed != seed
-    ):
-        raise DomainError("class belongs to another configuration")
     data = split_prime_data(q, params.conductor)
     k_1 = kappa(E, params, 1, seed)
     theta = annihilator_from_dlogs(k_1.kappa, params.M, data)
-    k_q = kappa(E, params, q, seed) if witness is None else witness
+    k_q = kappa(E, params, q, seed)
     lhs = ideal_vector(k_q.kappa, params.M, data)
     rhs = ideal_dlog_vector(k_1.kappa, params.M, data)
     probes = {}

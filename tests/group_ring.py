@@ -128,7 +128,7 @@ def apply_group_ring(op: GroupRingOp, x: CycloElt) -> CycloElt:
     for exps, coeff in op.terms:
         sigma_a = 1
         for (q, _), e in zip(op.gens, exps):
-            sigma_a = sigma_a * lifted_sigma(field, q, e).a % field.m
+            sigma_a = sigma_a * pow(lifted_sigma(field, q).a, e, field.m) % field.m
         moved = galois_apply(GaloisElt(field, sigma_a), x)
         if coeff >= 0:
             result = result * moved**coeff

@@ -2,12 +2,38 @@ import json
 
 import pytest
 
-from kforge import __version__, cli, kolyvagin
+from kforge import __version__, euler, kolyvagin
 from kforge.cli import build_parser, main
 
 
 def run_main(args):
     return main(args)
+
+
+def certified_conductors(monkeypatch):
+    """The conductor of every cocycle _certify verifies, in call order."""
+    conductors = []
+    certify = kolyvagin._certify
+
+    def counted(field, M, values, dsphi):
+        conductors.append(field.m)
+        return certify(field, M, values, dsphi)
+
+    monkeypatch.setattr(kolyvagin, "_certify", counted)
+    return conductors
+
+
+def resolved_levels(monkeypatch):
+    """The level of every cocycle hilbert90_beta solves, in call order."""
+    levels = []
+    resolvent = kolyvagin.hilbert90_beta
+
+    def counted(coc, seed):
+        levels.append(coc.s)
+        return resolvent(coc, seed)
+
+    monkeypatch.setattr(kolyvagin, "hilbert90_beta", counted)
+    return levels
 
 
 class TestExitCodes:
@@ -30,6 +56,32 @@ class TestExitCodes:
 
     def test_limit_cap(self, capsys):
         assert run_main(["primes", "--limit", "2000000"]) == 2
+
+    def test_failed_check_exits_one_and_still_writes_the_report(self, capsys, monkeypatch, tmp_path):
+        # a norm doubled at the order-7 root breaks that one unit check
+        norm = euler.absolute_norm
+        monkeypatch.setattr(euler, "absolute_norm", lambda u: 2 * norm(u) if u.field.m == 7 else norm(u))
+        out = tmp_path / "axioms.json"
+        assert run_main(["axioms", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert json.loads(capsys.readouterr().out) == report
+        failed = [(c["name"], c["witness"]["params"]["eta"]) for c in report["checks"] if c["status"] == "fail"]
+        assert failed == [("unit", "zeta_7^1")]
+        assert report["overall"] == "fail"
+
+    def test_inconsistency_exits_three_and_writes_no_report(self, capsys, monkeypatch, tmp_path):
+        # a cocycle value doubled before its certificate is checked
+        certify = kolyvagin._certify
+
+        def perturbed(field, M, values, dsphi):
+            return certify(field, M, {q: c.scale(2) for q, c in values.items()}, dsphi)
+
+        monkeypatch.setattr(kolyvagin, "_certify", perturbed)
+        out = tmp_path / "kappa.json"
+        assert run_main(["kappa", "--s", "11", "--seed", "42", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "internal inconsistency: cocycle certificate failed" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestReports:
@@ -76,17 +128,9 @@ class TestReports:
         assert kap["conductor"] == "5" and len(kap["num"]) == 4
 
     def test_kappa_certifies_the_cocycle_once(self, capsys, monkeypatch):
-        built = []
-        closed_form = kolyvagin.cocycle_closed_form
-
-        def counted(*args):
-            built.append(args[2])
-            return closed_form(*args)
-
-        monkeypatch.setattr(kolyvagin, "cocycle_closed_form", counted)
-        monkeypatch.setattr(cli, "cocycle_closed_form", counted)
+        certified = certified_conductors(monkeypatch)
         assert run_main(["kappa", "--s", "11", "--seed", "42"]) == 0
-        assert built == [11]
+        assert certified == [55]
         err = capsys.readouterr().err
         assert "[timing] cocycle_certificate:" in err and "[timing] kappa_class:" in err
 
@@ -97,9 +141,10 @@ class TestReports:
         built, read = [], []
         certify, factor = kolyvagin._certify, kolyvagin._resolvent_factor
 
-        def counted_certify(coc):
-            certify(coc)
-            built.extend((coc.s, q, chain) for q, chain in coc.chains.items())
+        def counted_certify(field, M, values, dsphi):
+            chains = certify(field, M, values, dsphi)
+            built.extend((field.m // 3, q, chain) for q, chain in chains.items())
+            return chains
 
         def counted_factor(y, chain, sigma):
             read.append(chain)
@@ -135,6 +180,24 @@ class TestReports:
         assert run_main(["factorize", "--q", "11,31", "--seed", "42"]) == 0
         assert built == solved == [11, 31]
         assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+
+    def test_two_prime_factorize_certifies_each_level_once(self, capsys, monkeypatch):
+        # levels 7, 13, 19, 91 and 133 at conductor 3: kappa(7) is shared by
+        # both q, and the sub-cocycles of 91 and 133 are the level-7, 13 and
+        # 19 cocycles that the classes and the class relations use
+        certified = certified_conductors(monkeypatch)
+        resolved = resolved_levels(monkeypatch)
+        args = ["factorize", "--p", "3", "--n", "0", "--M", "3", "--s", "7", "--q", "13,19", "--seed", "42"]
+        assert run_main(args) == 0
+        assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+        assert sorted(m // 3 for m in certified) == sorted(resolved) == [7, 13, 19, 91, 133]
+
+    def test_each_command_builds_its_own_cocycles(self, capsys, monkeypatch):
+        certified = certified_conductors(monkeypatch)
+        resolved = resolved_levels(monkeypatch)
+        for _ in range(2):
+            assert run_main(["kappa", "--s", "11", "--seed", "42"]) == 0
+        assert certified == [55, 55] and resolved == [11, 11]
 
     def test_factorize_report(self, capsys):
         assert run_main(["factorize", "--q", "11", "--seed", "42"]) == 0

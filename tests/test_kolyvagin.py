@@ -17,11 +17,13 @@ from kforge.cyclotomic import (
 )
 from kforge.euler import parse_omega, phi_eval
 from kforge.exact_arith import ip_eval, primes_upto
+from kforge import kolyvagin
 from kforge.kolyvagin import (
     _certify,
     _sample_theta,
     KolyParams,
     apply_derivative,
+    clear_memo,
     cocycle_closed_form,
     find_kolyvagin_primes,
     hilbert90_beta,
@@ -143,7 +145,7 @@ class TestCocycle:
         coc = cocycle_closed_form(BASIC, params, 11)
         x = phi_eval(BASIC, level_root(params, 11))
         assert coc.values[11] == x**2  # (q-1)/M = 2
-        assert coc.certified and coc.norm_trivial
+        assert coc.chains[11][0] == coc.field.one
 
     def test_certificate_is_mth_power_identity(self):
         params = KolyParams(5, 0, 5)
@@ -164,17 +166,14 @@ class TestCocycle:
     def test_level_nine_conductor(self):
         params = KolyParams(3, 1, 3)
         coc = cocycle_closed_form(BASIC, params, 19)
-        assert coc.certified and coc.norm_trivial
+        assert coc.chains[19][0] == coc.field.one
         assert coc.values[19] == phi_eval(BASIC, level_root(params, 19)) ** 6
 
     def test_chains_are_suffix_products_of_conjugates(self):
         coc = cocycle_closed_form(BASIC, KolyParams(5, 0, 5), 11)
-        c, chain = coc.values[11], coc.chains[11]
+        chain = coc.chains[11]
         assert len(chain) == 10 and chain[0] == coc.field.one
-        suffix = coc.field.one
-        for e in range(9, -1, -1):
-            suffix = galois_apply(lifted_sigma(coc.field, 11, e), c) * suffix
-            assert chain[e] == suffix
+        assert chain == suffix_chain(coc.field, 11, coc.values[11])
 
     @pytest.mark.parametrize("q", [7, 13])
     def test_frobenius_correction_from_the_sub_chain(self, two_prime_cocycle, q):
@@ -187,11 +186,23 @@ class TestCocycle:
         sub = cocycle_closed_form(BASIC, params, r)
         sub_c = embed_up(sub.values[r], N)
         reference = field.one
+        sigma_r = lifted_sigma(field, r).a
         for i in range(e, r - 1):
-            reference = reference * galois_apply(lifted_sigma(field, r, i), sub_c)
+            reference = reference * galois_apply(GaloisElt(field, pow(sigma_r, i, N)), sub_c)
         assert embed_up(sub.chains[r][e], N) == reference
         x = phi_eval(BASIC, level_root(params, coc.s))
         assert coc.values[q] == apply_derivative(x, r) ** ((q - 1) // params.M) * reference
+
+
+def suffix_chain(field, q, c):
+    """Reference chain: entry e is prod_{e<=i<q-1} sigma_q^i(c), each
+    conjugate formed from its own power of sigma_q."""
+    a = lifted_sigma(field, q).a
+    chain, suffix = [], field.one
+    for e in range(q - 2, -1, -1):
+        suffix = galois_apply(GaloisElt(field, pow(a, e, field.m)), c) * suffix
+        chain.insert(0, suffix)
+    return chain
 
 
 class TestPerturbedCocycle:
@@ -211,40 +222,55 @@ class TestPerturbedCocycle:
     def test_certificate_fails(self, factor):
         coc = cocycle_closed_form(BASIC, KolyParams(5, 0, 5), 11)
         bad = self.perturbed(coc, factor)
-        _certify(bad)
-        assert not bad.certified
-        _certify(coc)  # the unperturbed values still pass
-        assert coc.certified and coc.norm_trivial
+        with pytest.raises(InternalInconsistency, match="cocycle certificate failed"):
+            _certify(bad.field, 5, bad.values, bad.dsphi)
+        # the unperturbed values still pass
+        assert _certify(coc.field, 5, coc.values, coc.dsphi) == coc.chains
+
+    def test_norm_condition_fails(self):
+        # c = zeta_5 in Q(zeta_35) and D = 1 pass the certificate c^5 D = sigma_7(D),
+        # but sigma_7 fixes c, so its norm is c^6 = zeta_5
+        field = get_field(35)
+        c = field.root(7)
+        assert c**5 == field.one and galois_apply(lifted_sigma(field, 7), c) == c
+        with pytest.raises(InternalInconsistency, match="cocycle norm condition failed"):
+            _certify(field, 5, {7: c}, field.one)
 
     @pytest.mark.parametrize("factor", ["zeta", "two"])
-    def test_no_class_from_a_perturbed_cocycle(self, factor):
+    def test_no_class_from_a_perturbed_cocycle(self, factor, monkeypatch):
         params = KolyParams(5, 0, 5)
         coc = cocycle_closed_form(BASIC, params, 11)
-        # the flag still says certified: the resolvent's own relation check refuses it
+        # perturbed values beside the certified chains: the resolvent's own
+        # relation check refuses them, in hilbert90_beta and under kappa
         stale = self.perturbed(coc, factor)
-        with pytest.raises(InternalInconsistency):
+        with pytest.raises(InternalInconsistency, match="does not satisfy the relation"):
             hilbert90_beta(stale, 42)
-        with pytest.raises(InternalInconsistency):
-            kappa(BASIC, params, 11, 42, stale)
-        # re-certified, kappa refuses it before any work
-        _certify(stale)
-        with pytest.raises(InternalInconsistency, match="certificate"):
-            kappa(BASIC, params, 11, 42, stale)
+        monkeypatch.setattr(kolyvagin, "cocycle_closed_form", lambda *args: stale)
+        with pytest.raises(InternalInconsistency, match="does not satisfy the relation"):
+            kappa(BASIC, params, 11, 42)
 
     def test_recertified_copy_leaves_the_original_chains(self):
-        coc = cocycle_closed_form(BASIC, KolyParams(5, 0, 5), 11)
-        chain = coc.chains[11]
-        bad = self.perturbed(coc, "two")
-        _certify(bad)
-        assert not bad.norm_trivial and bad.chains[11][0] != coc.field.one
-        assert coc.chains[11] is chain and chain[0] == coc.field.one
-
-    def test_no_class_from_a_cocycle_without_trivial_norm(self):
         params = KolyParams(5, 0, 5)
         coc = cocycle_closed_form(BASIC, params, 11)
-        unnormed = dataclasses.replace(coc, norm_trivial=False)
+        chain = coc.chains[11]
+        bad = self.perturbed(coc, "two")
+        with pytest.raises(InternalInconsistency):
+            _certify(bad.field, 5, bad.values, bad.dsphi)
+        assert coc.chains[11] is chain and chain[0] == coc.field.one
+        assert cocycle_closed_form(BASIC, params, 11) is coc
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            coc.chains = bad.chains
+
+    def test_no_class_from_a_cocycle_without_trivial_norm(self, monkeypatch):
+        params = KolyParams(5, 0, 5)
+        coc = cocycle_closed_form(BASIC, params, 11)
+        chain = coc.chains[11]
+        unnormed = dataclasses.replace(coc, chains={11: [chain[0].scale(2)] + chain[1:]})
         with pytest.raises(InternalInconsistency, match="cocycle norm condition failed"):
-            kappa(BASIC, params, 11, 42, unnormed)
+            hilbert90_beta(unnormed, 42)
+        monkeypatch.setattr(kolyvagin, "cocycle_closed_form", lambda *args: unnormed)
+        with pytest.raises(InternalInconsistency, match="cocycle norm condition failed"):
+            kappa(BASIC, params, 11, 42)
 
 
 def reference_theta(field, rng):
@@ -313,12 +339,12 @@ def product_sum_beta(coc, terms, seed):
     raise AssertionError("reference resolvent exhausted")
 
 
-def recertified(coc, values):
-    """A copy of coc with the given values, certified again, so that its
-    norm flag and chains are built from those values."""
-    bad = dataclasses.replace(coc, values=values)
-    _certify(bad)
-    return bad
+def rechained(coc, values):
+    """A copy of coc with the given values and chains built from them by
+    suffix_chain, uncertified, so that only hilbert90_beta's own checks
+    stand between them and a resolvent."""
+    chains = {q: suffix_chain(coc.field, q, c) for q, c in values.items()}
+    return dataclasses.replace(coc, values=values, chains=chains)
 
 
 @pytest.fixture(scope="module")
@@ -366,7 +392,7 @@ class TestFactoredResolvent:
         values = dict(coc.values)
         values[q] = values[q] * ratio
         with pytest.raises(InternalInconsistency, match="inconsistent"):
-            hilbert90_beta(recertified(coc, values), 42)
+            hilbert90_beta(rechained(coc, values), 42)
 
     @pytest.mark.parametrize("which", [min, max])
     def test_norm_condition_refuses_a_scaled_generator(self, two_prime_cocycle, which):
@@ -375,7 +401,7 @@ class TestFactoredResolvent:
         values = dict(coc.values)
         values[q] = values[q].scale(2)
         with pytest.raises(InternalInconsistency, match="norm condition"):
-            hilbert90_beta(recertified(coc, values), 42)
+            hilbert90_beta(rechained(coc, values), 42)
 
 
 class TestHilbert90:
@@ -412,7 +438,9 @@ class TestKappa:
     def test_determinism(self):
         params = KolyParams(5, 0, 5)
         a = kappa(BASIC, params, 11, 42)
+        clear_memo()
         b = kappa(BASIC, params, 11, 42)
+        assert a is not b
         assert a.kappa == b.kappa and a.beta == b.beta
 
     def test_seed_variation_is_mth_power(self):
@@ -424,14 +452,20 @@ class TestKappa:
         assert b.kappa * w**5 == a.kappa
 
     def test_reuses_a_given_cocycle(self):
+        # a cocycle built before is the one kappa reads, at every seed, and a
+        # class is built once whether its seed is passed by position or name
         params = KolyParams(5, 0, 5)
         coc = cocycle_closed_form(BASIC, params, 11)
-        given = kappa(BASIC, params, 11, 42, coc)
+        given = kappa(BASIC, params, 11, 42)
+        assert given.cocycle is coc and kappa(BASIC, params, 11, 43).cocycle is coc
+        assert kappa(BASIC, params, 11, seed=42) is given
+        assert kappa(BASIC, params, 1) is kappa(BASIC, params, 1, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            given.beta = given.kappa
+        clear_memo()
         fresh = kappa(BASIC, params, 11, 42)
-        assert given.cocycle is coc
+        assert fresh.cocycle is not coc
         assert given.kappa == fresh.kappa and given.beta == fresh.beta
-        with pytest.raises(DomainError, match="another configuration"):
-            kappa(BASIC, params, 31, 42, coc)
 
     def test_config_mismatch_rejected(self):
         params = KolyParams(5, 0, 5)

@@ -12,7 +12,7 @@ from kforge.cyclotomic import (
 )
 from kforge.euler import parse_omega, phi_eval
 from kforge.exact_arith import int_padic_valuation
-from kforge.kolyvagin import KolyParams, cocycle_closed_form, kappa
+from kforge.kolyvagin import KolyParams, clear_memo, cocycle_closed_form, kappa
 from kforge.primes import (
     annihilator_from_dlogs,
     apply_galois_to_annihilator,
@@ -29,6 +29,12 @@ from group_ring import ratio_mth_power_witness
 
 BASIC = parse_omega("1:1,2:-1")
 PARAMS = KolyParams(5, 0, 5)
+
+
+def added(u, v):
+    """Entries of the sum of two vectors in I_q / M I_q."""
+    assert (u.q, u.M) == (v.q, v.M)
+    return tuple((a + b) % u.M for a, b in zip(u.entries, v.entries))
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +130,7 @@ class TestIdealVector:
         x = f5.from_rational(11) * golden
         y = f5.from_rational(Fraction(1, 11)) + f5.from_rational(Fraction(121, 11))
         vx, vy, vxy = (ideal_vector(v, 5, data11) for v in (x, y, x * y))
-        assert (vx + vy).entries == vxy.entries
+        assert vxy.entries == added(vx, vy)
 
     def test_pair_mismatch_is_inconsistency(self, data11):
         f5 = get_field(5)
@@ -156,7 +162,7 @@ class TestDlogVector:
         w2 = golden + f5.from_rational(2)
         a = ideal_dlog_vector(w1, 5, data11)
         b = ideal_dlog_vector(w2, 5, data11)
-        assert ideal_dlog_vector(w1 * w2, 5, data11).entries == (a + b).entries
+        assert ideal_dlog_vector(w1 * w2, 5, data11).entries == added(a, b)
         assert ideal_dlog_vector(w1 * golden**5, 5, data11).entries == a.entries
 
     def test_not_prime_to_q(self, data11):
@@ -218,12 +224,12 @@ class TestFactorizationLaw:
 
     def test_reuses_a_certified_level_sq_cocycle(self):
         coc = cocycle_closed_form(BASIC, PARAMS, 11)
-        given = check_factorization(BASIC, PARAMS, 1, 11, seed=42, cocycle=coc)
+        given = check_factorization(BASIC, PARAMS, 1, 11, seed=42)
+        assert kappa(BASIC, PARAMS, 11, 42).cocycle is coc
+        clear_memo()
         fresh = check_factorization(BASIC, PARAMS, 1, 11, seed=42)
-        assert given.class_sq.cocycle is coc
+        assert kappa(BASIC, PARAMS, 11, 42).cocycle is not coc
         assert given.passed and given.witness == fresh.witness
-        with pytest.raises(DomainError, match="another configuration"):
-            check_factorization(BASIC, PARAMS, 1, 31, seed=42, cocycle=coc)
 
 
 class TestClassRelation:
@@ -235,17 +241,17 @@ class TestClassRelation:
 
     def test_reuses_the_certified_level_q_class(self):
         k_q = kappa(BASIC, PARAMS, 11, 42)
-        given = class_relation(BASIC, PARAMS, 11, seed=42, witness=k_q)
-        fresh = class_relation(BASIC, PARAMS, 11, seed=42)
+        given = class_relation(BASIC, PARAMS, 11, seed=42)
         assert given.witness_class is k_q
+        assert class_relation(BASIC, PARAMS, 11, seed=43).witness_class is not k_q
+        clear_memo()
+        fresh = class_relation(BASIC, PARAMS, 11, seed=42)
+        assert fresh.witness_class is not k_q
         assert (given.theta, given.relation_holds, given.probes) == (
             fresh.theta,
             fresh.relation_holds,
             fresh.probes,
         )
-        for q, seed in ((31, 42), (11, 43)):
-            with pytest.raises(DomainError, match="another configuration"):
-                class_relation(BASIC, PARAMS, q, seed=seed, witness=k_q)
 
 
 class TestMthPower:
