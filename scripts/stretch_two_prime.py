@@ -4,9 +4,10 @@
 Certifies the composite-level cocycle closed form (ambient field of degree
 1200) and then verifies the factorization law for s = 11, q = 31, whose
 level-s*q class lives in the same field and reads that cocycle from the
-memo.  One run on a shared 2-core Xeon took 38 s: 27 s for the cocycle
-certificate, most of it in the degree-1200 products of the derivative
-D_s phi and of the certificate, and 10 s for the factorization.
+memo.  Two runs on a shared 2-core Xeon took 40 and 42 s under pytest: 27
+and 30 s for the cocycle certificate, most of it in the degree-1200 products
+of the derivative D_s phi and of the certificate, and 11 s each for the
+factorization.
 """
 
 import pathlib

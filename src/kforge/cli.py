@@ -338,6 +338,30 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}")
 
 
+# Defaults live in RunConfig only.  Each subcommand registers just the options
+# its command reads, so a report's config block never records an ignored one.
+_OPTIONS = {
+    "omega": {"help": 'system spec, e.g. "1:1,2:-1"'},
+    "p": {"type": int},
+    "n": {"type": int},
+    "M": {"type": int},
+    "s": {"type": _int_list, "help": "comma-separated primes"},
+    "q": {"type": _int_list, "help": "comma-separated primes"},
+    "limit": {"type": int},
+    "seed": {"type": int},
+    "self_test": {"action": "store_true"},
+    "out": {},
+}
+
+_COMMAND_OPTIONS = {
+    "axioms": ("omega",),
+    "kappa": ("omega", "p", "n", "M", "s", "seed"),
+    "factorize": ("omega", "p", "n", "M", "s", "q", "seed"),
+    "primes": ("p", "n", "M", "limit"),
+    "decompose": ("omega", "p", "n", "self_test"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kforge",
@@ -345,19 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
         "Kolyvagin classes and their ideal factorizations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cp = sub.add_parser(name)
-        cp.add_argument("--omega", default="1:1,2:-1", help='system spec, e.g. "1:1,2:-1"')
-        cp.add_argument("--p", type=int, default=5)
-        cp.add_argument("--n", type=int, default=0)
-        cp.add_argument("--M", type=int, default=5)
-        cp.add_argument("--s", type=_int_list, default=(), help="comma-separated primes")
-        cp.add_argument("--q", type=_int_list, default=(), help="comma-separated primes")
-        cp.add_argument("--limit", type=int, default=100)
-        cp.add_argument("--seed", type=int, default=0)
-        cp.add_argument("--out", default=None)
-        if name == "decompose":
-            cp.add_argument("--self-test", action="store_true")
+    for name, options in _COMMAND_OPTIONS.items():
+        cp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for option in options + ("out",):
+            cp.add_argument("--" + option.replace("_", "-"), **_OPTIONS[option])
     return parser
 
 
@@ -382,20 +397,7 @@ def _write_report(report: Report, out: str | None) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=ns.command,
-        omega=ns.omega,
-        p=ns.p,
-        n=ns.n,
-        M=ns.M,
-        s=ns.s,
-        q=ns.q,
-        limit=ns.limit,
-        seed=ns.seed,
-        out=ns.out,
-        self_test=getattr(ns, "self_test", False),
-    )
+    cfg = RunConfig(**vars(parser.parse_args(argv)))
     try:
         report, code = run(cfg)
     except ConfigError as exc:

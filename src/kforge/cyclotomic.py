@@ -10,8 +10,10 @@ Products are formed by Kronecker substitution: each numerator vector is
 packed into one Python integer, one slot of whole bytes per coefficient, wide
 enough for any coefficient of the product plus a sign bit, so that the
 polynomial product is a single big-integer product and the coefficients are
-read back from its bytes.  A negative slot is stored in two's complement and
-borrows one from the slot above, on packing and on unpacking alike.
+read back from its bytes.  Slots are offset binary: a slot of w bytes holds
+c + 2^(8w - 1) as an unsigned number, so a vector packs as the join of its
+biased slots minus one constant, and the product unpacks by adding that
+constant back and reading every slot unsigned, with no borrow between slots.
 
 Every vector that leaves the power basis (a product, a Galois image, an
 embedding, a power of zeta) goes through one reduction.  It first folds the
@@ -19,7 +21,8 @@ vector modulo x^m - 1, which is exact because Phi_m divides x^m - 1, and
 leaves at most m coefficients.  It then divides by Phi_m by reversal.  Phi_m
 is the Mobius product of binomials 1 - x^d, so multiplying by Phi_m or by the
 power series 1/Phi_m is one pass over the list per binomial; Phi_m itself is
-built by the same passes.
+built by the same passes.  Apart from products, every such vector is a sum of
+terms c * zeta^e and is built by `CycloField.from_terms`.
 
 Field tables (the cyclotomic polynomial, its binomial factors and the
 unit-group enumeration) are cached in memory per conductor.
@@ -97,9 +100,18 @@ class CycloField:
 
     def root(self, e: int = 1) -> "CycloElt":
         """zeta_m^e as a field element."""
-        vec = [0] * self.m
-        vec[e % self.m] = 1
-        return CycloElt(self, tuple(_reduce_vec(self, vec)), 1)
+        return self.from_terms((e,), (1,))
+
+    def from_terms(self, exponents, coeffs, den: int = 1) -> "CycloElt":
+        """(sum c * zeta_m^e over zip(exponents, coeffs)) / den, for any
+        integer exponents: the terms are folded into one length-m vector,
+        reduced mod Phi_m and normalized."""
+        m = self.m
+        vec = [0] * m
+        for e, c in zip(exponents, coeffs):
+            if c:
+                vec[e % m] += c
+        return _normalized(self, _reduce_vec(self, vec), den)
 
     def from_rational(self, value) -> "CycloElt":
         value = Fraction(value)
@@ -171,35 +183,6 @@ def _reduce_vec(field: CycloField, vec: list[int]) -> list[int]:
     return vec
 
 
-def _pack(vec, width: int) -> int:
-    """sum vec[i] * 256^(width*i) as one integer, for |vec[i]| < 2^(8*width - 1).
-
-    Each slot is written once into a preallocated buffer; a negative slot is
-    stored in two's complement and borrows one from the slot above.
-    """
-    buf = bytearray(width * len(vec))
-    pos = borrow = 0
-    for c in vec:
-        c -= borrow
-        buf[pos : pos + width] = c.to_bytes(width, "little", signed=True)
-        borrow = 1 if c < 0 else 0
-        pos += width
-    return int.from_bytes(buf, "little", signed=True)
-
-
-def _unpack(data: bytes, width: int) -> list[int]:
-    """The slots c_i of value = sum c_i * 256^(width*i), |c_i| < 2^(8*width - 1),
-    from the two's-complement bytes of value."""
-    view = memoryview(data)
-    out = []
-    carry = 0
-    for pos in range(0, len(data), width):
-        c = int.from_bytes(view[pos : pos + width], "little", signed=True)
-        out.append(c + carry)
-        carry = 1 if c < 0 else 0
-    return out
-
-
 def _nonzero_prefix(vec: tuple[int, ...]) -> tuple[int, ...]:
     n = len(vec)
     while n and not vec[n - 1]:
@@ -209,22 +192,38 @@ def _nonzero_prefix(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 def _poly_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """Coefficients of the integer polynomial product a * b, by Kronecker
-    substitution: one big-integer product of the packed vectors."""
+    substitution: one big-integer product of the packed vectors.
+
+    A slot of w bytes holds c + half, half = 2^(8w - 1), as an unsigned
+    number; w is chosen so that every input and product coefficient has
+    |c| < half.  A vector packs as its biased slots minus the bias
+    half * sum 256^(w i), and the product unpacks by adding the bias of its
+    own length back and subtracting half from every slot.
+    """
     square = a is b
     a, b = _nonzero_prefix(a), _nonzero_prefix(b)
     if not a or not b:
         return []
-    bits_a = max(abs(c).bit_length() for c in a)
-    bits_b = bits_a if square else max(abs(c).bit_length() for c in b)
+    bits_a = max(max(a), -min(a)).bit_length()
+    bits_b = bits_a if square else max(max(b), -min(b)).bit_length()
     # |product coefficient| < min(len) * 2^(bits_a + bits_b); one more bit for the sign
     bits = bits_a + bits_b + min(len(a), len(b)).bit_length() + 1
     width = (bits + 7) // 8
-    packed = _pack(a, width)
-    product = packed * packed if square else packed * _pack(b, width)
+    half = 1 << (8 * width - 1)
+    slot = half.to_bytes(width, "little")
+
+    def pack(vec):
+        biased = b"".join((c + half).to_bytes(width, "little") for c in vec)
+        return int.from_bytes(biased, "little") - int.from_bytes(slot * len(vec), "little")
+
+    packed = pack(a)
+    product = packed * packed if square else packed * pack(b)
     del packed
-    data = product.to_bytes(width * (len(a) + len(b) - 1), "little", signed=True)
+    n = len(a) + len(b) - 1
+    product += int.from_bytes(slot * n, "little")
+    data = memoryview(product.to_bytes(width * n, "little"))
     del product
-    return _unpack(data, width)
+    return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * n, width)]
 
 
 def _normalized(field: CycloField, nums: list[int], den: int) -> "CycloElt":
@@ -250,10 +249,6 @@ class CycloElt:
     field: CycloField
     num: tuple[int, ...]
     den: int
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.num)
@@ -329,11 +324,7 @@ def one_minus_root_inverse(field: CycloField, k: int) -> CycloElt:
     if k == 0:
         raise DomainError("1 - zeta^0 is zero")
     r = field.m // math.gcd(field.m, k)
-    vec = [0] * field.m
-    for i in range(r - 1):
-        vec[i * k % field.m] += r - 1 - i
-    reduced = _reduce_vec(field, vec)
-    return _normalized(field, reduced, r)
+    return field.from_terms(range(0, k * (r - 1), k), range(r - 1, 0, -1), r)
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +347,9 @@ class GaloisElt:
 def galois_apply(s: GaloisElt, x: CycloElt) -> CycloElt:
     if s.field.m != x.field.m:
         raise DomainError("automorphism and element fields differ")
-    m = x.field.m
-    if m == 1:
+    if x.field.m == 1:
         return x
-    vec = [0] * m
-    for i, c in enumerate(x.num):
-        if c:
-            vec[i * s.a % m] += c
-    reduced = _reduce_vec(x.field, vec)
-    return _normalized(x.field, reduced, x.den)
+    return x.field.from_terms(range(0, s.a * len(x.num), s.a), x.num, x.den)
 
 
 def conjugate(x: CycloElt) -> CycloElt:
@@ -419,11 +404,6 @@ class RootOfUnity:
     def inverse(self) -> "RootOfUnity":
         return self ** (-1 % self.order if self.order > 1 else 0)
 
-    def as_elt(self, field: CycloField) -> CycloElt:
-        if field.m % self.order != 0:
-            raise DomainError("root of unity does not live in this field")
-        return field.root(self.exp * (field.m // self.order))
-
 
 # ---------------------------------------------------------------------------
 # towers, norms, minimal polynomials
@@ -437,14 +417,8 @@ def embed_up(x: CycloElt, m_big: int) -> CycloElt:
         raise DomainError(f"{m} does not divide {m_big}")
     if m_big == m:
         return x
-    big = get_field(m_big)
     k = m_big // m
-    vec = [0] * m_big
-    for i, c in enumerate(x.num):
-        if c:
-            vec[i * k % m_big] += c
-    reduced = _reduce_vec(big, vec)
-    return _normalized(big, reduced, x.den)
+    return get_field(m_big).from_terms(range(0, k * len(x.num), k), x.num, x.den)
 
 
 def _solve_against_columns(columns: list["CycloElt"], target: "CycloElt"):
@@ -486,27 +460,13 @@ def _solve_against_columns(columns: list["CycloElt"], target: "CycloElt"):
     return sol
 
 
-def restrict_down(x: CycloElt, m_small: int) -> CycloElt:
-    """Exact preimage of x under embed_up; errors if x is not in Q(zeta_m)."""
-    m = x.field.m
-    if m % m_small != 0:
-        raise DomainError(f"{m_small} does not divide {m}")
-    if m == m_small:
-        return x
-    small = get_field(m_small)
-    basis = [embed_up(small.root(i), m) for i in range(small.phi)]
-    sol = _solve_against_columns(basis, x)
-    cand = small.from_coeffs(sol)
-    if embed_up(cand, m) != x:
-        raise DomainError("element does not lie in the requested subfield")
-    return cand
-
-
 def divide_into_subfield(target: CycloElt, multiplier: CycloElt, m_small: int) -> CycloElt:
     """The element y of Q(zeta_m_small) with embed(y) * multiplier = target.
 
     Solving the small linear system sidesteps inverting `multiplier`, whose
-    coefficients may be enormous; the identity is re-verified exactly.
+    coefficients may be enormous; the identity is re-verified exactly.  With
+    multiplier 1, y is the exact preimage of target under embed_up, and
+    DomainError says that target does not lie in Q(zeta_m_small).
     """
     m = target.field.m
     if multiplier.field.m != m:

@@ -27,8 +27,8 @@ from .cyclotomic import (
     CycloField,
     GaloisElt,
     RootOfUnity,
-    _reduce_vec,
     absolute_norm,
+    divide_into_subfield,
     elt_inverse,
     elt_to_strings,
     embed_up,
@@ -38,7 +38,6 @@ from .cyclotomic import (
     minimal_polynomial,
     one_minus_root_inverse,
     relative_norm,
-    restrict_down,
     tower_subgroup,
 )
 from .exact_arith import factorize, is_prime, multiplicative_order
@@ -185,8 +184,12 @@ def phi_eval(E: EulerSystem, eta: RootOfUnity) -> CycloElt:
     eta = eta.canonical()
     if not E.admissible(eta):
         raise DomainError(f"root of order {eta.order} is outside the admissible domain")
-    value = phi_eval_in(E, eta, math.lcm(eta.order, _twist_order(E)))
-    return restrict_down(value, eta.order)
+    N = math.lcm(eta.order, _twist_order(E))
+    value = phi_eval_in(E, eta, N)
+    if N == eta.order:
+        return value
+    # a twist widened the field: descend to Q(zeta_ord(eta)), or refuse
+    return divide_into_subfield(value, value.field.one, eta.order)
 
 
 def phi_eval_in(E: EulerSystem, eta: RootOfUnity, N: int) -> CycloElt:
@@ -303,7 +306,7 @@ def check_E3(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
     delta = phi_eval_in(E, eta.times(RootOfUnity(q, 1)), N) - phi_eval_in(E, eta, N)
     if delta.den % q == 0:
         raise DomainError("non-integral test value")
-    residue = _reduce_vec(get_field(m_prime), list(delta.num))
+    residue = get_field(m_prime).from_terms(range(len(delta.num)), delta.num).num
     return AxiomReport(
         "E3",
         {

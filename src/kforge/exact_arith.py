@@ -13,7 +13,6 @@ All values are immutable and all functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistency
@@ -170,20 +169,9 @@ def ip_derivative(a) -> PolyZ:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidueInt:
-    """An integer residue modulo ell^k."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if not (0 <= self.value < self.modulus):
-            raise DomainError("residue out of range")
-
-
-def hensel_lift_root(f: PolyZ, ell: int, c: int, k: int) -> ResidueInt:
-    """Lift a simple root of f mod ell to a root mod ell^k by Newton steps."""
+def hensel_lift_root(f: PolyZ, ell: int, c: int, k: int) -> int:
+    """Lift a simple root of f mod ell to its root r mod ell^k, 0 <= r < ell^k,
+    by Newton steps."""
     if k < 1:
         raise DomainError("precision must be at least 1")
     c %= ell
@@ -199,7 +187,7 @@ def hensel_lift_root(f: PolyZ, ell: int, c: int, k: int) -> ResidueInt:
         r = (r - ip_eval(f, r) * pow(ip_eval(deriv, r), -1, mod)) % mod
     if ip_eval(f, r) % ell**k != 0:
         raise InternalInconsistency("Hensel lift is not a root modulo ell^k")
-    return ResidueInt(r, ell**k)
+    return r
 
 
 def int_padic_valuation(n: int, p: int) -> int:

@@ -35,8 +35,6 @@ from .cyclotomic import (
     CycloField,
     GaloisElt,
     RootOfUnity,
-    _normalized,
-    _reduce_vec,
     conjugate,
     divide_into_subfield,
     embed_up,
@@ -268,16 +266,10 @@ def _resolvent_factor(y: CycloElt, chain: list[CycloElt], sigma: GaloisElt) -> C
 
 def _sample_theta(field: CycloField, rng: random.Random) -> CycloElt:
     """Conjugation-invariant element with small coefficients drawn from the
-    seeded generator: c_0 + sum c_k (zeta^k + zeta^(-k)), written into one
-    length-m vector and reduced once."""
-    m = field.m
-    vec = [0] * m
-    vec[0] = rng.randint(-3, 3)
-    for k in range(1, field.phi // 2 + 1):
-        c = rng.randint(-3, 3)
-        vec[k % m] += c
-        vec[-k % m] += c
-    return _normalized(field, _reduce_vec(field, vec), 1)
+    seeded generator: c_0 + sum c_k (zeta^k + zeta^(-k)) for k <= phi/2."""
+    coeffs = [rng.randint(-3, 3) for _ in range(field.phi // 2 + 1)]
+    exponents = range(-(len(coeffs) - 1), len(coeffs))
+    return field.from_terms(exponents, [coeffs[abs(e)] for e in exponents])
 
 
 def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:

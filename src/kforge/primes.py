@@ -88,7 +88,7 @@ def split_prime_data(q: int, m: int) -> SplitPrimeData:
 
 
 def _lifted_root(data: SplitPrimeData, root: int, k: int) -> int:
-    return hensel_lift_root(get_field(data.m).poly, data.q, root, k).value
+    return hensel_lift_root(get_field(data.m).poly, data.q, root, k)
 
 
 def valuation(x: CycloElt, root: int, data: SplitPrimeData) -> int:
@@ -192,9 +192,6 @@ class AnnihilatorElt:
     def is_zero(self) -> bool:
         return all(c == 0 for _, c in self.coeffs)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
 
 def galois_classes(m: int) -> list[int]:
     """Representatives of Gal(F/Q) = (Z/m)^x / {+-1}, smallest member first."""
@@ -226,20 +223,6 @@ def annihilator_from_dlogs(
         image_root = pow(c0, a_inv, data.q)
         coeffs.append((a, vec.entries[_pair_index(data, image_root)]))
     return AnnihilatorElt(m, M, tuple(coeffs), data.pairs[reference])
-
-
-def apply_galois_to_annihilator(theta: AnnihilatorElt, b: int) -> AnnihilatorElt:
-    """Left multiplication by the class of sigma_b."""
-    m = theta.m
-    mapping = dict(theta.coeffs)
-    out = []
-    for a in galois_classes(m):
-        # coefficient of sigma_a in sigma_b * theta is the coefficient of
-        # sigma_(a/b) in theta
-        pre = a * pow(b, -1, m) % m
-        pre = min(pre, m - pre)
-        out.append((a, mapping[pre]))
-    return AnnihilatorElt(m, theta.M, tuple(out), theta.reference_pair)
 
 
 # ---------------------------------------------------------------------------

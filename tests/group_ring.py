@@ -3,8 +3,9 @@
 The formal operators check the telescoping identity (sigma_q - 1) D_q =
 (q - 1) - N_q in the group ring, and apply_group_ring evaluates an operator
 on a field element term by term, as an independent reference for the
-suffix-product derivative.  apply_norm is the plain cyclic norm, and
-ratio_mth_power_witness exhibits the representative ambiguity of a class.
+suffix-product derivative.  apply_norm is the plain cyclic norm,
+ratio_mth_power_witness exhibits the representative ambiguity of a class, and
+apply_galois_to_annihilator moves an annihilator by a Galois element.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from kforge.cyclotomic import (
 from kforge.errors import DomainError, InternalInconsistency
 from kforge.exact_arith import is_prime
 from kforge.kolyvagin import KappaClass, lifted_sigma
+from kforge.primes import AnnihilatorElt, galois_classes
 
 
 @dataclass(frozen=True)
@@ -166,3 +168,17 @@ def ratio_mth_power_witness(ka: KappaClass, kb: KappaClass) -> CycloElt:
     if kb.kappa * w**ka.params.M != ka.kappa:
         raise InternalInconsistency("beta ratio does not witness the class ambiguity")
     return w
+
+
+def apply_galois_to_annihilator(theta: AnnihilatorElt, b: int) -> AnnihilatorElt:
+    """Left multiplication by the class of sigma_b."""
+    m = theta.m
+    mapping = dict(theta.coeffs)
+    out = []
+    for a in galois_classes(m):
+        # coefficient of sigma_a in sigma_b * theta is the coefficient of
+        # sigma_(a/b) in theta
+        pre = a * pow(b, -1, m) % m
+        pre = min(pre, m - pre)
+        out.append((a, mapping[pre]))
+    return AnnihilatorElt(m, theta.M, tuple(out), theta.reference_pair)

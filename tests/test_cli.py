@@ -57,6 +57,24 @@ class TestExitCodes:
     def test_limit_cap(self, capsys):
         assert run_main(["primes", "--limit", "2000000"]) == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["factorize", "--q", "11", "--limit", "500"],
+            ["axioms", "--s", "7"],
+            ["axioms", "--seed", "9"],
+            ["primes", "--omega", "1:1,2:-1"],
+            ["kappa", "--self-test"],
+            ["decompose", "--M", "5"],
+        ],
+    )
+    def test_option_the_command_does_not_read_exits_two(self, capsys, args):
+        # the report would record an option that changed nothing
+        with pytest.raises(SystemExit) as exc:
+            run_main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_failed_check_exits_one_and_still_writes_the_report(self, capsys, monkeypatch, tmp_path):
         # a norm doubled at the order-7 root breaks that one unit check
         norm = euler.absolute_norm

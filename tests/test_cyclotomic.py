@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kforge.errors import DomainError, InternalInconsistency
 from kforge.cyclotomic import (
@@ -20,13 +20,11 @@ from kforge.cyclotomic import (
     minimal_polynomial,
     one_minus_root_inverse,
     relative_norm,
-    restrict_down,
     tower_subgroup,
     _binomial_factors,
-    _pack,
+    _poly_product,
     _reduce_vec,
     _solve_against_columns,
-    _unpack,
 )
 from kforge.exact_arith import euler_phi, factorize, ip_trim, is_prime, poly_trim
 
@@ -59,6 +57,11 @@ def ip_divmod_monic(a, b):
                 rem[shift + j] -= c * cb
         rem.pop()
     return ip_trim(quo), ip_trim(rem)
+
+
+def coeffs(x):
+    """The power-basis coefficients of x as rationals."""
+    return tuple(Fraction(c, x.den) for c in x.num)
 
 
 def mobius(n):
@@ -225,14 +228,15 @@ class TestTower:
         assert lhs == rhs
 
     def test_restrict_round_trip(self):
+        # dividing by 1 is the exact preimage under embed_up
         f5 = get_field(5)
         x = f5.root(1).scale(Fraction(2, 3)) + f5.from_rational(5)
-        assert restrict_down(embed_up(x, 35), 5) == x
+        assert divide_into_subfield(embed_up(x, 35), get_field(35).one, 5) == x
 
     def test_restrict_rejects_outsiders(self):
         f15 = get_field(15)
-        with pytest.raises(DomainError):
-            restrict_down(f15.root(1), 5)
+        with pytest.raises(DomainError, match="does not lie in the requested subfield"):
+            divide_into_subfield(f15.root(1), f15.one, 5)
 
     def test_divide_into_subfield(self):
         f5, f55 = get_field(5), get_field(55)
@@ -255,24 +259,18 @@ class TestSubfieldSolve:
         columns = [embed_up(f5.root(i), 55) * mult for i in range(f5.phi)]
         return y, mult, columns, embed_up(y, 55) * mult
 
-    @staticmethod
-    def solve(kind, target, mult):
-        if kind == "restrict":
-            return restrict_down(target, 5)
-        return divide_into_subfield(target, mult, 5)
-
     @pytest.mark.parametrize("kind", ["restrict", "divide"])
     def test_inconsistent_tail_fails_the_final_check(self, kind):
         y, mult, columns, target = self.system(kind)
         f55 = target.field
-        assert self.solve(kind, target, mult) == y
+        assert divide_into_subfield(target, mult, 5) == y
         # the last row comes after the pivot rows: the solver never reads it
         # and returns the valid quotient's coefficients
         bad = target + f55.root(f55.phi - 1)
         assert bad.num[:-1] == target.num[:-1] and bad.num[-1] != target.num[-1]
-        assert _solve_against_columns(columns, bad) == list(y.coeffs)
+        assert _solve_against_columns(columns, bad) == list(coeffs(y))
         with pytest.raises(DomainError, match="does not lie in the requested subfield"):
-            self.solve(kind, bad, mult)
+            divide_into_subfield(bad, mult, 5)
 
     def test_row_outside_every_column_raises_at_once(self):
         _, _, columns, target = self.system("restrict")
@@ -377,10 +375,6 @@ class TestRootOfUnity:
         assert z3.times(z5) == RootOfUnity(15, 8)
         assert z5.times(z5.inverse()) == RootOfUnity(1, 0)
 
-    def test_as_elt(self):
-        f15 = get_field(15)
-        assert RootOfUnity(5, 1).as_elt(f15) == f15.root(3)
-
 
 def test_field_cache_identity():
     assert get_field(35) is get_field(35)
@@ -459,6 +453,16 @@ def elements(draw, field, bits=None):
     return field.from_coeffs([Fraction(c, den) for c in num])
 
 
+@st.composite
+def slot_vectors(draw):
+    """Vectors of 1-12 coefficients drawn from +-(2^k - 1), +-2^(k - 1), +-1
+    and 0 for one k <= 2000, often with trailing zeros."""
+    k = draw(st.sampled_from([1, 2, 6, 7, 8, 9, 63, 64, 65, 2000]) | st.integers(1, 2000))
+    top, half = 2**k - 1, 2 ** (k - 1)
+    vec = draw(st.lists(st.sampled_from([top, -top, half, -half, 1, -1, 0]), min_size=1, max_size=12))
+    return tuple(vec + [0] * draw(st.integers(0, 12 - len(vec))))
+
+
 class TestKernelsAgainstSchoolbook:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -515,17 +519,18 @@ class TestKernelsAgainstSchoolbook:
             if e % m:
                 assert (field.one - field.root(e)) * one_minus_root_inverse(field, e) == field.one
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 40), st.data())
-    def test_pack_and_unpack_at_slot_boundaries(self, width, data):
-        # a slot holds |c| < 2^(8*width - 1); -2^(8*width - 1) would alias
-        # 2^(8*width - 1) once a borrow arrives, so the widest slots are +-(top - 1)
-        top = 2 ** (8 * width - 1)
-        slot = st.sampled_from([1 - top, top - 1, -1, 0, 1]) | st.integers(1 - top, top - 1)
-        slots = data.draw(st.lists(slot, min_size=1, max_size=12))
-        value = sum(c << (8 * width * i) for i, c in enumerate(slots))
-        assert _pack(slots, width) == value
-        assert _unpack(value.to_bytes(width * len(slots), "little", signed=True), width) == slots
+    @settings(max_examples=120, deadline=None)
+    @given(slot_vectors(), slot_vectors())
+    # seven 6-bit coefficients size a 16-bit slot biased by 2^15; the middle
+    # coefficients of the product, -7 * 63^2, and of the alternating square,
+    # -6 * 63^2, lie below -2^14, so a bias one bit smaller underflows; an
+    # all-zero vector multiplies to nothing
+    @example((63,) * 7, (-63,) * 7)
+    @example((63, -63) * 3 + (63,), (1,))
+    @example((0, 0, 0), (-1,))
+    def test_product_at_slot_boundaries(self, a, b):
+        assert tuple(_poly_product(a, b)) == ip_mul(a, b)
+        assert tuple(_poly_product(a, a)) == ip_mul(a, a)  # squaring packs once
 
 
 # 1 and 2; a prime; prime powers; non-squarefree and even conductors;
@@ -545,6 +550,22 @@ def assert_reduces_like_dense(field, vec):
 
 
 class TestReduction:
+    @pytest.mark.parametrize("m", REDUCTION_CONDUCTORS)
+    def test_from_terms_against_reference(self, m):
+        field = get_field(m)
+        rng = random.Random(m)
+        for den in (1, 6, -4):
+            # exponents of either sign and beyond m, one of them repeated,
+            # with zero among the coefficients
+            exponents = [rng.randint(-3 * m, 3 * m) for _ in range(2 * m)]
+            exponents.append(exponents[0])
+            terms = [rng.choice([0, rng.randint(-(2**70), 2**70)]) for _ in exponents]
+            vec = [0] * m
+            for e, c in zip(exponents, terms):
+                vec[e % m] += c
+            assert field.from_terms(exponents, terms, den) == reference_element(field, vec, den)
+        assert field.from_terms((), ()) == field.zero
+
     @pytest.mark.parametrize("m", REDUCTION_CONDUCTORS)
     @pytest.mark.parametrize("bits", [1, 64, 2000])
     def test_against_dense_reduction(self, m, bits):
@@ -610,7 +631,7 @@ def test_product_against_sympy(m):
         rem = sympy.rem(as_poly(a) * as_poly(b), modulus)
         expected = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
         expected += [Fraction(0)] * (max(field.phi, 1) - len(expected))
-        assert (field.from_coeffs(a) * field.from_coeffs(b)).coeffs == tuple(expected)
+        assert coeffs(field.from_coeffs(a) * field.from_coeffs(b)) == tuple(expected)
 
 
 @pytest.mark.parametrize("m", [3, 5, 9, 12, 15, 21, 35])
@@ -621,11 +642,11 @@ def test_inverse_against_sympy(m):
     field = get_field(m)
     rng = random.Random(m)
     for _ in range(3):
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(field.phi)]
-        if not any(coeffs):
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(field.phi)]
+        if not any(values):
             continue
-        a = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
+        a = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(values))
         inv = sympy.Poly(sympy.invert(a, modulus), x, domain="QQ")
         expected = [Fraction(int(c.p), int(c.q)) for c in reversed(inv.all_coeffs())]
         expected += [Fraction(0)] * (field.phi - len(expected))
-        assert elt_inverse(field.from_coeffs(coeffs)).coeffs == tuple(expected)
+        assert coeffs(elt_inverse(field.from_coeffs(values))) == tuple(expected)

@@ -7,6 +7,7 @@ from kforge.errors import ConfigError, DomainError
 from kforge.cyclotomic import (
     RootOfUnity,
     absolute_norm,
+    embed_up,
     galois_apply,
     GaloisElt,
     get_field,
@@ -103,8 +104,6 @@ class TestValues:
 
     def test_ambient_evaluation_consistent(self):
         E = parse_omega(BASIC)
-        from kforge.cyclotomic import embed_up
-
         v = phi_eval(E, RootOfUnity(5, 1))
         assert phi_eval_in(E, RootOfUnity(5, 1), 35) == embed_up(v, 35)
 
@@ -114,6 +113,17 @@ class TestValues:
             v = phi_eval(base, eta)
             assert phi_eval(parse_omega(BASIC + ",compose=1"), eta) == v
             assert phi_eval(parse_omega(BASIC + ",twist=1:0"), eta) == v
+
+    def test_twisted_value_descends_or_is_refused(self, monkeypatch):
+        E = parse_omega(BASIC + ",twist=3:1")
+        eta = RootOfUnity(7, 1)
+        v = phi_eval(E, eta)
+        assert v.field.m == 7 and embed_up(v, 21) == phi_eval_in(E, eta, 21)
+        # a twisted value outside Q(zeta_7) is refused, not truncated
+        genuine = euler.phi_eval_in
+        monkeypatch.setattr(euler, "phi_eval_in", lambda E, eta, N: genuine(E, eta, N) + get_field(N).root(1))
+        with pytest.raises(DomainError, match="does not lie in the requested subfield"):
+            phi_eval(E, eta)
 
 
 class TestAxioms:
