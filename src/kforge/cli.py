@@ -144,7 +144,7 @@ def cmd_axioms(cfg: RunConfig) -> Report:
     E = cfg.system()
     report = Report("axioms", cfg.as_block())
     excluded = E.effective_excluded
-    etas = [RootOfUnity(o, 1) if o > 1 else RootOfUnity.one() for o in DEFAULT_ETA_ORDERS]
+    etas = [RootOfUnity(o, 1 % o) for o in DEFAULT_ETA_ORDERS]
     etas = [eta for eta in etas if E.admissible(eta)]
     for eta in etas:
         for a in DEFAULT_E1_EXPONENTS:
@@ -222,6 +222,7 @@ def cmd_factorize(cfg: RunConfig) -> Report:
         if s % q == 0:
             raise ConfigError("q must not divide s")
     report = Report("factorize", cfg.as_block())
+    report.config["q"] = [str(q) for q in qs]
     for q in qs:
         rep, dt = _timed(check_factorization, E, params, s, q, cfg.seed)
         report.add(

@@ -365,7 +365,12 @@ def is_in_real_subfield(x: CycloElt) -> bool:
 
 @dataclass(frozen=True)
 class RootOfUnity:
-    """zeta_order^exp, not necessarily primitive."""
+    """zeta_order^exp, held in lowest terms.
+
+    Construction takes 0 <= exp < order and divides both by their gcd, so
+    gcd(order, exp) = 1 afterwards: order is the primitive order of the root,
+    the root 1 is RootOfUnity(1, 0), and equal roots compare and hash equal.
+    """
 
     order: int
     exp: int
@@ -375,34 +380,20 @@ class RootOfUnity:
             raise DomainError("order must be positive")
         if not (0 <= self.exp < self.order):
             raise DomainError("exponent out of range")
-
-    @staticmethod
-    def one() -> "RootOfUnity":
-        return RootOfUnity(1, 0)
-
-    def primitive_order(self) -> int:
-        if self.exp == 0:
-            return 1
-        return self.order // math.gcd(self.order, self.exp)
-
-    def canonical(self) -> "RootOfUnity":
-        """Rewrite with order equal to the primitive order."""
-        r = self.primitive_order()
-        if r == 1:
-            return RootOfUnity(1, 0)
-        step = self.order // r
-        return RootOfUnity(r, (self.exp // step) % r)
+        g = math.gcd(self.order, self.exp)
+        object.__setattr__(self, "order", self.order // g)
+        object.__setattr__(self, "exp", self.exp // g)
 
     def __pow__(self, e: int) -> "RootOfUnity":
-        return RootOfUnity(self.order, self.exp * e % self.order).canonical()
+        return RootOfUnity(self.order, self.exp * e % self.order)
 
     def times(self, other: "RootOfUnity") -> "RootOfUnity":
         n = math.lcm(self.order, other.order)
         e = (self.exp * (n // self.order) + other.exp * (n // other.order)) % n
-        return RootOfUnity(n, e).canonical()
+        return RootOfUnity(n, e)
 
     def inverse(self) -> "RootOfUnity":
-        return self ** (-1 % self.order if self.order > 1 else 0)
+        return RootOfUnity(self.order, -self.exp % self.order)
 
 
 # ---------------------------------------------------------------------------
@@ -482,33 +473,22 @@ def divide_into_subfield(target: CycloElt, multiplier: CycloElt, m_small: int) -
     return cand
 
 
-def _verify_subgroup(H: list[GaloisElt]) -> None:
-    if not H:
-        raise DomainError("H is empty")
-    m = H[0].field.m
-    residues = {h.a % m for h in H}
-    if len(residues) != len(H) or 1 % m not in residues:
-        raise DomainError("H is not a subgroup")
-    for a in residues:
-        for b in residues:
-            if a * b % m not in residues:
-                raise DomainError("H is not a subgroup")
+def relative_norm(x: CycloElt, m_small: int) -> CycloElt:
+    """Norm of x from Q(zeta_m) down to Q(zeta_m_small), for a subconductor
+    m_small of m: the product of sigma_a(x) over the units a = 1 mod m_small,
+    which are the automorphisms fixing Q(zeta_m_small).
 
-
-def relative_norm(x: CycloElt, H: list[GaloisElt]) -> CycloElt:
-    """Product of sigma(x) over a verified subgroup H of the Galois group."""
-    _verify_subgroup(H)
-    result = x.field.one
-    for s in H:
-        result = result * galois_apply(s, x)
+    The result lies in Q(zeta_m_small) and is returned inside Q(zeta_m);
+    m_small = 1 gives the absolute norm and m_small = m gives x.
+    """
+    field = x.field
+    if m_small < 1 or field.m % m_small != 0:
+        raise DomainError(f"{m_small} is not a subconductor of {field.m}")
+    result = field.one
+    for a in field.unit_group:
+        if a % m_small == 1 % m_small:
+            result = result * galois_apply(GaloisElt(field, a), x)
     return result
-
-
-def tower_subgroup(field: CycloField, m_small: int) -> list[GaloisElt]:
-    """Automorphisms of Q(zeta_m) fixing Q(zeta_m_small), i.e. a = 1 mod m_small."""
-    if field.m % m_small != 0:
-        raise DomainError("not a subconductor")
-    return [GaloisElt(field, a) for a in field.unit_group if a % m_small == 1 % m_small]
 
 
 def _norm_and_cofactor(x: CycloElt) -> tuple[Fraction, CycloElt]:

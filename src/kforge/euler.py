@@ -38,7 +38,6 @@ from .cyclotomic import (
     minimal_polynomial,
     one_minus_root_inverse,
     relative_norm,
-    tower_subgroup,
 )
 from .exact_arith import factorize, is_prime, multiplicative_order
 
@@ -67,38 +66,36 @@ class OmegaSpec:
 
 @dataclass(frozen=True)
 class EulerSystem:
+    """A base system, optionally precomposed with the compose_n-th power map
+    and twisted by the root of unity twist; the twist 1 changes nothing."""
+
     base: OmegaSpec
     compose_n: int | None = None
-    twist: RootOfUnity | None = None
+    twist: RootOfUnity = RootOfUnity(1, 0)
 
     def __post_init__(self):
         if self.compose_n == 0:
             raise ConfigError("composition power must be nonzero")
-        if self.twist is not None:
-            t = self.twist.canonical()
-            if t.order > 1 and any(t.order % p == 0 for p in self.base.excluded):
-                raise ConfigError("twist order must be coprime to the excluded primes")
+        if any(self.twist.order % p == 0 for p in self.base.excluded):
+            raise ConfigError("twist order must be coprime to the excluded primes")
 
     @property
     def effective_excluded(self) -> frozenset[int]:
         out = set(self.base.excluded)
         if self.compose_n:
             out.update(factorize(self.compose_n))
-        if self.twist is not None and self.twist.canonical().order > 1:
-            out.update(factorize(self.twist.canonical().order))
+        out.update(factorize(self.twist.order))
         return frozenset(out)
 
     def admissible(self, eta: RootOfUnity) -> bool:
-        r = eta.primitive_order()
-        return all(r % p != 0 for p in self.effective_excluded)
+        return all(eta.order % p != 0 for p in self.effective_excluded)
 
     def describe(self) -> str:
         parts = [",".join(f"{a}:{n}" for a, n in self.base.pairs)]
         if self.compose_n:
             parts.append(f"compose={self.compose_n}")
-        if self.twist is not None and self.twist.canonical().order > 1:
-            t = self.twist.canonical()
-            parts.append(f"twist={t.order}:{t.exp}")
+        if self.twist.order > 1:
+            parts.append(f"twist={self.twist.order}:{self.twist.exp}")
         return ",".join(parts)
 
 
@@ -106,7 +103,7 @@ def parse_omega(text: str) -> EulerSystem:
     """Parse "a:n,a:n,...[,compose=n][,twist=h:e]" with positioned errors."""
     pairs = []
     compose = None
-    twist = None
+    twist = RootOfUnity(1, 0)
     pos = 0
     for idx, token in enumerate(text.split(",")):
         tok = token.strip()
@@ -175,16 +172,11 @@ def _lambda_eval(pairs, field: CycloField, e: int) -> CycloElt:
     return result * field.root(shift % m)
 
 
-def _twist_order(E: EulerSystem) -> int:
-    return E.twist.canonical().order if E.twist is not None else 1
-
-
 def phi_eval(E: EulerSystem, eta: RootOfUnity) -> CycloElt:
     """Exact value of the system at eta, as an element of Q(zeta_ord(eta))."""
-    eta = eta.canonical()
     if not E.admissible(eta):
         raise DomainError(f"root of order {eta.order} is outside the admissible domain")
-    N = math.lcm(eta.order, _twist_order(E))
+    N = math.lcm(eta.order, E.twist.order)
     value = phi_eval_in(E, eta, N)
     if N == eta.order:
         return value
@@ -197,21 +189,19 @@ def phi_eval_in(E: EulerSystem, eta: RootOfUnity, N: int) -> CycloElt:
     subfield descents; intended for product identities that compare several
     values in one ambient field.  N must be a multiple of ord(eta) and of
     the twist order."""
-    eta = eta.canonical()
-    if N % math.lcm(eta.order, _twist_order(E)) != 0:
+    h = E.twist.order
+    if N % math.lcm(eta.order, h) != 0:
         raise DomainError("ambient conductor too small")
-    twist = E.twist.canonical() if E.twist is not None else None
-    if twist is not None and twist.order > 1:
-        inner = EulerSystem(E.base, E.compose_n, None)
-        h = twist.order
+    if h > 1:
+        inner = EulerSystem(E.base, E.compose_n)
         acc = get_field(N).one
         for b in range(1, h + 1):
             if math.gcd(b, h) != 1:
                 continue
-            acc = acc * phi_eval_in(inner, eta.times(twist**b), N)
+            acc = acc * phi_eval_in(inner, eta.times(E.twist**b), N)
         return acc
     if E.compose_n:
-        inner = EulerSystem(E.base, None, None)
+        inner = EulerSystem(E.base)
         return phi_eval_in(inner, eta**E.compose_n, N)
     field = get_field(N)
     if eta.order == 1:
@@ -236,13 +226,11 @@ class AxiomReport:
 
 
 def _root_label(eta: RootOfUnity) -> str:
-    eta = eta.canonical()
     return f"zeta_{eta.order}^{eta.exp}" if eta.order > 1 else "1"
 
 
 def check_E1(E: EulerSystem, eta: RootOfUnity, a: int) -> AxiomReport:
     """Galois equivariance plus invariance under inversion of the argument."""
-    eta = eta.canonical()
     m0 = eta.order
     if m0 > 1 and math.gcd(a, m0) != 1:
         raise DomainError(f"{a} is not invertible mod {m0}")
@@ -266,8 +254,7 @@ def check_E2(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
         raise DomainError(f"{q} is not prime")
     if q in E.effective_excluded:
         raise DomainError(f"auxiliary prime {q} is excluded")
-    eta = eta.canonical()
-    N = math.lcm(q, eta.order, _twist_order(E))
+    N = math.lcm(q, eta.order, E.twist.order)
     big = get_field(N)
     lhs = big.one
     for c in range(q):
@@ -297,11 +284,10 @@ def check_E3(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
         raise DomainError(f"{q} is not prime")
     if q in E.effective_excluded:
         raise DomainError(f"auxiliary prime {q} is excluded")
-    eta = eta.canonical()
     m0 = eta.order
     if math.gcd(q, m0) != 1:
         raise DomainError("argument order must be coprime to q")
-    m_prime = math.lcm(m0, _twist_order(E))
+    m_prime = math.lcm(m0, E.twist.order)
     N = q * m_prime
     delta = phi_eval_in(E, eta.times(RootOfUnity(q, 1)), N) - phi_eval_in(E, eta, N)
     if delta.den % q == 0:
@@ -332,9 +318,8 @@ def check_norm_frobenius(E: EulerSystem, m: int, q: int) -> AxiomReport:
     if not E.admissible(RootOfUnity(m, 1)):
         raise DomainError("level shares a factor with the excluded primes")
     N = m * q
-    big = get_field(N)
     x = phi_eval(E, RootOfUnity(N, (N // q + N // m) % N))
-    lhs = relative_norm(x, tower_subgroup(big, m))
+    lhs = relative_norm(x, m)
     y = phi_eval(E, RootOfUnity(m, 1))
     frob = GaloisElt(y.field, q % m)
     rhs = galois_apply(frob, y) / y
@@ -361,8 +346,7 @@ def check_tower_norm(E: EulerSystem, p: int, n: int) -> AxiomReport:
         raise DomainError("level must be nonnegative")
     m_low = p ** (n + 1)
     m_high = m_low * p
-    big = get_field(m_high)
-    lhs = relative_norm(phi_eval(E, RootOfUnity(m_high, 1)), tower_subgroup(big, m_low))
+    lhs = relative_norm(phi_eval(E, RootOfUnity(m_high, 1)), m_low)
     rhs = embed_up(phi_eval(E, RootOfUnity(m_low, 1)), m_high)
     return AxiomReport(
         "tower_norm",
@@ -374,7 +358,6 @@ def check_tower_norm(E: EulerSystem, p: int, n: int) -> AxiomReport:
 
 def check_unit(E: EulerSystem, eta: RootOfUnity) -> AxiomReport:
     """Integrality of the minimal polynomial plus norm +-1."""
-    eta = eta.canonical()
     if eta.order == 1:
         raise DomainError("the value at 1 need not be a unit")
     u = phi_eval(E, eta)
@@ -440,8 +423,8 @@ def decompose_over_cyclotomic_units(u: CycloElt, p: int, n: int) -> Decompositio
     m = p ** (n + 1)
     if u.field.m != m:
         raise DomainError("element does not live in the requested field")
-    mpoly = minimal_polynomial(u)
-    if any(c.denominator != 1 for c in mpoly) or absolute_norm(u) not in (1, -1):
+    # the power basis is an integral basis of Z[zeta_m], so u is integral iff den == 1
+    if u.den != 1 or absolute_norm(u) not in (1, -1):
         raise DomainError("input is not a unit")
     gens = cyclotomic_unit_generators(p, n)
     one = u.field.one

@@ -79,7 +79,7 @@ def a2_grid():
     for omega in A2_OMEGAS:
         E = parse_omega(omega)
         for order in ETA_ORDERS:
-            eta = RootOfUnity(order, 1) if order > 1 else RootOfUnity.one()
+            eta = RootOfUnity(order, 1 % order)
             if not E.admissible(eta):
                 continue
             yield omega, E, eta

@@ -226,6 +226,15 @@ class TestReports:
         rel = byname["class_relation_q11"]["witness"]
         assert rel["theta"] == {"1": "2", "2": "3"}
 
+    def test_factorize_records_the_default_q(self, capsys):
+        # without --q the command checks q = 11, and its report is the one
+        # that --q 11 writes
+        assert run_main(["factorize", "--seed", "42"]) == 0
+        default = capsys.readouterr().out
+        assert json.loads(default)["config"]["q"] == ["11"]
+        assert run_main(["factorize", "--q", "11", "--seed", "42"]) == 0
+        assert capsys.readouterr().out == default
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from kforge.cyclotomic import (
     minimal_polynomial,
     one_minus_root_inverse,
     relative_norm,
-    tower_subgroup,
     _binomial_factors,
     _poly_product,
     _reduce_vec,
@@ -294,24 +293,24 @@ class TestSubfieldSolve:
 class TestNorms:
     def test_relative_norm_full_group(self):
         f5 = get_field(5)
-        H = [GaloisElt(f5, a) for a in f5.unit_group]
         x = f5.one - f5.root(1)
-        assert relative_norm(x, H) == f5.from_rational(5)
+        assert relative_norm(x, 1) == f5.from_rational(5)
 
     def test_rational_power(self):
-        f5 = get_field(5)
-        H = [GaloisElt(f5, 1), GaloisElt(f5, 4)]
-        assert relative_norm(f5.from_rational(3), H) == f5.from_rational(9)
+        # Q(zeta_15) has degree 2 over Q(zeta_5)
+        f15 = get_field(15)
+        assert relative_norm(f15.from_rational(3), 5) == f15.from_rational(9)
 
-    def test_conjugate_pair(self):
-        f5 = get_field(5)
-        H = [GaloisElt(f5, 1), GaloisElt(f5, 4)]
-        assert relative_norm(f5.root(1), H) == f5.one
+    def test_root_of_unity_down_one_level(self):
+        # the units a = 1 mod 5 of Z/15 are 1 and 11: zeta * zeta^11 = zeta_5^4
+        f15 = get_field(15)
+        assert relative_norm(f15.root(1), 5) == f15.root(12)
 
-    def test_subgroup_verified(self):
-        f5 = get_field(5)
-        with pytest.raises(DomainError, match="not a subgroup"):
-            relative_norm(f5.root(1), [GaloisElt(f5, 1), GaloisElt(f5, 2)])
+    @pytest.mark.parametrize("m_small", [4, 30, 0, -5])
+    def test_rejects_a_conductor_that_does_not_divide(self, m_small):
+        f15 = get_field(15)
+        with pytest.raises(DomainError, match="not a subconductor"):
+            relative_norm(f15.root(1), m_small)
 
     def test_absolute_norm_examples(self):
         f5 = get_field(5)
@@ -333,13 +332,37 @@ class TestNorms:
     def test_relative_equals_absolute_over_full_group(self, ca):
         f = get_field(5)
         x = rand_elt(f, ca)
-        H = [GaloisElt(f, a) for a in f.unit_group]
-        assert relative_norm(x, H) == f.from_rational(absolute_norm(x))
+        assert relative_norm(x, 1) == f.from_rational(absolute_norm(x))
 
-    def test_tower_subgroup(self):
-        f15 = get_field(15)
-        H = tower_subgroup(f15, 5)
-        assert sorted(h.a for h in H) == [1, 11]
+    @settings(max_examples=20, deadline=None)
+    @given(small_coeffs, st.sampled_from([5, 15]))
+    def test_norm_to_the_own_conductor_is_the_element(self, ca, m):
+        x = rand_elt(get_field(m), ca)
+        assert relative_norm(x, m) == x
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 3)), min_size=1, max_size=8))
+    def test_transitive_through_conductor_15(self, ca):
+        # N_{105/1} = N_{15/1} o N_{105/15}, the middle norm read in Q(zeta_15)
+        f = get_field(105)
+        x = rand_elt(f, ca)
+        middle = divide_into_subfield(relative_norm(x, 15), f.one, 15)
+        assert embed_up(relative_norm(middle, 1), 105) == relative_norm(x, 1)
+        assert relative_norm(x, 1) == f.from_rational(absolute_norm(x))
+
+    def test_product_missing_a_conjugate_is_refused(self):
+        f = get_field(105)
+        x = f.from_rational(2) + f.root(1)
+        fixing = [a for a in f.unit_group if a % 15 == 1]
+        assert len(fixing) == 6
+        partial = f.one
+        for a in fixing[:-1]:
+            partial = partial * galois_apply(GaloisElt(f, a), x)
+        with pytest.raises(DomainError, match="requested subfield"):
+            divide_into_subfield(partial, f.one, 15)
+        full = partial * galois_apply(GaloisElt(f, fixing[-1]), x)
+        assert full == relative_norm(x, 15)
+        assert embed_up(divide_into_subfield(full, f.one, 15), 105) == full
 
 
 class TestMinimalPolynomial:
@@ -353,6 +376,20 @@ class TestMinimalPolynomial:
             [Fraction(-3, 2), 1]
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([5, 7, 9, 15]),
+        st.lists(st.tuples(st.integers(-6, 6), st.sampled_from([0, 0, 0, 1, 2])), min_size=1, max_size=8),
+    )
+    @example(15, [(1, 1)] * 8)
+    def test_denominator_one_exactly_when_integral(self, m, ca):
+        # the power basis is an integral basis of Z[zeta_m], so a normalized
+        # element is integral exactly when its denominator is 1
+        field = get_field(m)
+        x = rand_elt(field, ca[: field.phi])
+        integral = all(c.denominator == 1 for c in minimal_polynomial(x))
+        assert (x.den == 1) == integral
+
     @settings(max_examples=20, deadline=None)
     @given(small_coeffs)
     def test_annihilates(self, ca):
@@ -365,10 +402,37 @@ class TestMinimalPolynomial:
         assert acc.is_zero()
 
 
+def lowest_terms(t):
+    """(order, exp) of zeta^t for the rational t taken mod 1: the root's
+    point in Q/Z, the oracle for RootOfUnity."""
+    t %= 1
+    return (t.denominator, t.numerator)
+
+
+roots_of_unity = st.integers(1, 60).flatmap(
+    lambda o: st.tuples(st.just(o), st.integers(0, o - 1))
+)
+
+
 class TestRootOfUnity:
     def test_canonicalization(self):
-        assert RootOfUnity(15, 5).canonical() == RootOfUnity(3, 1)
-        assert RootOfUnity(15, 0).canonical() == RootOfUnity(1, 0)
+        assert (RootOfUnity(15, 5).order, RootOfUnity(15, 5).exp) == (3, 1)
+        assert RootOfUnity(15, 0) == RootOfUnity(1, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(roots_of_unity, roots_of_unity, st.integers(1, 12), st.integers(-40, 40))
+    def test_lowest_terms_against_fractions_mod_one(self, r, s, k, e):
+        z, w = RootOfUnity(*r), RootOfUnity(*s)
+        t, u = Fraction(r[1], r[0]), Fraction(s[1], s[0])
+        scaled = RootOfUnity(k * r[0], k * r[1])
+        assert scaled == z and hash(scaled) == hash(z)
+        for root, point in ((z, t), (z.times(w), t + u), (z**e, e * t), (z.inverse(), -t)):
+            assert (root.order, root.exp) == lowest_terms(point)
+
+    @pytest.mark.parametrize("order, exp", [(0, 0), (-3, 1), (5, 5), (5, -1), (1, 1)])
+    def test_out_of_range_is_refused(self, order, exp):
+        with pytest.raises(DomainError):
+            RootOfUnity(order, exp)
 
     def test_times_and_inverse(self):
         z3, z5 = RootOfUnity(3, 1), RootOfUnity(5, 1)

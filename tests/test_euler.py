@@ -31,7 +31,7 @@ from kforge.euler import (
 )
 
 BASIC = "1:1,2:-1"
-ETA_GRID = [RootOfUnity.one(), RootOfUnity(3, 1), RootOfUnity(5, 1), RootOfUnity(7, 1)]
+ETA_GRID = [RootOfUnity(1, 0), RootOfUnity(3, 1), RootOfUnity(5, 1), RootOfUnity(7, 1)]
 
 
 class TestParsing:
@@ -58,6 +58,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="token 2"):
             parse_omega("1:1,nonsense")
 
+    def test_trivial_twist_is_no_twist(self):
+        E = parse_omega(BASIC + ",twist=1:0")
+        assert E == parse_omega(BASIC) == EulerSystem(E.base)
+        assert E.twist == RootOfUnity(1, 0) and E.describe() == BASIC
+
     def test_imprimitive_twist_rejected(self):
         with pytest.raises(ConfigError):
             parse_omega("1:1,2:-1,twist=9:3")
@@ -70,9 +75,9 @@ class TestParsing:
 class TestValues:
     def test_value_at_one(self):
         E = parse_omega(BASIC)
-        assert phi_eval(E, RootOfUnity.one()).as_rational() == Fraction(1, 2)
+        assert phi_eval(E, RootOfUnity(1, 0)).as_rational() == Fraction(1, 2)
         E2 = parse_omega("1:2,3:-2")
-        assert phi_eval(E2, RootOfUnity.one()).as_rational() == Fraction(1, 9)
+        assert phi_eval(E2, RootOfUnity(1, 0)).as_rational() == Fraction(1, 9)
 
     def test_value_at_third_root(self):
         E = parse_omega(BASIC)
@@ -131,11 +136,11 @@ class TestAxioms:
         E = parse_omega(BASIC)
         assert check_E1(E, RootOfUnity(5, 1), 2).passed
         assert check_E1(E, RootOfUnity(5, 1), -1).passed
-        assert check_E1(E, RootOfUnity.one(), 3).passed
+        assert check_E1(E, RootOfUnity(1, 0), 3).passed
 
     def test_E2_examples(self):
         E = parse_omega(BASIC)
-        rep = check_E2(E, RootOfUnity.one(), 3)
+        rep = check_E2(E, RootOfUnity(1, 0), 3)
         assert rep.passed
         assert rep.witness["lhs"]["num"][0] == "1" and rep.witness["lhs"]["den"] == "2"
         assert check_E2(E, RootOfUnity(5, 1), 3).passed
@@ -161,7 +166,7 @@ class TestAxioms:
         assert rep.passed and rep.params["residue_field"] == "F_3^4"
         rep = check_E3(E, RootOfUnity(7, 1), 3)
         assert rep.passed and rep.params["residue_field"] == "F_3^6"
-        assert check_E3(E, RootOfUnity.one(), 3).passed
+        assert check_E3(E, RootOfUnity(1, 0), 3).passed
 
     def test_E3_coprimality_required(self):
         with pytest.raises(DomainError, match="coprime"):
@@ -171,7 +176,7 @@ class TestAxioms:
         # weights summing to 1: delta = (zeta_3^-1 - zeta_3) - 1, whose image
         # under zeta_3 -> 1 is -1, a unit at the prime above 3
         E = EulerSystem(OmegaSpec(((1, 1),), frozenset({2})))
-        rep = check_E3(E, RootOfUnity.one(), 3)
+        rep = check_E3(E, RootOfUnity(1, 0), 3)
         assert not rep.passed
         assert rep.params["residue_field"] == "F_3^1"
 
@@ -220,7 +225,7 @@ class TestUnitCheck:
 
     def test_eta_one_rejected(self):
         with pytest.raises(DomainError, match="need not be a unit"):
-            check_unit(parse_omega(BASIC), RootOfUnity.one())
+            check_unit(parse_omega(BASIC), RootOfUnity(1, 0))
 
     def test_quadratic_subfield_norm(self):
         # over the real quadratic subfield the golden unit has norm -1
@@ -281,6 +286,16 @@ class TestDecompose:
         with pytest.raises(DomainError, match="not a unit"):
             decompose_over_cyclotomic_units(get_field(5).from_rational(2), 5, 0)
 
+    def test_norm_one_non_integer_rejected(self):
+        # (2 + zeta)/(2 + zeta^2) has norm 11/11 = 1, so only its
+        # denominator 11 shows that it is not a unit
+        f5 = get_field(5)
+        two = f5.from_rational(2)
+        x = (two + f5.root(1)) / (two + f5.root(2))
+        assert absolute_norm(x) == 1 and x.den == 11
+        with pytest.raises(DomainError, match="not a unit"):
+            decompose_over_cyclotomic_units(x, 5, 0)
+
 
 E3_SYSTEMS = (BASIC, BASIC + ",twist=3:1", "1:2,3:-2", "2:1,3:-1", BASIC + ",compose=2")
 E3_CASES = [
@@ -337,7 +352,7 @@ def test_E3_against_sympy_factors(omega, order, q, monkeypatch):
 
         def perturbed(E_, eta_, N):
             value = real_phi_eval_in(E_, eta_, N)
-            return value + pert if eta_.canonical() == translate else value
+            return value + pert if eta_ == translate else value
 
         monkeypatch.setattr(euler, "phi_eval_in", perturbed)
         rep = check_E3(E, eta, q)
