@@ -113,18 +113,26 @@ def lifted_sigma(field: CycloField, q: int) -> GaloisElt:
     return GaloisElt(field, a)
 
 
-def apply_derivative(x: CycloElt, q: int) -> CycloElt:
-    """D_q x via suffix products: prod_i sigma^i(x)^i with 2(q-2) multiplies."""
-    field = x.field
-    sigma = lifted_sigma(field, q)
-    conj = [x]
-    for _ in range(q - 2):
+def _conjugate_suffixes(x: CycloElt, sigma: GaloisElt, q: int) -> list[CycloElt]:
+    """[prod_{e<=i<q-1} sigma^i(x) for e = 1, ..., q-2], the suffix products of
+    the conjugates of x, with q-2 Galois actions and q-3 multiplies."""
+    conj = [galois_apply(sigma, x)]
+    for _ in range(q - 3):
         conj.append(galois_apply(sigma, conj[-1]))
-    acc = field.one
-    tail = field.one
-    for i in range(q - 2, 0, -1):
-        tail = tail * conj[i]
-        acc = acc * tail
+    suffixes = [conj.pop()]
+    while conj:
+        suffixes.append(conj.pop() * suffixes[-1])
+    suffixes.reverse()
+    return suffixes
+
+
+def apply_derivative(x: CycloElt, q: int) -> CycloElt:
+    """D_q x = prod_{0<i<q-1} sigma^i(x)^i, the product of the suffix products
+    of the conjugates of x."""
+    suffixes = _conjugate_suffixes(x, lifted_sigma(x.field, q), q)
+    acc = suffixes.pop()
+    while suffixes:
+        acc = acc * suffixes.pop()
     return acc
 
 
@@ -176,20 +184,15 @@ def _certify(
     """Verify c^M * D_s phi = sigma(D_s phi) and cyclic-norm triviality for
     every generator and return the chains; either failure raises.
 
-    The norm is the last of the suffix products of the conjugates of c, so
-    one sweep over the conjugates checks it and builds the chain."""
+    The norm is c times the first suffix product of its conjugates, so one
+    sweep over the conjugates checks it and builds the chain."""
     chains = {}
     for q, c in values.items():
         sigma = lifted_sigma(field, q)
         if c**M * dsphi != galois_apply(sigma, dsphi):
             raise InternalInconsistency("cocycle certificate failed")
-        conj = [c]
-        for _ in range(q - 2):
-            conj.append(galois_apply(sigma, conj[-1]))
-        chain = [conj.pop()]
-        while conj:
-            chain.append(conj.pop() * chain[-1])
-        chain.reverse()
+        suffixes = _conjugate_suffixes(c, sigma, q)
+        chain = [c * suffixes[0]] + suffixes
         if chain[0] != field.one:
             raise InternalInconsistency("cocycle norm condition failed")
         chains[q] = chain
@@ -199,15 +202,16 @@ def _certify(
 def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
     """Symbolic M-th roots of (sigma_q - 1) D_s phi for every generator.
 
-    Level s = q: the Frobenius term is trivial (q splits completely), so the
-    root is phi(level q)^((q-1)/M).  Level s = q*r: the Frobenius of q acts
-    on the level-r group as sigma_r^e with t_r^e = q mod r, contributing the
-    inverse of the first e conjugates of the level-r closed form c_r.  The
-    level-r value has norm 1 over sigma_r, so that inverse is the product of
-    the remaining conjugates sigma_r^i(c_r), e <= i < r - 1: the level-r
-    cocycle's chain[e], formed in Q(zeta_{m*r}) and embedded once, since
-    sigma_r acts on the subfield as it does on Q(zeta_{m*s}).  Each level is
-    built once and then read from _MEMO.
+    With x the value at the level root, one loop over the primes q | s builds
+    D_r x for every r | s as D_{q*r} x = D_q(D_r x).  The root for sigma_q is
+    (D_{s/q} x)^((q-1)/M) times a Frobenius correction, trivial at s = q (q
+    splits completely).  At s = q*r the Frobenius of q acts on the level-r
+    group as sigma_r^e with t_r^e = q mod r, contributing the inverse of the
+    first e conjugates of the level-r closed form c_r.  That value has norm 1
+    over sigma_r, so the inverse is the product of the remaining conjugates
+    sigma_r^i(c_r), e <= i < r - 1: the level-r cocycle's chain[e], formed in
+    Q(zeta_{m*r}) and embedded once, since sigma_r acts on the subfield as it
+    does on Q(zeta_{m*s}).  Each level is built once and then read from _MEMO.
     """
     key = ("cocycle", E, params, s)
     if key in _MEMO:
@@ -226,27 +230,21 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
     N = params.conductor * s
     field = get_field(N)
     M = params.M
-    root = level_root(params, s)
-    x = phi_eval(E, root)
+    derived = {1: phi_eval(E, level_root(params, s))}
+    for q in qs:
+        derived.update({r * q: apply_derivative(y, q) for r, y in derived.items()})
 
     values: dict[int, CycloElt] = {}
     frob_exps: dict[int, int] = {}
-    if len(qs) == 1:
-        q = qs[0]
-        values[q] = x ** ((q - 1) // M)
-        dsphi = apply_derivative(x, q)
-    else:
-        d_x = {r: apply_derivative(x, r) for r in qs}
-        dsphi = apply_derivative(d_x[qs[0]], qs[1])
-        for q in qs:
-            r = s // q
+    for q in qs:
+        r = s // q
+        values[q] = derived[r] ** ((q - 1) // M)
+        if r > 1:
             sub = cocycle_closed_form(E, params, r)
-            t_r = least_primitive_root(r)
-            e_frob = int_dlog(t_r, q, r)
-            frob_exps[q] = e_frob
-            values[q] = d_x[r] ** ((q - 1) // M) * embed_up(sub.chains[r][e_frob], N)
-    chains = _certify(field, M, values, dsphi)
-    _MEMO[key] = Cocycle(params, s, field, values, dsphi, frob_exps, chains)
+            frob_exps[q] = int_dlog(least_primitive_root(r), q, r)
+            values[q] = values[q] * embed_up(sub.chains[r][frob_exps[q]], N)
+    chains = _certify(field, M, values, derived[s])
+    _MEMO[key] = Cocycle(params, s, field, values, derived[s], frob_exps, chains)
     return _MEMO[key]
 
 
@@ -324,14 +322,13 @@ def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:
 @dataclass(frozen=True)
 class KappaClass:
     """A representative of the class D_s phi / beta^M together with the data
-    needed to re-verify it (beta, the certified cocycle, the seed)."""
+    needed to re-verify it with the memoized cocycle (beta, the seed)."""
 
     params: KolyParams
     s: int
     kappa: CycloElt
     beta: CycloElt
     theta_seed: int
-    cocycle: Cocycle | None = None
 
 
 def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaClass:
@@ -349,7 +346,7 @@ def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaCla
     if s == 1:
         field = get_field(params.conductor)
         value = phi_eval(E, RootOfUnity(params.conductor, 1))
-        _MEMO[key] = KappaClass(params, 1, value, field.one, seed, None)
+        _MEMO[key] = KappaClass(params, 1, value, field.one, seed)
         return _MEMO[key]
     coc = cocycle_closed_form(E, params, s)
     beta = hilbert90_beta(coc, seed)
@@ -357,5 +354,5 @@ def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaCla
     value = divide_into_subfield(coc.dsphi, beta_m, params.conductor)
     if not is_in_real_subfield(value):
         raise InternalInconsistency("class representative is not real")
-    _MEMO[key] = KappaClass(params, s, value, beta, seed, coc)
+    _MEMO[key] = KappaClass(params, s, value, beta, seed)
     return _MEMO[key]

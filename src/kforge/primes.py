@@ -7,6 +7,11 @@ prime of the real subfield F.  Valuations are computed upstairs by
 evaluating integer numerators at Hensel-lifted roots modulo growing powers
 of q; residues and discrete logs are computed mod q itself.
 
+check_factorization compares the two sides of the factorization law
+[kappa(sq)]_q = lambda_q(kappa(s)) by these disjoint pipelines; the class
+relation is that law at s = 1, read as a group-ring element, plus probes of
+kappa(q) at the other split primes.
+
 The canonical generator gamma of the residue field is t^(-1) mod q, where t
 is the least primitive root mod q: with the uniformizer 1 - eta_q one has
 (1 - eta_q^t)/(1 - eta_q) = 1 + eta_q + ... = t at the ramified prime, so
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import BudgetExhausted, DomainError, InternalInconsistency
 from .cyclotomic import CycloElt, elt_to_strings, get_field
-from .euler import EulerSystem, decompose_over_cyclotomic_units
+from .euler import EulerSystem
 from .exact_arith import (
     factorize,
     hensel_lift_root,
@@ -31,7 +36,7 @@ from .exact_arith import (
     is_prime,
     least_primitive_root,
 )
-from .kolyvagin import KappaClass, KolyParams, find_kolyvagin_primes, kappa
+from .kolyvagin import KolyParams, find_kolyvagin_primes, kappa
 
 _BASE_PRECISION = 8
 _VALUATION_BUDGET = 512
@@ -205,24 +210,22 @@ def _pair_index(data: SplitPrimeData, root: int) -> int:
     return data.pairs.index(key)
 
 
-def annihilator_from_dlogs(
-    w: CycloElt, M: int, data: SplitPrimeData, reference: int = 0
-) -> AnnihilatorElt:
-    """The unique group-ring element carrying the reference prime onto the
-    discrete-log vector of w under the Galois action on primes above q.
+def annihilator_from_dlogs(vec: IdealVector, data: SplitPrimeData) -> AnnihilatorElt:
+    """The unique group-ring element carrying the reference prime, the first
+    of data.pairs, onto the discrete-log vector vec under the Galois action
+    on primes above q.
 
     sigma_a sends the prime with root c to the prime with root c^(1/a), so
     the coefficient of the class of sigma_a reads the vector at that prime.
     """
-    vec = ideal_dlog_vector(w, M, data)
     m = data.m
-    c0 = data.pairs[reference][0]
+    c0 = data.pairs[0][0]
     coeffs = []
     for a in galois_classes(m):
         a_inv = pow(a, -1, m)
         image_root = pow(c0, a_inv, data.q)
         coeffs.append((a, vec.entries[_pair_index(data, image_root)]))
-    return AnnihilatorElt(m, M, tuple(coeffs), data.pairs[reference])
+    return AnnihilatorElt(m, vec.M, tuple(coeffs), data.pairs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +274,6 @@ def check_factorization(
         {
             "kappa_s": elt_to_strings(k_s.kappa),
             "kappa_sq": elt_to_strings(k_sq.kappa),
-            "t": str(data.t),
-            "gamma": str(data.gamma),
         },
     )
 
@@ -280,7 +281,6 @@ def check_factorization(
 @dataclass
 class ClassRelation:
     theta: AnnihilatorElt
-    witness_class: KappaClass
     relation_holds: bool
     probes: dict[int, bool]
 
@@ -292,19 +292,17 @@ def class_relation(
     seed: int = 0,
     probe_limit: int = 100,
 ) -> ClassRelation:
-    """The annihilator-style relation extracted from the factorization law.
+    """The annihilator-style relation read off the level-1 factorization law.
 
-    theta is the group-ring form of the discrete-log vector of the level-1
-    class; the witness is the level-q class, whose ideal agrees with that
-    vector at q and is trivial mod M at every other probed split prime.  Both
-    classes come from kappa's memo when they were built before.
+    The relation holds when part (ii) of the law holds at s = 1, and theta is
+    the group-ring form of the law's discrete-log vector of the level-1 class.
+    The witness is the level-q class, whose ideal is then trivial mod M at
+    every other probed split prime.  The law's classes come from kappa's memo
+    when they were built before.
     """
-    data = split_prime_data(q, params.conductor)
-    k_1 = kappa(E, params, 1, seed)
-    theta = annihilator_from_dlogs(k_1.kappa, params.M, data)
+    law = check_factorization(E, params, 1, q, seed)
+    theta = annihilator_from_dlogs(law.part_ii_dlogs, split_prime_data(q, params.conductor))
     k_q = kappa(E, params, q, seed)
-    lhs = ideal_vector(k_q.kappa, params.M, data)
-    rhs = ideal_dlog_vector(k_1.kappa, params.M, data)
     probes = {}
     for other in find_kolyvagin_primes(params, probe_limit):
         if other == q:
@@ -312,54 +310,5 @@ def class_relation(
         probes[other] = ideal_vector(
             k_q.kappa, params.M, split_prime_data(other, params.conductor)
         ).is_zero()
-    return ClassRelation(theta, k_q, lhs.entries == rhs.entries, probes)
-
-
-# ---------------------------------------------------------------------------
-# M-th power membership
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MthPowerVerdict:
-    is_power: bool | None  # None: neither proved nor refuted
-    method: str
-    detail: str = ""
-
-
-def is_mth_power(
-    v: CycloElt,
-    params: KolyParams,
-    probe_limit: int = 100,
-    witness: CycloElt | None = None,
-) -> MthPowerVerdict:
-    """Membership test for (F^x)^M.
-
-    Three stages: ideal vectors at a probing set of split primes must vanish
-    mod M; a unit input is decided exactly by decomposing over the
-    cyclotomic-unit generators; otherwise an explicit witness (an exact M-th
-    root) decides.  Without a witness the non-unit case is probing-only: the
-    verdict is unproved, is_power None.
-    """
-    M = params.M
-    if v.is_zero():
-        raise DomainError("zero is not in the unit group")
-    for q in find_kolyvagin_primes(params, probe_limit):
-        data = split_prime_data(q, params.conductor)
-        if not ideal_vector(v, M, data).is_zero():
-            return MthPowerVerdict(False, "probe", f"nonzero ideal vector at {q}")
-    if witness is not None:
-        if witness.field.m != v.field.m:
-            raise DomainError("witness lives in the wrong field")
-        if witness**M == v:
-            return MthPowerVerdict(True, "witness", "exact M-th root supplied")
-        return MthPowerVerdict(False, "witness", "claimed root fails exactly")
-    try:
-        decomp = decompose_over_cyclotomic_units(v, params.p, params.n)
-    except DomainError:
-        return MthPowerVerdict(None, "probing-only", "non-unit without witness")
-    if all(e % M == 0 for e in decomp.exponents):
-        # the only roots of unity of the real field are +-1, and -1 is an
-        # M-th power for odd M
-        return MthPowerVerdict(True, "unit-decomposition", "")
-    return MthPowerVerdict(False, "unit-decomposition", "generator exponent not 0 mod M")
+    relation_holds = law.part_ii_valuations.entries == law.part_ii_dlogs.entries
+    return ClassRelation(theta, relation_holds, probes)

@@ -10,19 +10,6 @@ def run_main(args):
     return main(args)
 
 
-def certified_conductors(monkeypatch):
-    """The conductor of every cocycle _certify verifies, in call order."""
-    conductors = []
-    certify = kolyvagin._certify
-
-    def counted(field, M, values, dsphi):
-        conductors.append(field.m)
-        return certify(field, M, values, dsphi)
-
-    monkeypatch.setattr(kolyvagin, "_certify", counted)
-    return conductors
-
-
 def resolved_levels(monkeypatch):
     """The level of every cocycle hilbert90_beta solves, in call order."""
     levels = []
@@ -145,8 +132,7 @@ class TestReports:
         kap = report["checks"][1]["witness"]["kappa"]
         assert kap["conductor"] == "5" and len(kap["num"]) == 4
 
-    def test_kappa_certifies_the_cocycle_once(self, capsys, monkeypatch):
-        certified = certified_conductors(monkeypatch)
+    def test_kappa_certifies_the_cocycle_once(self, capsys, certified):
         assert run_main(["kappa", "--s", "11", "--seed", "42"]) == 0
         assert certified == [55]
         err = capsys.readouterr().err
@@ -199,19 +185,17 @@ class TestReports:
         assert built == solved == [11, 31]
         assert json.loads(capsys.readouterr().out)["overall"] == "pass"
 
-    def test_two_prime_factorize_certifies_each_level_once(self, capsys, monkeypatch):
+    def test_two_prime_factorize_certifies_each_level_once(self, capsys, monkeypatch, certified):
         # levels 7, 13, 19, 91 and 133 at conductor 3: kappa(7) is shared by
         # both q, and the sub-cocycles of 91 and 133 are the level-7, 13 and
         # 19 cocycles that the classes and the class relations use
-        certified = certified_conductors(monkeypatch)
         resolved = resolved_levels(monkeypatch)
         args = ["factorize", "--p", "3", "--n", "0", "--M", "3", "--s", "7", "--q", "13,19", "--seed", "42"]
         assert run_main(args) == 0
         assert json.loads(capsys.readouterr().out)["overall"] == "pass"
         assert sorted(m // 3 for m in certified) == sorted(resolved) == [7, 13, 19, 91, 133]
 
-    def test_each_command_builds_its_own_cocycles(self, capsys, monkeypatch):
-        certified = certified_conductors(monkeypatch)
+    def test_each_command_builds_its_own_cocycles(self, capsys, monkeypatch, certified):
         resolved = resolved_levels(monkeypatch)
         for _ in range(2):
             assert run_main(["kappa", "--s", "11", "--seed", "42"]) == 0

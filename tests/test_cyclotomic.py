@@ -698,6 +698,24 @@ def test_product_against_sympy(m):
         assert coeffs(field.from_coeffs(a) * field.from_coeffs(b)) == tuple(expected)
 
 
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 12, 15, 21])
+def test_minimal_polynomial_against_sympy(m):
+    # the resultant of T - y(z) and Phi_m(z) is the characteristic polynomial
+    # of y, a power of its minimal polynomial: sympy must find one factor
+    sympy = pytest.importorskip("sympy")
+    T, z = sympy.symbols("T z")
+    field = get_field(m)
+    rng = random.Random(m)
+    x = field.from_coeffs([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(field.phi)])
+    for y in (x, x + conjugate(x), x * conjugate(x), field.from_rational(Fraction(-7, 2))):
+        a = sum(sympy.Rational(c, y.den) * z**i for i, c in enumerate(y.num))
+        charpoly = sympy.resultant(T - a, sympy.cyclotomic_poly(m, z), z)
+        _, factors = sympy.factor_list(charpoly, T)
+        assert len(factors) == 1
+        expected = sympy.Poly(factors[0][0], T).monic().all_coeffs()
+        assert minimal_polynomial(y) == tuple(Fraction(int(c.p), int(c.q)) for c in reversed(expected))
+
+
 @pytest.mark.parametrize("m", [3, 5, 9, 12, 15, 21, 35])
 def test_inverse_against_sympy(m):
     sympy = pytest.importorskip("sympy")

@@ -189,6 +189,29 @@ class TestAxioms:
             assert check_E3(E, eta, 7).passed
 
 
+# (3, 1) has an odd weight sum: its value is not invariant under eta -> 1/eta,
+# the translates of eta = 1 multiply to 3 * 5 against 3, and its value at
+# zeta_5 has norm 5.  Its base 3, left out of the excluded primes, makes all
+# translates at q = 3 equal, which breaks distribution down a level.
+PERTURBED = EulerSystem(OmegaSpec(((3, 1),), frozenset({2})))
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        (check_E1, (RootOfUnity(5, 1), 2)),
+        (check_E2, (RootOfUnity(1, 0), 5)),
+        (check_unit, (RootOfUnity(5, 1),)),
+        (check_norm_frobenius, (5, 3)),
+        (check_tower_norm, (3, 1)),
+    ],
+    ids=["E1", "E2", "unit", "norm_frobenius", "tower_norm"],
+)
+def test_verifier_fails_on_a_perturbed_system(check, args):
+    assert check(parse_omega(BASIC), *args).passed
+    assert check(PERTURBED, *args).passed is False
+
+
 class TestNormRelations:
     def test_aux_norm_instances(self):
         E = parse_omega(BASIC)

@@ -433,7 +433,7 @@ class TestKappa:
         assert kc.kappa.field.m == 5
         assert is_in_real_subfield(kc.kappa)
         # the defining identity, re-verified here independently
-        assert embed_up(kc.kappa, 55) * kc.beta**5 == kc.cocycle.dsphi
+        assert embed_up(kc.kappa, 55) * kc.beta**5 == cocycle_closed_form(BASIC, params, 11).dsphi
 
     def test_determinism(self):
         params = KolyParams(5, 0, 5)
@@ -451,20 +451,21 @@ class TestKappa:
         w = ratio_mth_power_witness(a, b)
         assert b.kappa * w**5 == a.kappa
 
-    def test_reuses_a_given_cocycle(self):
+    def test_reuses_a_given_cocycle(self, certified):
         # a cocycle built before is the one kappa reads, at every seed, and a
         # class is built once whether its seed is passed by position or name
         params = KolyParams(5, 0, 5)
-        coc = cocycle_closed_form(BASIC, params, 11)
+        cocycle_closed_form(BASIC, params, 11)
         given = kappa(BASIC, params, 11, 42)
-        assert given.cocycle is coc and kappa(BASIC, params, 11, 43).cocycle is coc
+        kappa(BASIC, params, 11, 43)
+        assert certified == [55]
         assert kappa(BASIC, params, 11, seed=42) is given
         assert kappa(BASIC, params, 1) is kappa(BASIC, params, 1, 0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             given.beta = given.kappa
         clear_memo()
         fresh = kappa(BASIC, params, 11, 42)
-        assert fresh.cocycle is not coc
+        assert certified == [55, 55]
         assert given.kappa == fresh.kappa and given.beta == fresh.beta
 
     def test_config_mismatch_rejected(self):

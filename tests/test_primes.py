@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from kforge import primes
 from kforge.errors import DomainError, InternalInconsistency
 from kforge.cyclotomic import (
     GaloisElt,
@@ -20,11 +22,10 @@ from kforge.primes import (
     galois_classes,
     ideal_dlog_vector,
     ideal_vector,
-    is_mth_power,
     split_prime_data,
     valuation,
 )
-from group_ring import apply_galois_to_annihilator, ratio_mth_power_witness
+from group_ring import apply_galois_to_annihilator
 
 BASIC = parse_omega("1:1,2:-1")
 PARAMS = KolyParams(5, 0, 5)
@@ -174,7 +175,7 @@ class TestDlogVector:
 
 class TestAnnihilator:
     def test_trivial_input(self, data11):
-        theta = annihilator_from_dlogs(get_field(5).one, 5, data11)
+        theta = annihilator_from_dlogs(ideal_dlog_vector(get_field(5).one, 5, data11), data11)
         assert theta.is_zero()
 
     def test_classes(self):
@@ -182,24 +183,19 @@ class TestAnnihilator:
         assert galois_classes(9) == [1, 2, 4]
 
     def test_reads_off_vector(self, data11, golden):
-        theta = annihilator_from_dlogs(golden, 5, data11)
+        theta = annihilator_from_dlogs(ideal_dlog_vector(golden, 5, data11), data11)
         assert dict(theta.coeffs) == {1: 2, 2: 3}
-
-    def test_reference_translate(self, data11, golden):
-        t0 = annihilator_from_dlogs(golden, 5, data11, reference=0)
-        t1 = annihilator_from_dlogs(golden, 5, data11, reference=1)
-        # swapping the reference prime permutes the coefficients by the
-        # Galois element carrying one prime to the other
-        assert set(dict(t0.coeffs).values()) == set(dict(t1.coeffs).values())
-        assert dict(t0.coeffs) != dict(t1.coeffs)
+        assert theta.reference_pair == data11.pairs[0]
 
     @pytest.mark.parametrize("b", [2, 3])
     def test_equivariance(self, data11, golden, b):
         f5 = get_field(5)
         w = golden * f5.from_rational(7) + f5.one
         moved = galois_apply(GaloisElt(f5, b), w)
-        lhs = annihilator_from_dlogs(moved, 5, data11)
-        rhs = apply_galois_to_annihilator(annihilator_from_dlogs(w, 5, data11), b)
+        lhs = annihilator_from_dlogs(ideal_dlog_vector(moved, 5, data11), data11)
+        rhs = apply_galois_to_annihilator(
+            annihilator_from_dlogs(ideal_dlog_vector(w, 5, data11), data11), b
+        )
         assert lhs == rhs
 
 
@@ -221,14 +217,30 @@ class TestFactorizationLaw:
         assert a.passed and b.passed
         assert a.part_ii_dlogs.entries == b.part_ii_dlogs.entries
 
-    def test_reuses_a_certified_level_sq_cocycle(self):
-        coc = cocycle_closed_form(BASIC, PARAMS, 11)
+    def test_reuses_a_certified_level_sq_cocycle(self, certified):
+        cocycle_closed_form(BASIC, PARAMS, 11)
         given = check_factorization(BASIC, PARAMS, 1, 11, seed=42)
-        assert kappa(BASIC, PARAMS, 11, 42).cocycle is coc
+        assert certified == [55]
         clear_memo()
         fresh = check_factorization(BASIC, PARAMS, 1, 11, seed=42)
-        assert kappa(BASIC, PARAMS, 11, 42).cocycle is not coc
+        assert certified == [55, 55]
         assert given.passed and given.witness == fresh.witness
+
+    def test_flipped_generator_convention_breaks_the_law(self, monkeypatch):
+        # gamma = t in place of t^(-1) negates every discrete log, so the dlog
+        # side of part (ii) reads (3, 2) against valuations (2, 3)
+        split = primes.split_prime_data
+
+        def flipped(q, m):
+            data = split(q, m)
+            return dataclasses.replace(data, gamma=data.t)
+
+        monkeypatch.setattr(primes, "split_prime_data", flipped)
+        rep = check_factorization(BASIC, PARAMS, 1, 11, seed=42)
+        assert rep.part_ii_valuations.entries == (2, 3)
+        assert rep.part_ii_dlogs.entries == (3, 2)
+        assert rep.passed is False
+        assert class_relation(BASIC, PARAMS, 11, seed=42).relation_holds is False
 
 
 class TestClassRelation:
@@ -238,49 +250,16 @@ class TestClassRelation:
         assert dict(rel.theta.coeffs) == {1: 2, 2: 3}
         assert rel.probes == {31: True, 41: True, 61: True, 71: True}
 
-    def test_reuses_the_certified_level_q_class(self):
-        k_q = kappa(BASIC, PARAMS, 11, 42)
+    def test_reuses_the_certified_level_q_class(self, certified):
+        kappa(BASIC, PARAMS, 11, 42)
         given = class_relation(BASIC, PARAMS, 11, seed=42)
-        assert given.witness_class is k_q
-        assert class_relation(BASIC, PARAMS, 11, seed=43).witness_class is not k_q
+        class_relation(BASIC, PARAMS, 11, seed=43)
+        assert certified == [55]
         clear_memo()
         fresh = class_relation(BASIC, PARAMS, 11, seed=42)
-        assert fresh.witness_class is not k_q
+        assert certified == [55, 55]
         assert (given.theta, given.relation_holds, given.probes) == (
             fresh.theta,
             fresh.relation_holds,
             fresh.probes,
         )
-
-
-class TestMthPower:
-    def test_accepts_unit_powers(self, golden):
-        verdict = is_mth_power(golden**5, PARAMS)
-        assert verdict.is_power and verdict.method == "unit-decomposition"
-
-    def test_rejects_unit_nonpowers(self, golden):
-        assert is_mth_power(golden**6, PARAMS).is_power is False
-        assert is_mth_power(golden, PARAMS).is_power is False
-
-    def test_rejects_probe_visible_ideal_part(self, golden):
-        f5 = get_field(5)
-        assert is_mth_power(f5.from_rational(11) * golden**5, PARAMS).is_power is False
-
-    def test_accepts_split_prime_powers(self):
-        f5 = get_field(5)
-        v = f5.from_rational(11**5)
-        verdict = is_mth_power(v, PARAMS)
-        # probing passes, but a non-unit without a witness is left unproved
-        assert verdict.is_power is None
-        assert verdict.method == "probing-only"
-
-    def test_witness_path(self):
-        a = kappa(BASIC, PARAMS, 11, 42)
-        b = kappa(BASIC, PARAMS, 11, 43)
-        w = ratio_mth_power_witness(a, b)
-        verdict = is_mth_power(a.kappa / b.kappa, PARAMS, witness=w)
-        assert verdict.is_power and verdict.method == "witness"
-
-    def test_bad_witness_rejected(self, golden):
-        verdict = is_mth_power(golden**5, PARAMS, witness=golden**2)
-        assert verdict.is_power is False
