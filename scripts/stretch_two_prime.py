@@ -4,10 +4,12 @@
 Certifies the composite-level cocycle closed form (ambient field of degree
 1200) and then verifies the factorization law for s = 11, q = 31, whose
 level-s*q class lives in the same field and reads that cocycle from the
-memo.  Two runs on a shared 2-core Xeon took 40 and 42 s under pytest: 27
-and 30 s for the cocycle certificate, most of it in the degree-1200 products
-of the derivative D_s phi and of the certificate, and 11 s each for the
-factorization.
+memo.  On a shared 2-core Xeon (Python 3.11.7) a run takes 8-16 s,
+depending on the machine's load: 6-10 s for the cocycle certificate, most of
+it in the degree-1200 products of the derivative D_s phi and of the
+certificate, and 3-6 s for the factorization.  Those products multiply
+through decimal's number-theoretic transform; with CPython's int multiply
+alone, runs under the same loads took 19-36 s.
 """
 
 import pathlib

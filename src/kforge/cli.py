@@ -238,7 +238,9 @@ def cmd_factorize(cfg: RunConfig) -> Report:
             },
             dt,
         )
-        cr, dt = _timed(class_relation, E, params, q, cfg.seed)
+        # at s = 1 the law just checked is the level-1 law the relation reads
+        law, dt_law = (rep, 0.0) if s == 1 else _timed(check_factorization, E, params, 1, q, cfg.seed)
+        cr, dt = _timed(class_relation, E, law, cfg.seed)
         report.add(
             f"class_relation_q{q}",
             "annihilator:group-ring",
@@ -248,7 +250,7 @@ def cmd_factorize(cfg: RunConfig) -> Report:
                 "reference_pair": [str(v) for v in cr.theta.reference_pair],
                 "probes": {str(k): v for k, v in sorted(cr.probes.items())},
             },
-            dt,
+            dt_law + dt,
         )
     return report
 

@@ -6,14 +6,32 @@ normalized so gcd(content, denominator) = 1.  Elements of the maximal real
 subfield are represented inside Q(zeta_m) as conjugation-invariant vectors;
 there is no separate field object for the real subfield.
 
-Products are formed by Kronecker substitution: each numerator vector is
-packed into one Python integer, one slot of whole bytes per coefficient, wide
-enough for any coefficient of the product plus a sign bit, so that the
-polynomial product is a single big-integer product and the coefficients are
-read back from its bytes.  Slots are offset binary: a slot of w bytes holds
-c + 2^(8w - 1) as an unsigned number, so a vector packs as the join of its
-biased slots minus one constant, and the product unpacks by adding that
-constant back and reading every slot unsigned, with no borrow between slots.
+Products are formed by Kronecker substitution: after splitting off the factor
+x^v of each operand (so a power of zeta is a shift, not a product), each
+numerator vector is packed into one big number, one slot per coefficient,
+wide enough for any coefficient of the product plus a sign, so that the
+polynomial product is a single big-number product.  Slots are offset: a slot
+holds c + half, half being half its base, as an unsigned number, so a vector
+packs as the join of its biased slots minus one constant, and the product
+unpacks by adding that constant back and reading every slot unsigned, with
+no borrow between slots.  There are two packings:
+
+- binary: slots of whole bytes in a Python int, read back from its bytes;
+- decimal: slots of w digits in a Decimal, packed by one join of zero-padded
+  digit strings and read back by one str() and an int() per w-digit slice.
+  libmpdec multiplies operands this large by a number-theoretic transform,
+  where CPython's int stops at Karatsuba: a 1200-term product of 1000-bit
+  coefficients takes about a quarter of the int time.
+
+A product takes the decimal packing when min(len) * (bits_a + bits_b), its
+size in bit-terms, is at least _DECIMAL_MIN_SIZE (10^6).  Below that libmpdec
+also multiplies by Karatsuba and the digit strings cost more than they save,
+which the benchmark's one-prime kappa levels (degree 120-240) measure.  A
+slot wider than sys.get_int_max_str_digits() digits also takes the binary
+packing, since str() and int() refuse it; the limit is read, never changed.
+The decimal context has the largest precision and exponent range and traps
+Inexact, Rounded, InvalidOperation and Overflow, so a product is exact or
+raises: no rounding can yield a wrong coefficient.
 
 Every vector that leaves the power basis (a product, a Galois image, an
 embedding, a power of zeta) goes through one reduction.  It first folds the
@@ -30,8 +48,11 @@ unit-group enumeration) are cached in memory per conductor.
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from operator import sub
@@ -183,32 +204,66 @@ def _reduce_vec(field: CycloField, vec: list[int]) -> list[int]:
     return vec
 
 
-def _nonzero_prefix(vec: tuple[int, ...]) -> tuple[int, ...]:
+def _nonzero_span(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(v, core) with vec = x^v * core as polynomials and core empty or
+    nonzero at both ends."""
     n = len(vec)
     while n and not vec[n - 1]:
         n -= 1
-    return vec[:n]
+    v = 0
+    while v < n and not vec[v]:
+        v += 1
+    return v, vec[v:n]
+
+
+# Products of fewer bit-terms, min(len) * (bits_a + bits_b), use the binary
+# packing: there libmpdec multiplies by Karatsuba too, and the digit strings
+# cost more than the multiply saves.
+_DECIMAL_MIN_SIZE = 10**6
+
+# Integer arithmetic in this context is exact or raises: nothing can round.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
+
+
+def _str_digits_allowed(digits: int) -> bool:
+    """Whether int <-> str conversions of `digits` digits are allowed; 0 or a
+    Python without the limit (before 3.10.7) means no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit == 0 or digits <= limit
 
 
 def _poly_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """Coefficients of the integer polynomial product a * b, by Kronecker
-    substitution: one big-integer product of the packed vectors.
+    substitution in the binary or the decimal packing (module docstring).
 
-    A slot of w bytes holds c + half, half = 2^(8w - 1), as an unsigned
-    number; w is chosen so that every input and product coefficient has
-    |c| < half.  A vector packs as its biased slots minus the bias
-    half * sum 256^(w i), and the product unpacks by adding the bias of its
-    own length back and subtracting half from every slot.
+    Slots are sized so that half the slot base exceeds |c| for every input
+    and product coefficient c.
     """
     square = a is b
-    a, b = _nonzero_prefix(a), _nonzero_prefix(b)
+    va, a = _nonzero_span(a)
+    vb, b = (va, a) if square else _nonzero_span(b)
     if not a or not b:
         return []
     bits_a = max(max(a), -min(a)).bit_length()
     bits_b = bits_a if square else max(max(b), -min(b)).bit_length()
     # |product coefficient| < min(len) * 2^(bits_a + bits_b); one more bit for the sign
     bits = bits_a + bits_b + min(len(a), len(b)).bit_length() + 1
-    width = (bits + 7) // 8
+    # floor(bits * 0.30103) + 1 >= the number of decimal digits of 2^bits
+    digits = bits * 30103 // 100000 + 1
+    if min(len(a), len(b)) * (bits_a + bits_b) < _DECIMAL_MIN_SIZE or not _str_digits_allowed(digits):
+        coeffs = _binary_product(a, b, square, (bits + 7) // 8)
+    else:
+        coeffs = _decimal_product(a, b, square, digits)
+    return [0] * (va + vb) + coeffs
+
+
+def _binary_product(a, b, square: bool, width: int) -> list[int]:
+    """The product through one int multiply, in slots of `width` bytes."""
     half = 1 << (8 * width - 1)
     slot = half.to_bytes(width, "little")
 
@@ -224,6 +279,26 @@ def _poly_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     data = memoryview(product.to_bytes(width * n, "little"))
     del product
     return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * n, width)]
+
+
+def _decimal_product(a, b, square: bool, width: int) -> list[int]:
+    """The product through one exact Decimal multiply, in slots of `width`
+    digits; a digit string converts to and from a Decimal in linear time."""
+    half = 5 * 10 ** (width - 1)
+    slot = "5".ljust(width, "0")
+
+    def pack(vec):
+        biased = Decimal("".join([f"{c + half:0{width}d}" for c in reversed(vec)]))
+        return _EXACT.subtract(biased, Decimal(slot * len(vec)))
+
+    packed = pack(a)
+    product = _EXACT.multiply(packed, packed if square else pack(b))
+    del packed
+    n = len(a) + len(b) - 1
+    product = _EXACT.add(product, Decimal(slot * n))
+    data = str(product).zfill(width * n)
+    del product
+    return [int(data[i - width : i]) - half for i in range(width * n, 0, -width)]
 
 
 def _normalized(field: CycloField, nums: list[int], den: int) -> "CycloElt":
@@ -459,18 +534,30 @@ def divide_into_subfield(target: CycloElt, multiplier: CycloElt, m_small: int) -
     multiplier 1, y is the exact preimage of target under embed_up, and
     DomainError says that target does not lie in Q(zeta_m_small).
     """
-    m = target.field.m
-    if multiplier.field.m != m:
+    field = target.field
+    if multiplier.field.m != field.m:
         raise DomainError("target and multiplier live in different fields")
     if multiplier.is_zero():
         raise DomainError("division by zero")
     small = get_field(m_small)
-    columns = [embed_up(small.root(i), m) * multiplier for i in range(small.phi)]
+    if field.m % m_small != 0:
+        raise DomainError(f"{m_small} does not divide {field.m}")
+    # column i is embed(zeta_small^i) * multiplier = zeta_m^(i k) * multiplier
+    k = field.m // m_small
+    n = len(multiplier.num)
+    columns = [
+        field.from_terms(range(i * k, i * k + n), multiplier.num, multiplier.den)
+        for i in range(small.phi)
+    ]
     sol = _solve_against_columns(columns, target)
-    cand = small.from_coeffs(sol)
-    if embed_up(cand, m) * multiplier != target:
+    # embed_up is linear, so embed(y) * multiplier is sum sol_i * column_i
+    total = field.zero
+    for c, column in zip(sol, columns):
+        if c:
+            total = total + column.scale(c)
+    if total != target:
         raise DomainError("quotient does not lie in the requested subfield")
-    return cand
+    return small.from_coeffs(sol)
 
 
 def relative_norm(x: CycloElt, m_small: int) -> CycloElt:

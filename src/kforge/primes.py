@@ -287,20 +287,22 @@ class ClassRelation:
 
 def class_relation(
     E: EulerSystem,
-    params: KolyParams,
-    q: int,
+    law: FactorizationReport,
     seed: int = 0,
     probe_limit: int = 100,
 ) -> ClassRelation:
-    """The annihilator-style relation read off the level-1 factorization law.
+    """The annihilator-style relation read off the level-1 factorization law,
+    `law` = check_factorization(E, params, 1, q, seed).
 
-    The relation holds when part (ii) of the law holds at s = 1, and theta is
-    the group-ring form of the law's discrete-log vector of the level-1 class.
+    The relation holds when part (ii) of the law holds, and theta is the
+    group-ring form of the law's discrete-log vector of the level-1 class.
     The witness is the level-q class, whose ideal is then trivial mod M at
-    every other probed split prime.  The law's classes come from kappa's memo
-    when they were built before.
+    every other probed split prime; it comes from kappa's memo when the law
+    built it before.
     """
-    law = check_factorization(E, params, 1, q, seed)
+    if law.s != 1:
+        raise DomainError("the class relation reads the level-1 factorization law")
+    params, q = law.params, law.q
     theta = annihilator_from_dlogs(law.part_ii_dlogs, split_prime_data(q, params.conductor))
     k_q = kappa(E, params, q, seed)
     probes = {}

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kforge import __version__, euler, kolyvagin
+from kforge import __version__, euler, kolyvagin, primes
 from kforge.cli import build_parser, main
 
 
@@ -184,6 +184,22 @@ class TestReports:
         assert run_main(["factorize", "--q", "11,31", "--seed", "42"]) == 0
         assert built == solved == [11, 31]
         assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+
+    def test_factorize_reads_each_level_one_law_once(self, capsys, monkeypatch):
+        # at s = 1 the class relation reads the law the factorization check
+        # made: per q, two valuation vectors for the law and one per probe
+        # of kappa(q) at the other primes up to 100 (31, 41, 61, 71 or 11, 41, 61, 71)
+        calls = []
+        ideal_vector = primes.ideal_vector
+
+        def counted(x, M, data):
+            calls.append(data.q)
+            return ideal_vector(x, M, data)
+
+        monkeypatch.setattr(primes, "ideal_vector", counted)
+        assert run_main(["factorize", "--q", "11,31", "--seed", "42"]) == 0
+        assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+        assert len(calls) == 12
 
     def test_two_prime_factorize_certifies_each_level_once(self, capsys, monkeypatch, certified):
         # levels 7, 13, 19, 91 and 133 at conductor 3: kappa(7) is shared by

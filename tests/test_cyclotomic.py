@@ -1,9 +1,13 @@
+import decimal
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kforge import cyclotomic
 from kforge.errors import DomainError, InternalInconsistency
 from kforge.cyclotomic import (
     GaloisElt,
@@ -271,6 +275,18 @@ class TestSubfieldSolve:
         with pytest.raises(DomainError, match="does not lie in the requested subfield"):
             divide_into_subfield(bad, mult, 5)
 
+    def test_divide_at_degree_1200(self):
+        # 1000-bit coefficients at m = 1705, the stretch run's field; the
+        # columns and the re-check are shifts and scalings, not products
+        f5, big = get_field(5), get_field(1705)
+        rng = random.Random(1705)
+        y = f5.from_coeffs([rng.getrandbits(1000) - 2**999 for _ in range(f5.phi)])
+        mult = big.from_coeffs([rng.getrandbits(1000) - 2**999 for _ in range(big.phi)])
+        target = embed_up(y, 1705) * mult
+        assert divide_into_subfield(target, mult, 5) == y
+        with pytest.raises(DomainError, match="does not lie in the requested subfield"):
+            divide_into_subfield(target + big.root(big.phi - 1), mult, 5)
+
     def test_row_outside_every_column_raises_at_once(self):
         _, _, columns, target = self.system("restrict")
         # the embedded powers of zeta_5 are zeta_55^(11 i): row 1 is zero in
@@ -518,13 +534,27 @@ def elements(draw, field, bits=None):
 
 
 @st.composite
-def slot_vectors(draw):
+def slot_vectors(draw, bits=st.sampled_from([1, 2, 6, 7, 8, 9, 63, 64, 65, 2000]) | st.integers(1, 2000)):
     """Vectors of 1-12 coefficients drawn from +-(2^k - 1), +-2^(k - 1), +-1
-    and 0 for one k <= 2000, often with trailing zeros."""
-    k = draw(st.sampled_from([1, 2, 6, 7, 8, 9, 63, 64, 65, 2000]) | st.integers(1, 2000))
+    and 0 for one k drawn from `bits`, often with leading or trailing zeros."""
+    k = draw(bits)
     top, half = 2**k - 1, 2 ** (k - 1)
     vec = draw(st.lists(st.sampled_from([top, -top, half, -half, 1, -1, 0]), min_size=1, max_size=12))
-    return tuple(vec + [0] * draw(st.integers(0, 12 - len(vec))))
+    return tuple([0] * draw(st.integers(0, 3)) + vec + [0] * draw(st.integers(0, 12 - len(vec))))
+
+
+def record_paths(mp):
+    """Patch both product paths to log their names, in call order, to the list returned."""
+    paths = []
+    for name in ("_binary_product", "_decimal_product"):
+        real = getattr(cyclotomic, name)
+
+        def spy(*args, real=real, name=name):
+            paths.append(name)
+            return real(*args)
+
+        mp.setattr(cyclotomic, name, spy)
+    return paths
 
 
 class TestKernelsAgainstSchoolbook:
@@ -592,9 +622,85 @@ class TestKernelsAgainstSchoolbook:
     @example((63,) * 7, (-63,) * 7)
     @example((63, -63) * 3 + (63,), (1,))
     @example((0, 0, 0), (-1,))
+    @example((0, 0, 5), (7, -2**64, 3, 2**63 - 1, -1))
     def test_product_at_slot_boundaries(self, a, b):
-        assert tuple(_poly_product(a, b)) == ip_mul(a, b)
-        assert tuple(_poly_product(a, a)) == ip_mul(a, a)  # squaring packs once
+        # every product once in decimal slots and once in binary slots
+        for min_size, path in ((0, "_decimal_product"), (math.inf, "_binary_product")):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cyclotomic, "_DECIMAL_MIN_SIZE", min_size)
+                paths = record_paths(mp)
+                assert tuple(_poly_product(a, b)) == ip_mul(a, b)
+                assert tuple(_poly_product(a, a)) == ip_mul(a, a)  # squaring packs once
+            assert set(paths) <= {path}
+
+
+class TestProductPaths:
+    @pytest.mark.parametrize("shorter, path", [(0, "_decimal_product"), (1, "_binary_product")])
+    def test_threshold_reads_the_operands(self, monkeypatch, shorter, path):
+        # 1000-bit operands of n terms have n * 2000 bit-terms: the threshold
+        # itself goes through decimal, one term fewer through int
+        n = cyclotomic._DECIMAL_MIN_SIZE // 2000 - shorter
+        rng = random.Random(n)
+        a, b = ([rng.getrandbits(1000) - 2**999 for _ in range(n)] for _ in range(2))
+        a[-1], b[-1] = 2**999, -(2**999)
+        paths = record_paths(monkeypatch)
+        assert tuple(_poly_product(tuple(a), tuple(b))) == ip_mul(a, b)
+        assert paths == [path]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_products_at_the_digit_limit(self, data):
+        # product slots of about as many digits as int <-> str conversions
+        # allow: a wider slot sent through decimal would raise ValueError
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python has no int <-> str digit limit")
+        edge = limit * 10 // 6  # coefficient bits whose product slot is about `limit` digits
+        bits = st.integers(edge - 40, edge + 40)
+        a, b = data.draw(slot_vectors(bits)), data.draw(slot_vectors(bits))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cyclotomic, "_DECIMAL_MIN_SIZE", 0)
+            assert tuple(_poly_product(a, b)) == ip_mul(a, b)
+            assert tuple(_poly_product(b, b)) == ip_mul(b, b)
+
+    @pytest.mark.parametrize("factor", [3, 1 / 3])
+    def test_slots_past_the_digit_limit_take_the_int_path(self, monkeypatch, factor):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python has no int <-> str digit limit")
+        # coefficients of limit * factor digits: product slots of about twice that
+        c = 10 ** int(limit * factor) - 1
+        monkeypatch.setattr(cyclotomic, "_DECIMAL_MIN_SIZE", 0)
+        paths = record_paths(monkeypatch)
+        assert tuple(_poly_product((c, -c, 1), (c, c))) == ip_mul((c, -c, 1), (c, c))
+        assert paths == ["_binary_product" if factor > 1 else "_decimal_product"]
+
+    def test_a_rounding_raises(self, monkeypatch):
+        # with the precision of the packed operands, the packs are exact and
+        # the product, twice as long, must round: the context traps it
+        monkeypatch.setattr(cyclotomic, "_DECIMAL_MIN_SIZE", 0)
+        real = cyclotomic._decimal_product
+
+        def short_context(a, b, square, width):
+            monkeypatch.setattr(cyclotomic._EXACT, "prec", width * max(len(a), len(b)))
+            return real(a, b, square, width)
+
+        monkeypatch.setattr(cyclotomic, "_decimal_product", short_context)
+        a = tuple(range(1, 41))
+        with pytest.raises(decimal.Inexact):
+            _poly_product(a, a)
+
+    @pytest.mark.parametrize("k", [0, 1, 341, 1199])
+    def test_monomial_times_a_wide_vector_skips_the_transform(self, monkeypatch, k):
+        # zeta^k with k < phi is the vector x^k: its product with 1200
+        # coefficients of 2000 bits is a shift, not a transform
+        field = get_field(1705)
+        rng = random.Random(k)
+        x = field.from_coeffs([rng.getrandbits(2000) - 2**1999 for _ in range(field.phi)])
+        paths = record_paths(monkeypatch)
+        shifted = field.from_terms(range(k, k + field.phi), x.num, x.den)
+        assert field.root(k) * x == x * field.root(k) == shifted
+        assert "_decimal_product" not in paths
 
 
 # 1 and 2; a prime; prime powers; non-squarefree and even conductors;

@@ -240,26 +240,35 @@ class TestFactorizationLaw:
         assert rep.part_ii_valuations.entries == (2, 3)
         assert rep.part_ii_dlogs.entries == (3, 2)
         assert rep.passed is False
-        assert class_relation(BASIC, PARAMS, 11, seed=42).relation_holds is False
+        assert class_relation(BASIC, rep, seed=42).relation_holds is False
+
+
+def relation_at(q, seed):
+    return class_relation(BASIC, check_factorization(BASIC, PARAMS, 1, q, seed=seed), seed=seed)
 
 
 class TestClassRelation:
     def test_q11(self):
-        rel = class_relation(BASIC, PARAMS, 11, seed=42)
+        rel = relation_at(11, 42)
         assert rel.relation_holds
         assert dict(rel.theta.coeffs) == {1: 2, 2: 3}
         assert rel.probes == {31: True, 41: True, 61: True, 71: True}
 
     def test_reuses_the_certified_level_q_class(self, certified):
         kappa(BASIC, PARAMS, 11, 42)
-        given = class_relation(BASIC, PARAMS, 11, seed=42)
-        class_relation(BASIC, PARAMS, 11, seed=43)
+        given = relation_at(11, 42)
+        relation_at(11, 43)
         assert certified == [55]
         clear_memo()
-        fresh = class_relation(BASIC, PARAMS, 11, seed=42)
+        fresh = relation_at(11, 42)
         assert certified == [55, 55]
         assert (given.theta, given.relation_holds, given.probes) == (
             fresh.theta,
             fresh.relation_holds,
             fresh.probes,
         )
+
+    def test_refuses_a_law_above_level_one(self):
+        law = check_factorization(BASIC, PARAMS, 1, 11, seed=42)
+        with pytest.raises(DomainError, match="level-1"):
+            class_relation(BASIC, dataclasses.replace(law, s=31), seed=42)
