@@ -69,12 +69,7 @@ class RunConfig:
         return parse_omega(self.omega)
 
     def params(self) -> KolyParams:
-        try:
-            return KolyParams(self.p, self.n, self.M)
-        except ConfigError:
-            raise
-        except (ValueError, DomainError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return KolyParams(self.p, self.n, self.M)
 
     def as_block(self) -> dict:
         return {

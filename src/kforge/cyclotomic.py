@@ -136,7 +136,7 @@ class CycloField:
 
     def from_rational(self, value) -> "CycloElt":
         value = Fraction(value)
-        vec = [0] * max(self.phi, 1)
+        vec = [0] * self.phi
         vec[0] = value.numerator
         return CycloElt(self, tuple(vec), value.denominator)
 
@@ -152,7 +152,7 @@ class CycloField:
 
     @property
     def zero(self) -> "CycloElt":
-        return CycloElt(self, tuple([0] * max(self.phi, 1)), 1)
+        return CycloElt(self, tuple([0] * self.phi), 1)
 
     @property
     def one(self) -> "CycloElt":
@@ -168,7 +168,7 @@ def get_field(m: int) -> CycloField:
     if field is not None:
         return field
     poly = cyclotomic_polynomial(m)
-    units = tuple(a for a in range(1, m + 1) if math.gcd(a, m) == 1) if m > 1 else (1,)
+    units = tuple(a for a in range(1, m + 1) if math.gcd(a, m) == 1)
     field = CycloField(m, euler_phi(m), poly, units, _binomial_factors(m))
     if len(field.poly) - 1 != field.phi or len(field.unit_group) != field.phi:
         raise InternalInconsistency("field table is inconsistent")
@@ -200,7 +200,7 @@ def _reduce_vec(field: CycloField, vec: list[int]) -> list[int]:
         quo.extend([0] * (phi - len(quo)))
         del vec[phi:]
         vec[:] = map(sub, vec, _times_binomials(quo, field.binomials, 1))
-    vec.extend([0] * (max(phi, 1) - len(vec)))
+    vec.extend([0] * (phi - len(vec)))
     return vec
 
 
@@ -415,7 +415,7 @@ class GaloisElt:
     a: int
 
     def __post_init__(self):
-        if self.field.m > 1 and math.gcd(self.a, self.field.m) != 1:
+        if math.gcd(self.a, self.field.m) != 1:
             raise DomainError(f"{self.a} is not invertible mod {self.field.m}")
 
 

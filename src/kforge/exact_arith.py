@@ -1,5 +1,6 @@
-"""Exact arithmetic kernels: integer number theory, integer polynomials,
-Hensel lifts.
+"""Exact arithmetic kernels: integer number theory, discrete logs, integer
+polynomials.  The Teichmueller lifts of roots of unity mod q^k need no kernel
+of their own: they are powers, computed where they are used.
 
 Conventions used throughout the package:
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError, InternalInconsistency
+from .errors import DomainError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -146,48 +147,11 @@ def poly_trim(coeffs) -> PolyQ:
 PolyZ = tuple[int, ...]
 
 
-def ip_trim(coeffs) -> PolyZ:
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 def ip_eval(a, x: int) -> int:
     acc = 0
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-def ip_derivative(a) -> PolyZ:
-    return ip_trim([i * c for i, c in enumerate(a)][1:])
-
-
-# ---------------------------------------------------------------------------
-# Hensel lifting
-# ---------------------------------------------------------------------------
-
-
-def hensel_lift_root(f: PolyZ, ell: int, c: int, k: int) -> int:
-    """Lift a simple root of f mod ell to its root r mod ell^k, 0 <= r < ell^k,
-    by Newton steps."""
-    if k < 1:
-        raise DomainError("precision must be at least 1")
-    c %= ell
-    if ip_eval(f, c) % ell != 0:
-        raise DomainError("not a root modulo ell")
-    deriv = ip_derivative(f)
-    if ip_eval(deriv, c) % ell == 0:
-        raise DomainError("Hensel obstruction")
-    r, prec = c, 1
-    while prec < k:
-        prec = min(2 * prec, k)
-        mod = ell**prec
-        r = (r - ip_eval(f, r) * pow(ip_eval(deriv, r), -1, mod)) % mod
-    if ip_eval(f, r) % ell**k != 0:
-        raise InternalInconsistency("Hensel lift is not a root modulo ell^k")
-    return r
 
 
 def int_padic_valuation(n: int, p: int) -> int:

@@ -66,8 +66,7 @@ class KolyParams:
             raise ConfigError("p must be an odd prime")
         if self.n < 0:
             raise ConfigError("level must be nonnegative")
-        facs = factorize(self.M)
-        if list(facs) != [self.p] or self.M < self.p:
+        if self.M < self.p or list(factorize(self.M)) != [self.p]:
             raise ConfigError("M must be a positive power of p")
 
     @property

@@ -3,9 +3,12 @@
 A Kolyvagin prime q is 1 mod m, so the m-th cyclotomic polynomial has the
 full phi(m) simple roots mod q; each root c gives a degree-one prime
 (q, zeta - c) of Q(zeta_m), and conjugate root pairs {c, 1/c} sit above one
-prime of the real subfield F.  Valuations are computed upstairs by
-evaluating integer numerators at Hensel-lifted roots modulo growing powers
-of q; residues and discrete logs are computed mod q itself.
+prime of the real subfield F.  All of this local data comes from the least
+primitive root t mod q: the roots are the powers of t^((q-1)/m) prime to m,
+and the root above c mod q^k is its Teichmueller lift c^(q^(k-1)), since
+m | q - 1.  Valuations are computed upstairs by evaluating integer numerators
+at these lifts modulo growing powers of q; residues and discrete logs are
+computed mod q itself.
 
 check_factorization compares the two sides of the factorization law
 [kappa(sq)]_q = lambda_q(kappa(s)) by these disjoint pipelines; the class
@@ -28,8 +31,6 @@ from .errors import BudgetExhausted, DomainError, InternalInconsistency
 from .cyclotomic import CycloElt, elt_to_strings, get_field
 from .euler import EulerSystem
 from .exact_arith import (
-    factorize,
-    hensel_lift_root,
     int_dlog,
     int_padic_valuation,
     ip_eval,
@@ -56,26 +57,19 @@ class SplitPrimeData:
 
 
 def split_prime_data(q: int, m: int) -> SplitPrimeData:
-    """Find and pair the roots of the m-th cyclotomic polynomial mod q."""
+    """The roots of the m-th cyclotomic polynomial mod q, paired, as the
+    primitive m-th powers of gen = t^((q-1)/m)."""
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
     if q % m != 1:
         raise DomainError("prime does not split completely")
-    mfacs = list(factorize(m))
-    gen = None
-    for c in range(2, q):
-        if pow(c, m, q) == 1 and all(pow(c, m // p, q) != 1 for p in mfacs):
-            gen = c
-            break
-    if gen is None:
-        raise InternalInconsistency("no element of order m in the residue field")
+    t = least_primitive_root(q)
+    gen = pow(t, (q - 1) // m, q)
     roots = sorted(pow(gen, i, q) for i in range(1, m + 1) if math.gcd(i, m) == 1)
     field = get_field(m)
     if len(set(roots)) != field.phi:
         raise InternalInconsistency("root count does not match the field degree")
-    poly = field.poly
-    deriv_ok = all(ip_eval(poly, c) % q == 0 for c in roots)
-    if not deriv_ok:
+    if any(ip_eval(field.poly, c) % q for c in roots):
         raise InternalInconsistency("claimed roots do not satisfy the polynomial")
     seen = set()
     pairs = []
@@ -88,34 +82,31 @@ def split_prime_data(q: int, m: int) -> SplitPrimeData:
         seen.update((c, partner))
         pairs.append((min(c, partner), max(c, partner)))
     pairs.sort()
-    t = least_primitive_root(q)
     return SplitPrimeData(q, m, tuple(roots), tuple(pairs), t, pow(t, -1, q))
-
-
-def _lifted_root(data: SplitPrimeData, root: int, k: int) -> int:
-    return hensel_lift_root(get_field(data.m).poly, data.q, root, k)
 
 
 def valuation(x: CycloElt, root: int, data: SplitPrimeData) -> int:
     """Exact valuation of x at the degree-one prime (q, zeta - root).
 
-    Clears the denominator, evaluates the integer numerator at the lifted
-    root modulo q^k, and doubles k from _BASE_PRECISION until the valuation
-    is below k.
+    Clears the denominator, evaluates the integer numerator at the
+    Teichmueller lift of root modulo q^k, and doubles k from _BASE_PRECISION
+    until the valuation is below k.
     """
     if x.field.m != data.m:
         raise DomainError("element lives in the wrong field")
     if x.is_zero():
         raise DomainError("valuation of zero is infinite")
+    if root not in data.roots:
+        raise DomainError(f"{root} is not a root of the cyclotomic polynomial mod {data.q}")
     q = data.q
     v_den = int_padic_valuation(x.den, q)
     k = _BASE_PRECISION
     while k <= _VALUATION_BUDGET:
         mod = q**k
-        r = _lifted_root(data, root, k)
-        acc = 0
-        for c in reversed(x.num):
-            acc = (acc * r + c) % mod
+        r = pow(root, q ** (k - 1), mod)
+        if ip_eval(x.field.poly, r) % mod:
+            raise InternalInconsistency("Teichmueller lift is not a root modulo q^k")
+        acc = ip_eval(x.num, r) % mod
         if acc:
             v_num = int_padic_valuation(acc, q)
             if v_num < k:
@@ -155,10 +146,7 @@ def ideal_vector(x: CycloElt, M: int, data: SplitPrimeData) -> IdealVector:
 def _residue_at_root(x: CycloElt, root: int, q: int) -> int:
     if x.den % q == 0:
         raise DomainError("not prime to q")
-    acc = 0
-    for c in reversed(x.num):
-        acc = (acc * root + c) % q
-    return acc * pow(x.den, -1, q) % q
+    return ip_eval(x.num, root) * pow(x.den, -1, q) % q
 
 
 def ideal_dlog_vector(w: CycloElt, M: int, data: SplitPrimeData) -> IdealVector:
@@ -253,8 +241,8 @@ def check_factorization(
     Part (i): the class at level s has trivial projection at q.  Part (ii):
     the projection of the level s*q class equals the discrete-log vector of
     the level-s class.  The two sides of (ii) come from disjoint pipelines
-    (Hensel valuations vs. residue discrete logs).  Both classes come from
-    kappa's memo when they were built before.
+    (valuations at Teichmueller lifts vs. residue discrete logs).  Both
+    classes come from kappa's memo when they were built before.
     """
     data = split_prime_data(q, params.conductor)
     k_s = kappa(E, params, s, seed)

@@ -41,6 +41,10 @@ class TestExitCodes:
     def test_config_error_wrong_modulus(self, capsys):
         assert run_main(["factorize", "--M", "25", "--q", "11"]) == 2
 
+    def test_config_error_zero_modulus(self, capsys):
+        assert run_main(["kappa", "--M", "0"]) == 2
+        assert "positive power of p" in capsys.readouterr().err
+
     def test_limit_cap(self, capsys):
         assert run_main(["primes", "--limit", "2000000"]) == 2
 

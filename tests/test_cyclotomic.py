@@ -29,7 +29,15 @@ from kforge.cyclotomic import (
     _reduce_vec,
     _solve_against_columns,
 )
-from kforge.exact_arith import euler_phi, factorize, ip_trim, is_prime, poly_trim
+from kforge.exact_arith import euler_phi, factorize, is_prime, poly_trim
+
+
+def ip_trim(coeffs):
+    """An integer polynomial without its trailing zeros."""
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
 
 def ip_mul(a, b):

@@ -1,15 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kforge import exact_arith
-from kforge.errors import DomainError, InternalInconsistency
+from kforge.errors import DomainError
 from kforge.exact_arith import (
     crt_pair,
     factorize,
-    hensel_lift_root,
     int_dlog,
     int_padic_valuation,
-    ip_eval,
     is_prime,
     least_primitive_root,
     multiplicative_order,
@@ -80,49 +77,6 @@ class TestFiniteField:
                 int_dlog(base, target, q)
             return
         assert int_dlog(base, target, q) == e % sympy.n_order(base, q)
-
-
-class TestHensel:
-    def test_base_precision(self):
-        out = hensel_lift_root((1, 1, 1, 1, 1), 11, 3, 1)
-        assert out == 3
-
-    def test_lift_matches_bruteforce(self):
-        out = hensel_lift_root((1, 1, 1, 1, 1), 11, 3, 2)
-        brute = [3 + 11 * t for t in range(11) if ip_eval((1, 1, 1, 1, 1), 3 + 11 * t) % 121 == 0]
-        assert brute == [out]
-        # the same root lifted further still reduces correctly
-        deep = hensel_lift_root((1, 1, 1, 1, 1), 11, 3, 6)
-        assert deep % 121 == out
-        assert ip_eval((1, 1, 1, 1, 1), deep) % 11**6 == 0
-
-    def test_linear(self):
-        assert hensel_lift_root((-5, 1), 7, 5, 3) == 5
-
-    def test_obstruction(self):
-        # double root of (x - 1)^2 mod any prime
-        with pytest.raises(DomainError, match="Hensel obstruction"):
-            hensel_lift_root((1, -2, 1), 5, 1, 3)
-
-    def test_non_root_rejected(self):
-        with pytest.raises(DomainError, match="not a root"):
-            hensel_lift_root((1, 1, 1, 1, 1), 11, 2, 2)
-
-    def test_failed_lift_raises(self, monkeypatch):
-        # A derivative that is off by a multiple of ell passes the obstruction
-        # check but stops Newton from converging quadratically, so the lift is
-        # no longer a root modulo ell^k and the final re-verification refuses it.
-        f, ell = (1, 1, 1, 1, 1), 11
-        deriv = exact_arith.ip_derivative(f)
-        real_eval = exact_arith.ip_eval
-
-        def wrong_derivative(a, x):
-            value = real_eval(a, x)
-            return value + ell if tuple(a) == deriv else value
-
-        monkeypatch.setattr(exact_arith, "ip_eval", wrong_derivative)
-        with pytest.raises(InternalInconsistency, match="Hensel lift"):
-            hensel_lift_root(f, ell, 3, 6)
 
 
 def test_padic_valuation():

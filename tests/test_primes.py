@@ -13,7 +13,7 @@ from kforge.cyclotomic import (
     get_field,
 )
 from kforge.euler import parse_omega, phi_eval
-from kforge.exact_arith import int_padic_valuation
+from kforge.exact_arith import int_padic_valuation, ip_eval, primes_upto
 from kforge.kolyvagin import KolyParams, clear_memo, cocycle_closed_form, kappa
 from kforge.primes import (
     annihilator_from_dlogs,
@@ -35,6 +35,20 @@ def added(u, v):
     """Entries of the sum of two vectors in I_q / M I_q."""
     assert (u.q, u.M) == (v.q, v.M)
     return tuple((a + b) % u.M for a, b in zip(u.entries, v.entries))
+
+
+# Conductors and precisions of the lift grid; each conductor is taken with
+# its first four split primes.
+LIFT_CONDUCTORS = (3, 5, 7, 9, 25, 27)
+LIFT_PRECISIONS = (1, 2, 3, 8, 16, 32)
+SPLIT_GRID = [
+    (m, q) for m in LIFT_CONDUCTORS for q in [q for q in primes_upto(1000) if q % m == 1][:4]
+]
+
+
+def searched_lift(poly, c, q):
+    """The roots of poly mod q^2 above c, by search over c + q*j."""
+    return [c + q * j for j in range(q) if ip_eval(poly, c + q * j) % q**2 == 0]
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +82,45 @@ class TestSplitData:
         for a, b in data11.pairs:
             assert a * b % 11 == 1
 
+    @pytest.mark.parametrize("m, q", SPLIT_GRID)
+    def test_roots_match_a_search(self, m, q):
+        poly = get_field(m).poly
+        searched = tuple(c for c in range(q) if ip_eval(poly, c) % q == 0)
+        assert split_prime_data(q, m).roots == searched
+
+    def test_wrong_primitive_root_is_inconsistency(self, monkeypatch):
+        # t = q - 1 has order 2, so gen = 1 and the closed form finds one root
+        monkeypatch.setattr(primes, "least_primitive_root", lambda q: q - 1)
+        with pytest.raises(InternalInconsistency, match="root count"):
+            split_prime_data(11, 5)
+
+
+class TestTeichmullerLift:
+    """The root of Phi_m mod q^k above c is c^(q^(k-1)), because m | q - 1."""
+
+    @pytest.mark.parametrize("m, q", SPLIT_GRID)
+    def test_lift_is_the_root_above_c(self, m, q):
+        poly = get_field(m).poly
+        for c in split_prime_data(q, m).roots:
+            for k in LIFT_PRECISIONS:
+                r = pow(c, q ** (k - 1), q**k)
+                assert r % q == c
+                assert ip_eval(poly, r) % q**k == 0
+            assert searched_lift(poly, c, q) == [pow(c, q, q**2)]
+
+    @pytest.mark.parametrize("m, q", [(5, 11), (9, 19), (25, 101)])
+    def test_valuation_reads_the_lift(self, m, q):
+        # zeta - a, for a the searched root above c mod q^2, has norm Phi_m(a)
+        # and lies only in the prime above c, at least twice
+        field, data = get_field(m), split_prime_data(q, m)
+        for c in data.roots:
+            (a,) = searched_lift(field.poly, c, q)
+            x = field.root(1) - field.from_rational(a)
+            vals = [valuation(x, d, data) for d in data.roots]
+            v = int_padic_valuation(ip_eval(field.poly, a), q)
+            assert v >= 2
+            assert vals == [v if d == c else 0 for d in data.roots]
+
 
 class TestValuation:
     def test_rational_prime_splits_evenly(self, data11):
@@ -96,6 +149,17 @@ class TestValuation:
     def test_zero_rejected(self, data11):
         with pytest.raises(DomainError):
             valuation(get_field(5).zero, 3, data11)
+
+    def test_non_root_rejected(self, data11):
+        with pytest.raises(DomainError, match="not a root"):
+            valuation(get_field(5).from_rational(11), 2, data11)
+
+    def test_forged_root_fails_the_lift_check(self, data11):
+        # 2 passes the membership test of the forged data, but its lift has
+        # order 10, and the re-verification against Phi_5 mod q^k refuses it
+        forged = dataclasses.replace(data11, roots=data11.roots + (2,))
+        with pytest.raises(InternalInconsistency, match="not a root modulo"):
+            valuation(get_field(5).from_rational(11), 2, forged)
 
     @pytest.mark.parametrize("q", [11, 31])
     def test_norm_reconciliation(self, q, golden):
