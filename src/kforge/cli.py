@@ -251,8 +251,8 @@ def cmd_factorize(cfg: RunConfig) -> Report:
 
 
 def cmd_primes(cfg: RunConfig) -> Report:
-    if cfg.limit > 10**6:
-        raise ConfigError("limit must be at most 10^6")
+    if not 2 <= cfg.limit <= 10**6:
+        raise ConfigError("limit must be between 2 and 10^6")
     params = cfg.params()
     report = Report("primes", cfg.as_block())
     found, dt = _timed(find_kolyvagin_primes, params, cfg.limit)

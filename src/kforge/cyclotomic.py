@@ -14,24 +14,31 @@ polynomial product is a single big-number product.  Slots are offset: a slot
 holds c + half, half being half its base, as an unsigned number, so a vector
 packs as the join of its biased slots minus one constant, and the product
 unpacks by adding that constant back and reading every slot unsigned, with
-no borrow between slots.  There are two packings:
+no borrow between slots.  A product's size is min(len) * (bits_a + bits_b)
+bit-terms, and two switches on it choose among three evaluations:
 
-- binary: slots of whole bytes in a Python int, read back from its bytes;
-- decimal: slots of w digits in a Decimal, packed by one join of zero-padded
-  digit strings and read back by one str() and an int() per w-digit slice.
-  libmpdec multiplies operands this large by a number-theoretic transform,
-  where CPython's int stops at Karatsuba: a 1200-term product of 1000-bit
-  coefficients takes about a quarter of the int time.
+- below _TWO_POINT_MIN_SIZE (2 * 10^4), one int multiply at x = 2^W, for W
+  the slot width, in slots of whole bytes read back from the int's bytes;
+- from there, the same slots at two points x = +-2^h, h = W/2 (D. Harvey,
+  "Faster polynomial multiplication via multipoint Kronecker substitution",
+  J. Symbolic Comput. 44, 2009).  Packing the even and odd coefficients E, O
+  of each operand gives A(+-2^h) = E(2^W) +- 2^h O(2^W), and the two products
+  P+ and P-, each of half the size, give the even and odd coefficients of the
+  product as (P+ + P-) / 2 and (P+ - P-) / 2^(h+1) in the same W-bit slots, so
+  the slot bound is unchanged.  Karatsuba costs two half-size multiplies
+  about two thirds of one full-size multiply;
+- from _DECIMAL_MIN_SIZE (10^6), w-digit slots in a Decimal, packed by one
+  join of zero-padded digit strings and read back by one str() and an int()
+  per w-digit slice.  libmpdec multiplies operands this large by a
+  number-theoretic transform, where CPython's int stops at Karatsuba: a
+  1200-term product of 1000-bit coefficients takes about a quarter of the
+  int time.  `decimal` is imported by the first product that needs it.
 
-A product takes the decimal packing when min(len) * (bits_a + bits_b), its
-size in bit-terms, is at least _DECIMAL_MIN_SIZE (10^6).  Below that libmpdec
-also multiplies by Karatsuba and the digit strings cost more than they save,
-which the benchmark's one-prime kappa levels (degree 120-240) measure.  A
-slot wider than sys.get_int_max_str_digits() digits also takes the binary
-packing, since str() and int() refuse it; the limit is read, never changed.
-The decimal context has the largest precision and exponent range and traps
-Inexact, Rounded, InvalidOperation and Overflow, so a product is exact or
-raises: no rounding can yield a wrong coefficient.
+A slot wider than sys.get_int_max_str_digits() digits takes the binary
+packing at any size, since str() and int() refuse it; the limit is read,
+never changed.  The decimal context has the largest precision and exponent
+range and traps Inexact, Rounded, InvalidOperation and Overflow, so a product
+is exact or raises: no rounding can yield a wrong coefficient.
 
 Every vector that leaves the power basis (a product, a Galois image, an
 embedding, a power of zeta) goes through one reduction.  It first folds the
@@ -48,11 +55,9 @@ unit-group enumeration) are cached in memory per conductor.
 
 from __future__ import annotations
 
-import decimal
 import math
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from operator import sub
@@ -216,18 +221,15 @@ def _nonzero_span(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return v, vec[v:n]
 
 
-# Products of fewer bit-terms, min(len) * (bits_a + bits_b), use the binary
-# packing: there libmpdec multiplies by Karatsuba too, and the digit strings
-# cost more than the multiply saves.
-_DECIMAL_MIN_SIZE = 10**6
+# Products of at least this many bit-terms, min(len) * (bits_a + bits_b), are
+# evaluated at +-2^h and make two int multiplies of half the size; below it
+# the packing and unpacking of the second point cost more than they save.
+_TWO_POINT_MIN_SIZE = 2 * 10**4
 
-# Integer arithmetic in this context is exact or raises: nothing can round.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    Emin=decimal.MIN_EMIN,
-    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
-)
+# Products of at least this many bit-terms use the decimal packing; below it
+# libmpdec multiplies by Karatsuba too, and the digit strings cost more than
+# the multiply saves.
+_DECIMAL_MIN_SIZE = 10**6
 
 
 def _str_digits_allowed(digits: int) -> bool:
@@ -239,7 +241,8 @@ def _str_digits_allowed(digits: int) -> bool:
 
 def _poly_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """Coefficients of the integer polynomial product a * b, by Kronecker
-    substitution in the binary or the decimal packing (module docstring).
+    substitution at one or two points in the binary packing or in the
+    decimal packing, by its size (module docstring).
 
     Slots are sized so that half the slot base exceeds |c| for every input
     and product coefficient c.
@@ -255,15 +258,19 @@ def _poly_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     bits = bits_a + bits_b + min(len(a), len(b)).bit_length() + 1
     # floor(bits * 0.30103) + 1 >= the number of decimal digits of 2^bits
     digits = bits * 30103 // 100000 + 1
-    if min(len(a), len(b)) * (bits_a + bits_b) < _DECIMAL_MIN_SIZE or not _str_digits_allowed(digits):
-        coeffs = _binary_product(a, b, square, (bits + 7) // 8)
+    size = min(len(a), len(b)) * (bits_a + bits_b)
+    if size < _DECIMAL_MIN_SIZE or not _str_digits_allowed(digits):
+        points = 1 if size < _TWO_POINT_MIN_SIZE else 2
+        coeffs = _binary_product(a, b, square, (bits + 7) // 8, points)
     else:
         coeffs = _decimal_product(a, b, square, digits)
     return [0] * (va + vb) + coeffs
 
 
-def _binary_product(a, b, square: bool, width: int) -> list[int]:
-    """The product through one int multiply, in slots of `width` bytes."""
+def _binary_product(a, b, square: bool, width: int, points: int) -> list[int]:
+    """The product through int multiplies, in slots of `width` bytes: one
+    multiply at x = 2^(8 width), or with points = 2 two multiplies of half the
+    size at x = +-2^h, h = 4 width (module docstring)."""
     half = 1 << (8 * width - 1)
     slot = half.to_bytes(width, "little")
 
@@ -271,31 +278,65 @@ def _binary_product(a, b, square: bool, width: int) -> list[int]:
         biased = b"".join((c + half).to_bytes(width, "little") for c in vec)
         return int.from_bytes(biased, "little") - int.from_bytes(slot * len(vec), "little")
 
-    packed = pack(a)
-    product = packed * packed if square else packed * pack(b)
-    del packed
+    def unpack(value, n):
+        value += int.from_bytes(slot * n, "little")
+        data = memoryview(value.to_bytes(width * n, "little"))
+        del value
+        return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * n, width)]
+
     n = len(a) + len(b) - 1
-    product += int.from_bytes(slot * n, "little")
-    data = memoryview(product.to_bytes(width * n, "little"))
-    del product
-    return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * n, width)]
+    if points == 1:
+        packed = pack(a)
+        return unpack(packed * packed if square else packed * pack(b), n)
+
+    # A(+-2^h) = E(2^(2h)) +- 2^h O(2^(2h)) for the even and odd parts E, O of A
+    h = 4 * width
+
+    def at_both_points(vec):
+        even, odd = pack(vec[::2]), pack(vec[1::2]) << h
+        return even + odd, even - odd
+
+    plus, minus = at_both_points(a)
+    if square:
+        plus, minus = plus * plus, minus * minus
+    else:
+        plus_b, minus_b = at_both_points(b)
+        plus, minus = plus * plus_b, minus * minus_b
+        del plus_b, minus_b
+    # C(2^h) + C(-2^h) = 2 C_even(2^(2h)) and C(2^h) - C(-2^h) = 2^(h+1) C_odd(2^(2h))
+    coeffs = [0] * n
+    coeffs[::2] = unpack((plus + minus) >> 1, (n + 1) // 2)
+    coeffs[1::2] = unpack((plus - minus) >> (h + 1), n // 2)
+    return coeffs
 
 
 def _decimal_product(a, b, square: bool, width: int) -> list[int]:
     """The product through one exact Decimal multiply, in slots of `width`
-    digits; a digit string converts to and from a Decimal in linear time."""
+    digits; a digit string converts to and from a Decimal in linear time.
+
+    The context is built per call, from the limits the decimal module holds
+    then: integer arithmetic in it is exact or raises, so nothing can round.
+    """
+    import decimal
+
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+    )
     half = 5 * 10 ** (width - 1)
     slot = "5".ljust(width, "0")
 
     def pack(vec):
-        biased = Decimal("".join([f"{c + half:0{width}d}" for c in reversed(vec)]))
-        return _EXACT.subtract(biased, Decimal(slot * len(vec)))
+        biased = decimal.Decimal("".join([f"{c + half:0{width}d}" for c in reversed(vec)]))
+        return exact.subtract(biased, decimal.Decimal(slot * len(vec)))
 
     packed = pack(a)
-    product = _EXACT.multiply(packed, packed if square else pack(b))
+    product = exact.multiply(packed, packed if square else pack(b))
     del packed
     n = len(a) + len(b) - 1
-    product = _EXACT.add(product, Decimal(slot * n))
+    product = exact.add(product, decimal.Decimal(slot * n))
     data = str(product).zfill(width * n)
     del product
     return [int(data[i - width : i]) - half for i in range(width * n, 0, -width)]
@@ -560,6 +601,32 @@ def divide_into_subfield(target: CycloElt, multiplier: CycloElt, m_small: int) -
     return small.from_coeffs(sol)
 
 
+def product(factors) -> CycloElt:
+    """The product of a nonempty iterable of elements of one field, multiplied
+    as a balanced tree.
+
+    A chain multiplies each factor into an accumulator that ends as wide as
+    the whole product, so every step is a full-width lopsided product; the
+    tree makes the same len - 1 products, most of them between factors of
+    similar, smaller size.  A stack holds the products of 1, 2, 4, ...
+    consecutive factors, and two of equal count merge as soon as both exist,
+    so at most log2(len) + 1 partial products are alive at once and the
+    factors may be generated one by one.
+    """
+    stack: list[tuple[int, CycloElt]] = []
+    for x in factors:
+        count = 1
+        while stack and stack[-1][0] == count:
+            count, x = 2 * count, stack.pop()[1] * x
+        stack.append((count, x))
+    if not stack:
+        raise DomainError("empty product")
+    acc = stack.pop()[1]
+    while stack:
+        acc = stack.pop()[1] * acc
+    return acc
+
+
 def relative_norm(x: CycloElt, m_small: int) -> CycloElt:
     """Norm of x from Q(zeta_m) down to Q(zeta_m_small), for a subconductor
     m_small of m: the product of sigma_a(x) over the units a = 1 mod m_small,
@@ -571,19 +638,15 @@ def relative_norm(x: CycloElt, m_small: int) -> CycloElt:
     field = x.field
     if m_small < 1 or field.m % m_small != 0:
         raise DomainError(f"{m_small} is not a subconductor of {field.m}")
-    result = field.one
-    for a in field.unit_group:
-        if a % m_small == 1 % m_small:
-            result = result * galois_apply(GaloisElt(field, a), x)
-    return result
+    return product(
+        galois_apply(GaloisElt(field, a), x) for a in field.unit_group if a % m_small == 1 % m_small
+    )
 
 
 def _norm_and_cofactor(x: CycloElt) -> tuple[Fraction, CycloElt]:
     """N(x) down to Q and the product of the conjugates of x other than x."""
-    cofactor = x.field.one
-    for a in x.field.unit_group:
-        if a != 1:
-            cofactor = cofactor * galois_apply(GaloisElt(x.field, a), x)
+    others = (galois_apply(GaloisElt(x.field, a), x) for a in x.field.unit_group if a != 1)
+    cofactor = product(others) if x.field.phi > 1 else x.field.one
     norm = x * cofactor
     if not norm.is_rational():
         raise InternalInconsistency("norm failed to land in Q")

@@ -41,6 +41,7 @@ from .cyclotomic import (
     galois_apply,
     get_field,
     is_in_real_subfield,
+    product,
 )
 from .euler import EulerSystem, phi_eval
 from .exact_arith import (
@@ -127,12 +128,8 @@ def _conjugate_suffixes(x: CycloElt, sigma: GaloisElt, q: int) -> list[CycloElt]
 
 def apply_derivative(x: CycloElt, q: int) -> CycloElt:
     """D_q x = prod_{0<i<q-1} sigma^i(x)^i, the product of the suffix products
-    of the conjugates of x."""
-    suffixes = _conjugate_suffixes(x, lifted_sigma(x.field, q), q)
-    acc = suffixes.pop()
-    while suffixes:
-        acc = acc * suffixes.pop()
-    return acc
+    of the conjugates of x, multiplied as a balanced tree."""
+    return product(_conjugate_suffixes(x, lifted_sigma(x.field, q), q))
 
 
 # ---------------------------------------------------------------------------

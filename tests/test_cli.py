@@ -48,6 +48,13 @@ class TestExitCodes:
     def test_limit_cap(self, capsys):
         assert run_main(["primes", "--limit", "2000000"]) == 2
 
+    @pytest.mark.parametrize("limit", ["-5", "0", "1"])
+    def test_limit_below_two_is_refused(self, capsys, limit):
+        # a search below 2 finds no primes, and a "pass" over none proves nothing
+        assert run_main(["primes", "--limit", limit]) == 2
+        assert "limit must be between 2 and 10^6" in capsys.readouterr().err
+        assert run_main(["primes", "--limit", "2"]) == 0
+
     @pytest.mark.parametrize(
         "args",
         [

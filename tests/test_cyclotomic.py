@@ -1,6 +1,9 @@
 import decimal
 import math
+import os
+import pathlib
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from kforge import cyclotomic
 from kforge.errors import DomainError, InternalInconsistency
 from kforge.cyclotomic import (
+    CycloElt,
     GaloisElt,
     RootOfUnity,
     absolute_norm,
@@ -23,6 +27,7 @@ from kforge.cyclotomic import (
     is_in_real_subfield,
     minimal_polynomial,
     one_minus_root_inverse,
+    product,
     relative_norm,
     _binomial_factors,
     _poly_product,
@@ -388,6 +393,49 @@ class TestNorms:
         assert full == relative_norm(x, 15)
         assert embed_up(divide_into_subfield(full, f.one, 15), 105) == full
 
+    @pytest.mark.parametrize("m, m_small", [(5, 1), (55, 1), (55, 5), (55, 11), (105, 15), (273, 21), (273, 1)])
+    def test_norms_against_a_chain(self, m, m_small):
+        # the tree multiplies the conjugates in another order than a
+        # left-to-right chain; the field is commutative, so both are equal
+        field = get_field(m)
+        rng = random.Random(m * m_small)
+        x = field.from_coeffs([Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(field.phi)])
+        chain = field.one
+        for a in field.unit_group:
+            if a % m_small == 1 % m_small:
+                chain = chain * galois_apply(GaloisElt(field, a), x)
+        assert relative_norm(x, m_small) == chain
+        if m_small == 1:
+            assert absolute_norm(x) == chain.as_rational()
+            assert elt_inverse(x) * x == field.one
+
+
+class TestProduct:
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_tree_against_a_chain(self, count):
+        # counts that are powers of two and counts whose tree ends by merging
+        # partial products of unequal counts
+        field = get_field(45)
+        rng = random.Random(count)
+        factors = [field.from_coeffs([rng.randint(-9, 9) for _ in range(field.phi)]) for _ in range(count)]
+        chain = factors[0]
+        for x in factors[1:]:
+            chain = chain * x
+        assert product(factors) == chain
+        assert product(iter(factors)) == chain
+
+    def test_makes_one_product_fewer_than_its_factors(self, monkeypatch):
+        field = get_field(13)
+        calls = []
+        real = CycloElt.__mul__
+        monkeypatch.setattr(CycloElt, "__mul__", lambda x, y: calls.append(1) or real(x, y))
+        product([field.root(e) for e in range(7)])
+        assert len(calls) == 6
+
+    def test_empty_product_is_refused(self):
+        with pytest.raises(DomainError, match="empty product"):
+            product([])
+
 
 class TestMinimalPolynomial:
     def test_examples(self):
@@ -551,14 +599,18 @@ def slot_vectors(draw, bits=st.sampled_from([1, 2, 6, 7, 8, 9, 63, 64, 65, 2000]
     return tuple([0] * draw(st.integers(0, 3)) + vec + [0] * draw(st.integers(0, 12 - len(vec))))
 
 
+ONE_POINT, TWO_POINT, DECIMAL = ("_binary_product", 1), ("_binary_product", 2), ("_decimal_product", 1)
+
+
 def record_paths(mp):
-    """Patch both product paths to log their names, in call order, to the list returned."""
+    """Patch both product paths to log (name, number of evaluation points), in
+    call order, to the list returned; the decimal packing evaluates at one point."""
     paths = []
     for name in ("_binary_product", "_decimal_product"):
         real = getattr(cyclotomic, name)
 
         def spy(*args, real=real, name=name):
-            paths.append(name)
+            paths.append((name, args[4] if name == "_binary_product" else 1))
             return real(*args)
 
         mp.setattr(cyclotomic, name, spy)
@@ -632,14 +684,38 @@ class TestKernelsAgainstSchoolbook:
     @example((0, 0, 0), (-1,))
     @example((0, 0, 5), (7, -2**64, 3, 2**63 - 1, -1))
     def test_product_at_slot_boundaries(self, a, b):
-        # every product once in decimal slots and once in binary slots
-        for min_size, path in ((0, "_decimal_product"), (math.inf, "_binary_product")):
+        # every product in binary slots at one point and at two, and in decimal slots
+        for two_point, decimal_, path in ((math.inf, math.inf, ONE_POINT), (0, math.inf, TWO_POINT), (0, 0, DECIMAL)):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cyclotomic, "_DECIMAL_MIN_SIZE", min_size)
+                mp.setattr(cyclotomic, "_TWO_POINT_MIN_SIZE", two_point)
+                mp.setattr(cyclotomic, "_DECIMAL_MIN_SIZE", decimal_)
                 paths = record_paths(mp)
                 assert tuple(_poly_product(a, b)) == ip_mul(a, b)
                 assert tuple(_poly_product(a, a)) == ip_mul(a, a)  # squaring packs once
             assert set(paths) <= {path}
+
+
+@st.composite
+def operands_near_the_two_point_gate(draw):
+    """(a, b) of 1-41 terms, b often a itself, nonzero at both ends, whose
+    size min(len) * (bits_a + bits_b) lies within 3 % of the two-point gate
+    on either side; coefficients often sit at +-(2^bits - 1)."""
+    la = draw(st.integers(1, 41))
+    square = draw(st.booleans())
+    lb = la if square else draw(st.integers(1, 41))
+    total = round(cyclotomic._TWO_POINT_MIN_SIZE * draw(st.floats(0.97, 1.03)) / min(la, lb))
+    bits_a = total // 2 if square else draw(st.integers(1, total - 1))
+
+    def vector(length, bits):
+        peak = 2**bits - 1
+        inner = st.one_of(st.integers(-peak, peak), st.sampled_from([0, peak, -peak]))
+        ends = st.sampled_from([peak, -peak, 2 ** (bits - 1), -(2 ** (bits - 1))])
+        body = draw(st.lists(inner, min_size=length, max_size=length))
+        body[0], body[-1] = draw(ends), draw(ends)
+        return tuple(body)
+
+    a = vector(la, bits_a)
+    return (a, a) if square else (a, vector(lb, total - bits_a))
 
 
 class TestProductPaths:
@@ -653,7 +729,32 @@ class TestProductPaths:
         a[-1], b[-1] = 2**999, -(2**999)
         paths = record_paths(monkeypatch)
         assert tuple(_poly_product(tuple(a), tuple(b))) == ip_mul(a, b)
-        assert paths == [path]
+        assert [name for name, _ in paths] == [path]
+
+    @pytest.mark.parametrize("shorter, path", [(0, TWO_POINT), (1, ONE_POINT)], ids=["at-the-gate", "one-term-fewer"])
+    def test_two_point_gate_reads_the_operands(self, monkeypatch, shorter, path):
+        # 100-bit operands of n terms have n * 200 bit-terms: the gate itself
+        # takes two points, one term fewer one point
+        n = cyclotomic._TWO_POINT_MIN_SIZE // 200 - shorter
+        rng = random.Random(n)
+        a, b = ([rng.getrandbits(100) - 2**99 for _ in range(n)] for _ in range(2))
+        a[-1], b[-1] = 2**99, -(2**99)
+        paths = record_paths(monkeypatch)
+        assert tuple(_poly_product(tuple(a), tuple(b))) == ip_mul(a, b)
+        assert tuple(_poly_product(tuple(a), tuple(a))) == ip_mul(a, a)
+        assert paths == [path, path]
+
+    @settings(max_examples=60, deadline=None)
+    @given(operands_near_the_two_point_gate())
+    def test_products_on_both_sides_of_the_two_point_gate(self, operands):
+        a, b = operands
+        bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+        expected = TWO_POINT if min(len(a), len(b)) * bits >= cyclotomic._TWO_POINT_MIN_SIZE else ONE_POINT
+        with pytest.MonkeyPatch.context() as mp:
+            paths = record_paths(mp)
+            assert tuple(_poly_product(a, b)) == ip_mul(a, b)
+            assert tuple(_poly_product(b, a)) == ip_mul(b, a)
+        assert paths == [expected, expected]
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -681,19 +782,20 @@ class TestProductPaths:
         monkeypatch.setattr(cyclotomic, "_DECIMAL_MIN_SIZE", 0)
         paths = record_paths(monkeypatch)
         assert tuple(_poly_product((c, -c, 1), (c, c))) == ip_mul((c, -c, 1), (c, c))
-        assert paths == ["_binary_product" if factor > 1 else "_decimal_product"]
+        assert [name for name, _ in paths] == ["_binary_product" if factor > 1 else "_decimal_product"]
 
     def test_a_rounding_raises(self, monkeypatch):
         # with the precision of the packed operands, the packs are exact and
-        # the product, twice as long, must round: the context traps it
+        # the product, twice as long, must round: the context, which reads
+        # the precision when the product runs, traps it
         monkeypatch.setattr(cyclotomic, "_DECIMAL_MIN_SIZE", 0)
         real = cyclotomic._decimal_product
 
-        def short_context(a, b, square, width):
-            monkeypatch.setattr(cyclotomic._EXACT, "prec", width * max(len(a), len(b)))
+        def short_precision(a, b, square, width):
+            monkeypatch.setattr(decimal, "MAX_PREC", width * max(len(a), len(b)))
             return real(a, b, square, width)
 
-        monkeypatch.setattr(cyclotomic, "_decimal_product", short_context)
+        monkeypatch.setattr(cyclotomic, "_decimal_product", short_precision)
         a = tuple(range(1, 41))
         with pytest.raises(decimal.Inexact):
             _poly_product(a, a)
@@ -708,7 +810,33 @@ class TestProductPaths:
         paths = record_paths(monkeypatch)
         shifted = field.from_terms(range(k, k + field.phi), x.num, x.den)
         assert field.root(k) * x == x * field.root(k) == shifted
-        assert "_decimal_product" not in paths
+        assert DECIMAL not in paths
+
+    def test_decimal_is_imported_only_by_a_product_that_needs_it(self):
+        # fractions imports decimal itself, so a fresh interpreter blocks the
+        # module after importing kforge: a command whose products stay on the
+        # int path still runs, and the first decimal product imports it
+        script = """
+import sys
+from kforge import cyclotomic
+from kforge.cli import main
+sys.modules["decimal"] = None
+assert main(["kappa", "--p", "5", "--n", "0", "--M", "5", "--s", "11", "--out", sys.argv[1]]) == 0
+a = tuple(range(1, 501))
+cyclotomic._poly_product(a, a)  # 500 * 18 bit-terms: one point
+cyclotomic._poly_product(a, tuple(c << 2000 for c in a))  # above the decimal gate
+"""
+        src = str(pathlib.Path(cyclotomic.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, os.devnull],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr.rstrip().endswith("import of decimal halted; None in sys.modules")
+        assert "_decimal_product" in done.stderr
 
 
 # 1 and 2; a prime; prime powers; non-squarefree and even conductors;

@@ -129,6 +129,20 @@ class TestApply:
         deriv_op = build_operators(11)[1]
         assert apply_derivative(x, 11) == apply_group_ring(deriv_op, x)
 
+    @pytest.mark.parametrize("q", [31, 41, 61])
+    def test_tree_derivative_matches_operator(self, q):
+        # as at q = 11 above: q - 2 suffix products, an odd count, so the tree
+        # ends by merging partial products of unequal counts (59 = 32 + 16 + 8 + 2 + 1)
+        x = phi_eval(BASIC, level_root(KolyParams(5, 0, 5), q))
+        assert apply_derivative(x, q) == apply_group_ring(build_operators(q)[1], x)
+
+    def test_composite_derivative_matches_operator(self):
+        # D_13(D_7 x) at (3, 0, 3) is the two-generator operator sum i j sigma_7^i sigma_13^j;
+        # 5 and 11 suffix products
+        x = phi_eval(BASIC, level_root(KolyParams(3, 0, 3), 91))
+        op = GroupRingOp.make(((7, 6), (13, 12)), {(i, j): i * j for i in range(1, 6) for j in range(1, 12)})
+        assert apply_derivative(apply_derivative(x, 7), 13) == apply_group_ring(op, x)
+
     def test_negative_coefficients_need_inverse(self):
         f55 = get_field(55)
         gens = ((11, 10),)
