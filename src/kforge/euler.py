@@ -12,6 +12,12 @@ n-th power map (which enlarges the excluded set by the primes of n) and the
 twist by a primitive h-th root of unity xi, whose value is the product of
 the base values at eta*xi^b over b coprime to h (enlarging the excluded set
 by the primes of h).
+
+Every value is built as one balanced product of its elementary factors:
+1 - zeta^k, the closed-form inverses of such factors, and one root of unity,
+gathered over every translate of a twist.  The decomposition over
+cyclotomic-unit generators is proved by an identity between two such
+products and forms no inverse.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from itertools import repeat
 
 from .errors import BudgetExhausted, ConfigError, DomainError
 from .cyclotomic import (
@@ -29,7 +35,6 @@ from .cyclotomic import (
     RootOfUnity,
     absolute_norm,
     divide_into_subfield,
-    elt_inverse,
     elt_to_strings,
     embed_up,
     galois_apply,
@@ -37,6 +42,7 @@ from .cyclotomic import (
     is_in_real_subfield,
     minimal_polynomial,
     one_minus_root_inverse,
+    product,
     relative_norm,
 )
 from .exact_arith import factorize, is_prime, multiplicative_order
@@ -146,30 +152,42 @@ def parse_omega(text: str) -> EulerSystem:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _cached_one_minus_inverse(m: int, k: int) -> CycloElt:
-    return one_minus_root_inverse(get_field(m), k)
+def _factors(E: EulerSystem, eta: RootOfUnity, field: CycloField):
+    """The elementary factors whose product is the value at eta in field.
 
-
-def _lambda_eval(pairs, field: CycloField, e: int) -> CycloElt:
-    """Product of (zeta^(-ea) - zeta^(ea))^n in the given field, e != 0.
-
-    Each factor is zeta^(-ea) * (1 - zeta^(2ea)); inverses of 1 - zeta^k come
-    from a closed form, so no polynomial gcd is ever needed here.
+    At eta = 1 that is the rational limit.  Otherwise each factor
+    (zeta^(-ea) - zeta^(ea))^n is zeta^(-ean) (1 - zeta^k)^n with k = 2ea:
+    n copies of 1 - zeta^k, or -n copies of its closed-form inverse, so no
+    polynomial gcd is ever needed; the roots of unity gather into one
+    zeta^shift.  A twist yields the factors at every translate, a
+    composition those at the power of eta.
     """
+    h = E.twist.order
+    if h > 1:
+        inner = EulerSystem(E.base, E.compose_n)
+        for b in range(1, h + 1):
+            if math.gcd(b, h) == 1:
+                yield from _factors(inner, eta.times(E.twist**b), field)
+        return
+    if E.compose_n:
+        yield from _factors(EulerSystem(E.base), eta**E.compose_n, field)
+        return
+    if eta.order == 1:
+        yield field.from_rational(math.prod(Fraction(a) ** n for a, n in E.base.pairs))
+        return
     m = field.m
+    e = eta.exp * (m // eta.order)
     shift = 0
-    result = field.one
-    for a, n in pairs:
+    for a, n in E.base.pairs:
         k = (2 * e * a) % m
         if k == 0:
             raise DomainError("zero factor: argument outside the admissible domain")
         shift -= e * a * n
         if n > 0:
-            result = result * (field.one - field.root(k)) ** n
+            yield from repeat(field.from_terms((0, k), (1, -1)), n)
         elif n < 0:
-            result = result * _cached_one_minus_inverse(m, k) ** (-n)
-    return result * field.root(shift % m)
+            yield from repeat(one_minus_root_inverse(field, k), -n)
+    yield field.root(shift % m)
 
 
 def phi_eval(E: EulerSystem, eta: RootOfUnity) -> CycloElt:
@@ -189,27 +207,9 @@ def phi_eval_in(E: EulerSystem, eta: RootOfUnity, N: int) -> CycloElt:
     subfield descents; intended for product identities that compare several
     values in one ambient field.  N must be a multiple of ord(eta) and of
     the twist order."""
-    h = E.twist.order
-    if N % math.lcm(eta.order, h) != 0:
+    if N % math.lcm(eta.order, E.twist.order) != 0:
         raise DomainError("ambient conductor too small")
-    if h > 1:
-        inner = EulerSystem(E.base, E.compose_n)
-        acc = get_field(N).one
-        for b in range(1, h + 1):
-            if math.gcd(b, h) != 1:
-                continue
-            acc = acc * phi_eval_in(inner, eta.times(E.twist**b), N)
-        return acc
-    if E.compose_n:
-        inner = EulerSystem(E.base)
-        return phi_eval_in(inner, eta**E.compose_n, N)
-    field = get_field(N)
-    if eta.order == 1:
-        value = Fraction(1)
-        for a, n in E.base.pairs:
-            value *= Fraction(a) ** n
-        return field.from_rational(value)
-    return _lambda_eval(E.base.pairs, field, eta.exp * (N // eta.order))
+    return product(_factors(E, eta, get_field(N)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +255,7 @@ def check_E2(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
     if q in E.effective_excluded:
         raise DomainError(f"auxiliary prime {q} is excluded")
     N = math.lcm(q, eta.order, E.twist.order)
-    big = get_field(N)
-    lhs = big.one
-    for c in range(q):
-        lhs = lhs * phi_eval_in(E, eta.times(RootOfUnity(q, c)), N)
+    lhs = product(phi_eval_in(E, eta.times(RootOfUnity(q, c)), N) for c in range(q))
     rhs = phi_eval_in(E, eta**q, N)
     return AxiomReport(
         "E2",
@@ -383,7 +380,9 @@ def check_unit(E: EulerSystem, eta: RootOfUnity) -> AxiomReport:
 
 def cyclotomic_unit_generators(p: int, n: int) -> list[CycloElt]:
     """Standard real cyclotomic units zeta^((1-a)/2) (1-zeta^a)/(1-zeta) of
-    the p^(n+1)-th field, for 1 < a < m/2 coprime to p."""
+    the p^(n+1)-th field, for 1 < a < m/2 coprime to p.  Each is one
+    geometric sum zeta^s (1 + zeta + ... + zeta^(a-1)), s = (1-a)/2 mod m
+    (Washington, Introduction to Cyclotomic Fields, Lemma 8.1)."""
     if not is_prime(p) or p == 2:
         raise DomainError("odd prime required")
     m = p ** (n + 1)
@@ -393,12 +392,8 @@ def cyclotomic_unit_generators(p: int, n: int) -> list[CycloElt]:
     for a in range(2, (m + 1) // 2):
         if a % p == 0:
             continue
-        xi = (
-            field.root((1 - a) * inv2 % m)
-            * (field.one - field.root(a))
-            * one_minus_root_inverse(field, 1)
-        )
-        gens.append(xi)
+        s = (1 - a) * inv2 % m
+        gens.append(field.from_terms(range(s, s + a), repeat(1, a)))
     return gens
 
 
@@ -406,7 +401,6 @@ def cyclotomic_unit_generators(p: int, n: int) -> list[CycloElt]:
 class Decomposition:
     exponents: tuple[int, ...]
     unit_root: Fraction  # +1 or -1: the real fields contain no other roots of unity
-    generators: list[CycloElt]
     precision_bits: int
 
 
@@ -415,8 +409,10 @@ def decompose_over_cyclotomic_units(u: CycloElt, p: int, n: int) -> Decompositio
     cyclotomic-unit generators.
 
     Floating point (high-precision logarithmic embeddings) only proposes an
-    exponent vector; the verdict is an exact re-multiplication.  Precision
-    starts at 128 bits and doubles up to 2048 before giving up.
+    exponent vector e; the verdict is the exact identity
+    u * prod_{e_j<0} g_j^(-e_j) = +-prod_{e_j>0} g_j^(e_j), which forms no
+    inverse.  Precision starts at 128 bits and doubles up to 2048 before
+    giving up.
     """
     import mpmath
 
@@ -429,20 +425,18 @@ def decompose_over_cyclotomic_units(u: CycloElt, p: int, n: int) -> Decompositio
     gens = cyclotomic_unit_generators(p, n)
     one = u.field.one
     if u == one or u == -one:
-        return Decomposition((0,) * len(gens), u.as_rational(), gens, 0)
+        return Decomposition((0,) * len(gens), u.as_rational(), 0)
     reps = [a for a in u.field.unit_group if a <= m // 2]
-    gen_invs = [elt_inverse(g) for g in gens]
     prec = 128
     while prec <= 2048:
         exps = _propose_exponents(u, gens, reps, m, prec, mpmath)
         if exps is not None:
-            residue = u
-            for g, g_inv, e in zip(gens, gen_invs, exps):
-                residue = residue * (g_inv**e if e >= 0 else g ** (-e))
-            if residue == one:
-                return Decomposition(tuple(exps), Fraction(1), gens, prec)
-            if residue == -one:
-                return Decomposition(tuple(exps), Fraction(-1), gens, prec)
+            lhs = product([u] + [g**-e for g, e in zip(gens, exps) if e < 0])
+            rhs = product([one] + [g**e for g, e in zip(gens, exps) if e > 0])
+            if lhs == rhs:
+                return Decomposition(tuple(exps), Fraction(1), prec)
+            if lhs == -rhs:
+                return Decomposition(tuple(exps), Fraction(-1), prec)
         prec *= 2
     raise BudgetExhausted("decomposition not found")
 

@@ -88,8 +88,6 @@ def find_kolyvagin_primes(params: KolyParams, limit: int) -> list[int]:
     machinery: building split data checks the full root count and raises
     InternalInconsistency when it is short.
     """
-    if limit < 2:
-        return []
     modulus = math.lcm(params.M, params.conductor)
     return [q for q in primes_upto(limit) if q % modulus == 1]
 

@@ -45,6 +45,11 @@ class TestExitCodes:
         assert run_main(["kappa", "--M", "0"]) == 2
         assert "positive power of p" in capsys.readouterr().err
 
+    def test_repeated_q_is_refused(self, capsys):
+        # a repeated q would write the same two report entries twice
+        assert run_main(["factorize", "--q", "11,11", "--seed", "42"]) == 2
+        assert "q must not repeat a prime" in capsys.readouterr().err
+
     def test_limit_cap(self, capsys):
         assert run_main(["primes", "--limit", "2000000"]) == 2
 

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from kforge import euler
-from kforge.errors import ConfigError, DomainError
+from kforge.errors import BudgetExhausted, ConfigError, DomainError
 from kforge.cyclotomic import (
     RootOfUnity,
     absolute_norm,
@@ -13,6 +14,7 @@ from kforge.cyclotomic import (
     get_field,
     is_in_real_subfield,
     minimal_polynomial,
+    one_minus_root_inverse,
 )
 from kforge.euler import (
     EulerSystem,
@@ -29,6 +31,7 @@ from kforge.euler import (
     phi_eval,
     phi_eval_in,
 )
+from kforge.exact_arith import factorize, is_prime
 
 BASIC = "1:1,2:-1"
 ETA_GRID = [RootOfUnity(1, 0), RootOfUnity(3, 1), RootOfUnity(5, 1), RootOfUnity(7, 1)]
@@ -129,6 +132,61 @@ class TestValues:
         monkeypatch.setattr(euler, "phi_eval_in", lambda E, eta, N: genuine(E, eta, N) + get_field(N).root(1))
         with pytest.raises(DomainError, match="does not lie in the requested subfield"):
             phi_eval(E, eta)
+
+
+ORACLE_SYSTEMS = (
+    BASIC,
+    "1:2,3:-2",
+    "1:3,2:-1,4:-2",
+    BASIC + ",compose=2",
+    BASIC + ",twist=3:1",
+    BASIC + ",compose=3,twist=5:2",
+)
+ORACLE_CASES = [
+    pytest.param(omega, RootOfUnity(order, exp), N, id=f"{omega}-zeta_{order}^{exp}-N{N}")
+    for omega in ORACLE_SYSTEMS
+    for order, exp in ((1, 0), (3, 2), (5, 1), (7, 3), (9, 4), (11, 1), (15, 7), (21, 5))
+    if parse_omega(omega).admissible(RootOfUnity(order, exp))
+    for N in (math.lcm(order, parse_omega(omega).twist.order) * k for k in (1, 3))
+]
+
+
+def residue_oracle(E, eta, N, ell, r):
+    """The value at eta computed in F_ell straight from the definition, with
+    zeta_N -> r: a product of (r^(-ja) - r^(ja))^n over the pairs at each
+    exponent j of the argument (every twist translate, raised to the
+    composition power), a^n in place of a factor where r^j = 1."""
+    h = E.twist.order
+    j = eta.exp * (N // eta.order)
+    exponents = [j + b * E.twist.exp * (N // h) for b in range(1, h + 1) if math.gcd(b, h) == 1]
+    if E.compose_n:
+        exponents = [e * E.compose_n for e in exponents]
+    value = 1
+    for e in exponents:
+        for a, n in E.base.pairs:
+            x = a if e * a % N == 0 else pow(r, -e * a % N, ell) - pow(r, e * a % N, ell)
+            value = value * pow(x, n, ell) % ell
+    return value
+
+
+@pytest.mark.parametrize("omega,eta,N", ORACLE_CASES)
+def test_values_against_direct_evaluation_mod_a_split_prime(omega, eta, N):
+    """phi_eval_in agrees with the definition at every embedding zeta_N -> r
+    into F_ell, for a prime ell = 1 mod N and r of order N mod ell; so it
+    agrees with it modulo every prime above ell."""
+    E = parse_omega(omega)
+    value = phi_eval_in(E, eta, N)
+    ell = next(ell for ell in range(N * (10**4 // N) + 1, 10**7, N) if is_prime(ell))
+    assert value.den % ell != 0
+    r = next(
+        r
+        for r in (pow(x, (ell - 1) // N, ell) for x in range(2, ell))
+        if all(pow(r, N // t, ell) != 1 for t in factorize(N))
+    )
+    for u in get_field(N).unit_group:
+        r_u = pow(r, u, ell)
+        at_r_u = sum(c * pow(r_u, i, ell) for i, c in enumerate(value.num)) * pow(value.den, -1, ell)
+        assert at_r_u % ell == residue_oracle(E, eta, N, ell, r_u), u
 
 
 class TestAxioms:
@@ -304,6 +362,37 @@ class TestDecompose:
         u = gens[0] ** 3 * gens[1] ** -2
         d = decompose_over_cyclotomic_units(-u, 7, 0)
         assert d.exponents == (3, -2) and d.unit_root == -1
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_a_perturbed_proposal_is_refused(self, monkeypatch, index, delta):
+        # an exponent vector one off in one entry never proves the identity
+        genuine = euler._propose_exponents
+
+        def off_by_one(*args):
+            exps = genuine(*args)
+            if exps is not None:
+                exps[index] += delta
+            return exps
+
+        monkeypatch.setattr(euler, "_propose_exponents", off_by_one)
+        u = phi_eval(parse_omega("1:1,3:-1"), RootOfUnity(7, 1))
+        with pytest.raises(BudgetExhausted, match="decomposition not found"):
+            decompose_over_cyclotomic_units(u, 7, 0)
+
+    @pytest.mark.parametrize("p,n", [(5, 0), (7, 0), (3, 1), (5, 1), (7, 1), (13, 0)])
+    def test_generators_are_the_standard_units(self, p, n):
+        # zeta^((1-a)/2) (1 - zeta^a) / (1 - zeta), factor by factor
+        m = p ** (n + 1)
+        field = get_field(m)
+        expected = [
+            field.root((1 - a) * pow(2, -1, m) % m)
+            * (field.one - field.root(a))
+            * one_minus_root_inverse(field, 1)
+            for a in range(2, (m + 1) // 2)
+            if a % p
+        ]
+        assert cyclotomic_unit_generators(p, n) == expected
 
     def test_non_unit_rejected(self):
         with pytest.raises(DomainError, match="not a unit"):
