@@ -124,6 +124,17 @@ def _axiom_entry(report: Report, ax: AxiomReport, anchor: str, elapsed: float):
     report.add(ax.name, anchor, ax.passed, witness, elapsed)
 
 
+def _kolyvagin_product(params: KolyParams, primes: tuple[int, ...], option: str) -> int:
+    """The product of the entries of --option, which must be distinct
+    Kolyvagin primes; ConfigError otherwise."""
+    for q in primes:
+        if not is_kolyvagin_prime(params, q):
+            raise ConfigError(f"{q} is not a Kolyvagin prime")
+    if len(set(primes)) != len(primes):
+        raise ConfigError(f"{option} must not repeat a prime")
+    return math.prod(primes)
+
+
 def _timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
     out = fn(*args, **kwargs)
@@ -166,11 +177,7 @@ def cmd_kappa(cfg: RunConfig) -> Report:
     E = cfg.system()
     params = cfg.params()
     params.validate_system(E)
-    s = 1
-    for q in cfg.s:
-        if not is_kolyvagin_prime(params, q):
-            raise ConfigError(f"{q} is not a Kolyvagin prime")
-        s *= q
+    s = _kolyvagin_product(params, cfg.s, "s")
     report = Report("kappa", cfg.as_block())
     if s > 1:
         # a cocycle exists only once its certificate and norm condition hold
@@ -207,17 +214,11 @@ def cmd_factorize(cfg: RunConfig) -> Report:
     E = cfg.system()
     params = cfg.params()
     params.validate_system(E)
-    s = 1
-    for v in cfg.s:
-        s *= v
+    s = _kolyvagin_product(params, cfg.s, "s")
     qs = cfg.q or (11,)
-    if len(set(qs)) != len(qs):
-        raise ConfigError("q must not repeat a prime")
-    for q in qs:
-        if not is_kolyvagin_prime(params, q):
-            raise ConfigError(f"{q} is not a Kolyvagin prime")
-        if s % q == 0:
-            raise ConfigError("q must not divide s")
+    _kolyvagin_product(params, qs, "q")
+    if any(s % q == 0 for q in qs):
+        raise ConfigError("q must not divide s")
     report = Report("factorize", cfg.as_block())
     report.config["q"] = [str(q) for q in qs]
     for q in qs:

@@ -49,6 +49,10 @@ power series 1/Phi_m is one pass over the list per binomial; Phi_m itself is
 built by the same passes.  Apart from products, every such vector is a sum of
 terms c * zeta^e and is built by `CycloField.from_terms`.
 
+There is one norm, `relative_norm`, and no field inverse: a quotient is proved
+as a product identity or solved for by `divide_into_subfield`, and a negative
+power raises DomainError.
+
 Field tables (the cyclotomic polynomial, its binomial factors and the
 unit-group enumeration) are cached in memory per conductor.
 """
@@ -399,7 +403,7 @@ class CycloElt:
 
     def __pow__(self, e: int) -> "CycloElt":
         if e < 0:
-            return elt_inverse(self) ** (-e)
+            raise DomainError("negative exponent: there is no field inverse")
         result = self.field.one
         base = self
         while e:
@@ -408,9 +412,6 @@ class CycloElt:
             base = base * base if e > 1 else base
             e >>= 1
         return result
-
-    def __truediv__(self, other: "CycloElt") -> "CycloElt":
-        return self * elt_inverse(other)
 
     def scale(self, c) -> "CycloElt":
         c = Fraction(c)
@@ -641,32 +642,6 @@ def relative_norm(x: CycloElt, m_small: int) -> CycloElt:
     return product(
         galois_apply(GaloisElt(field, a), x) for a in field.unit_group if a % m_small == 1 % m_small
     )
-
-
-def _norm_and_cofactor(x: CycloElt) -> tuple[Fraction, CycloElt]:
-    """N(x) down to Q and the product of the conjugates of x other than x."""
-    others = (galois_apply(GaloisElt(x.field, a), x) for a in x.field.unit_group if a != 1)
-    cofactor = product(others) if x.field.phi > 1 else x.field.one
-    norm = x * cofactor
-    if not norm.is_rational():
-        raise InternalInconsistency("norm failed to land in Q")
-    return norm.as_rational(), cofactor
-
-
-def absolute_norm(x: CycloElt) -> Fraction:
-    """Norm down to Q: the product over the full unit-group action."""
-    if x.is_zero():
-        return Fraction(0)
-    return _norm_and_cofactor(x)[0]
-
-
-def elt_inverse(x: CycloElt) -> CycloElt:
-    """Exact inverse of a nonzero x: the product of its other conjugates
-    divided by the norm N(x), a nonzero rational since Phi_m is irreducible."""
-    if x.is_zero():
-        raise DomainError("division by zero")
-    norm, cofactor = _norm_and_cofactor(x)
-    return cofactor.scale(1 / norm)
 
 
 def minimal_polynomial(x: CycloElt):

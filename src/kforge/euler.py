@@ -33,7 +33,6 @@ from .cyclotomic import (
     CycloField,
     GaloisElt,
     RootOfUnity,
-    absolute_norm,
     divide_into_subfield,
     elt_to_strings,
     embed_up,
@@ -304,8 +303,8 @@ def check_E3(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
 
 
 def check_norm_frobenius(E: EulerSystem, m: int, q: int) -> AxiomReport:
-    """Norm of the q-translated value down one auxiliary level equals the
-    value twisted by Frobenius-at-q minus identity."""
+    """Norm of the q-translated value x down one auxiliary level equals the
+    value y twisted by Frobenius-at-q minus identity, N(x) y = Frob_q(y)."""
     if m <= 1:
         raise DomainError("argument must be a nontrivial root of unity")
     if not is_prime(q) or q in E.effective_excluded:
@@ -316,19 +315,17 @@ def check_norm_frobenius(E: EulerSystem, m: int, q: int) -> AxiomReport:
         raise DomainError("level shares a factor with the excluded primes")
     N = m * q
     x = phi_eval(E, RootOfUnity(N, (N // q + N // m) % N))
-    lhs = relative_norm(x, m)
+    norm = relative_norm(x, m)
     y = phi_eval(E, RootOfUnity(m, 1))
-    frob = GaloisElt(y.field, q % m)
-    rhs = galois_apply(frob, y) / y
-    collapse = rhs == y.field.one
+    image = galois_apply(GaloisElt(y.field, q % m), y)
     return AxiomReport(
         "norm_frobenius",
         {"omega": E.describe(), "m": m, "q": q, "frobenius": q % m},
-        lhs == embed_up(rhs, N),
+        norm * embed_up(y, N) == embed_up(image, N),
         {
-            "lhs": elt_to_strings(lhs),
-            "rhs": elt_to_strings(rhs),
-            "frobenius_trivial": collapse,
+            "norm": elt_to_strings(norm),
+            "frobenius_image": elt_to_strings(image),
+            "frobenius_trivial": image == y,
         },
     )
 
@@ -354,13 +351,15 @@ def check_tower_norm(E: EulerSystem, p: int, n: int) -> AxiomReport:
 
 
 def check_unit(E: EulerSystem, eta: RootOfUnity) -> AxiomReport:
-    """Integrality of the minimal polynomial plus norm +-1."""
+    """Integrality of the minimal polynomial plus norm +-1, read off it: for
+    degree d and constant term c_0, N(u) = ((-1)^d c_0)^(phi/d)."""
     if eta.order == 1:
         raise DomainError("the value at 1 need not be a unit")
     u = phi_eval(E, eta)
     mp = minimal_polynomial(u)
     integral = all(c.denominator == 1 for c in mp)
-    nrm = absolute_norm(u)
+    d = len(mp) - 1
+    nrm = ((-1) ** d * mp[0]) ** (u.field.phi // d)
     return AxiomReport(
         "unit",
         {"omega": E.describe(), "eta": _root_label(eta)},
@@ -419,11 +418,11 @@ def decompose_over_cyclotomic_units(u: CycloElt, p: int, n: int) -> Decompositio
     m = p ** (n + 1)
     if u.field.m != m:
         raise DomainError("element does not live in the requested field")
+    one = u.field.one
     # the power basis is an integral basis of Z[zeta_m], so u is integral iff den == 1
-    if u.den != 1 or absolute_norm(u) not in (1, -1):
+    if u.den != 1 or relative_norm(u, 1) not in (one, -one):
         raise DomainError("input is not a unit")
     gens = cyclotomic_unit_generators(p, n)
-    one = u.field.one
     if u == one or u == -one:
         return Decomposition((0,) * len(gens), u.as_rational(), 0)
     reps = [a for a in u.field.unit_group if a <= m // 2]

@@ -1,4 +1,4 @@
-"""Group-ring operators and certificates that only the tests use.
+"""Group-ring operators, certificates and a field inverse that only the tests use.
 
 The formal operators check the telescoping identity (sigma_q - 1) D_q =
 (q - 1) - N_q in the group ring, and apply_group_ring evaluates an operator
@@ -6,6 +6,7 @@ on a field element term by term, as an independent reference for the
 suffix-product derivative.  apply_norm is the plain cyclic norm,
 ratio_mth_power_witness exhibits the representative ambiguity of a class, and
 apply_galois_to_annihilator moves an annihilator by a Galois element.
+inverse is the reference field inverse: kforge itself forms none.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from kforge.cyclotomic import (
     CycloElt,
     GaloisElt,
     divide_into_subfield,
-    elt_inverse,
     galois_apply,
     get_field,
+    product,
 )
 from kforge.errors import DomainError, InternalInconsistency
 from kforge.exact_arith import is_prime
@@ -122,6 +123,20 @@ def operator_identity_holds(q: int) -> bool:
     return lhs == rhs
 
 
+def inverse(x: CycloElt) -> CycloElt:
+    """Exact inverse of a nonzero x: the product of its other conjugates
+    divided by the norm N(x), a nonzero rational since Phi_m is irreducible."""
+    if x.is_zero():
+        raise DomainError("division by zero")
+    field = x.field
+    others = [galois_apply(GaloisElt(field, a), x) for a in field.unit_group if a != 1]
+    cofactor = product(others) if others else field.one
+    norm = x * cofactor
+    if not norm.is_rational():
+        raise InternalInconsistency("norm failed to land in Q")
+    return cofactor.scale(1 / norm.as_rational())
+
+
 def apply_group_ring(op: GroupRingOp, x: CycloElt) -> CycloElt:
     """Evaluate a formal operator on a field element, multiplicatively."""
     field = x.field
@@ -136,7 +151,7 @@ def apply_group_ring(op: GroupRingOp, x: CycloElt) -> CycloElt:
             result = result * moved**coeff
         else:
             if x_inv is None:
-                x_inv = elt_inverse(x)
+                x_inv = inverse(x)
             moved_inv = galois_apply(GaloisElt(field, sigma_a), x_inv)
             result = result * moved_inv ** (-coeff)
     return result

@@ -45,6 +45,19 @@ class TestExitCodes:
         assert run_main(["kappa", "--M", "0"]) == 2
         assert "positive power of p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["factorize", "--s", "1,1", "--q", "11"], "1 is not a Kolyvagin prime"),
+            (["factorize", "--s", "11,11", "--q", "31"], "s must not repeat a prime"),
+            (["kappa", "--s", "11,11"], "s must not repeat a prime"),
+        ],
+    )
+    def test_s_entries_are_distinct_kolyvagin_primes(self, capsys, args, message):
+        # factorize once ran --s 1,1 to a passing report
+        assert run_main(args) == 2
+        assert message in capsys.readouterr().err
+
     def test_repeated_q_is_refused(self, capsys):
         # a repeated q would write the same two report entries twice
         assert run_main(["factorize", "--q", "11,11", "--seed", "42"]) == 2
@@ -79,9 +92,15 @@ class TestExitCodes:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_failed_check_exits_one_and_still_writes_the_report(self, capsys, monkeypatch, tmp_path):
-        # a norm doubled at the order-7 root breaks that one unit check
-        norm = euler.absolute_norm
-        monkeypatch.setattr(euler, "absolute_norm", lambda u: 2 * norm(u) if u.field.m == 7 else norm(u))
+        # the minimal polynomial's constant term doubled at the order-7 root
+        # multiplies the norm read off it by 2^(phi/d): that one unit check fails
+        min_poly = euler.minimal_polynomial
+
+        def perturbed(u):
+            mp = min_poly(u)
+            return (2 * mp[0],) + mp[1:] if u.field.m == 7 else mp
+
+        monkeypatch.setattr(euler, "minimal_polynomial", perturbed)
         out = tmp_path / "axioms.json"
         assert run_main(["axioms", "--out", str(out)]) == 1
         report = json.loads(out.read_text())

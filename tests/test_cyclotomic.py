@@ -16,11 +16,9 @@ from kforge.cyclotomic import (
     CycloElt,
     GaloisElt,
     RootOfUnity,
-    absolute_norm,
     conjugate,
     cyclotomic_polynomial,
     divide_into_subfield,
-    elt_inverse,
     embed_up,
     galois_apply,
     get_field,
@@ -35,6 +33,8 @@ from kforge.cyclotomic import (
     _solve_against_columns,
 )
 from kforge.exact_arith import euler_phi, factorize, is_prime, poly_trim
+
+from group_ring import inverse
 
 
 def ip_trim(coeffs):
@@ -151,11 +151,34 @@ small_coeffs = st.lists(
 class TestEltArithmetic:
     def test_inverse_examples(self):
         f5 = get_field(5)
-        assert elt_inverse(f5.root(1)) == f5.root(4)
+        assert inverse(f5.root(1)) == f5.root(4)
         f3 = get_field(3)
-        assert elt_inverse(f3.one + f3.root(1)) == -f3.root(1)
+        assert inverse(f3.one + f3.root(1)) == -f3.root(1)
         with pytest.raises(DomainError, match="division by zero"):
-            elt_inverse(f5.zero)
+            inverse(f5.zero)
+
+    def test_negative_power_is_refused(self):
+        # the square-and-multiply loop never ends on a negative exponent, so
+        # the refusal is checked in a child process that a timeout bounds
+        script = """
+from kforge.cyclotomic import get_field
+from kforge.errors import DomainError
+x = get_field(5).root(1)
+try:
+    x ** -1
+except DomainError as exc:
+    print(exc)
+"""
+        src = str(pathlib.Path(cyclotomic.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "negative exponent: there is no field inverse\n"
 
     @settings(max_examples=40, deadline=None)
     @given(small_coeffs)
@@ -164,7 +187,7 @@ class TestEltArithmetic:
         x = rand_elt(f, coeffs)
         if x.is_zero():
             return
-        assert x * elt_inverse(x) == f.one
+        assert x * inverse(x) == f.one
 
     @settings(max_examples=40, deadline=None)
     @given(small_coeffs, small_coeffs)
@@ -341,27 +364,31 @@ class TestNorms:
         with pytest.raises(DomainError, match="not a subconductor"):
             relative_norm(f15.root(1), m_small)
 
-    def test_absolute_norm_examples(self):
+    def test_norm_to_q_examples(self):
         f5 = get_field(5)
-        assert absolute_norm(f5.root(1)) == 1
-        assert absolute_norm(f5.from_rational(2)) == 16
+        assert relative_norm(f5.root(1), 1) == f5.one
+        assert relative_norm(f5.from_rational(2), 1) == f5.from_rational(16)
         golden = -(f5.root(2) + f5.root(3))
-        assert absolute_norm(golden) == 1
-        assert absolute_norm(f5.zero) == 0
+        assert relative_norm(golden, 1) == f5.one
+        assert relative_norm(f5.zero, 1) == f5.zero
 
     @settings(max_examples=25, deadline=None)
     @given(small_coeffs, small_coeffs)
     def test_norm_multiplicative(self, ca, cb):
         f = get_field(5)
         x, y = rand_elt(f, ca), rand_elt(f, cb)
-        assert absolute_norm(x * y) == absolute_norm(x) * absolute_norm(y)
+        assert relative_norm(x * y, 1) == relative_norm(x, 1) * relative_norm(y, 1)
 
     @settings(max_examples=20, deadline=None)
     @given(small_coeffs)
-    def test_relative_equals_absolute_over_full_group(self, ca):
+    def test_norm_to_q_is_read_off_the_minimal_polynomial(self, ca):
+        # the minimal polynomial of degree d to the power phi/d is the
+        # characteristic polynomial, so N(x) = ((-1)^d c_0)^(phi/d)
         f = get_field(5)
         x = rand_elt(f, ca)
-        assert relative_norm(x, 1) == f.from_rational(absolute_norm(x))
+        mp = minimal_polynomial(x)
+        d = len(mp) - 1
+        assert relative_norm(x, 1) == f.from_rational(((-1) ** d * mp[0]) ** (f.phi // d))
 
     @settings(max_examples=20, deadline=None)
     @given(small_coeffs, st.sampled_from([5, 15]))
@@ -377,7 +404,7 @@ class TestNorms:
         x = rand_elt(f, ca)
         middle = divide_into_subfield(relative_norm(x, 15), f.one, 15)
         assert embed_up(relative_norm(middle, 1), 105) == relative_norm(x, 1)
-        assert relative_norm(x, 1) == f.from_rational(absolute_norm(x))
+        assert relative_norm(x, 1).is_rational()
 
     def test_product_missing_a_conjugate_is_refused(self):
         f = get_field(105)
@@ -406,8 +433,8 @@ class TestNorms:
                 chain = chain * galois_apply(GaloisElt(field, a), x)
         assert relative_norm(x, m_small) == chain
         if m_small == 1:
-            assert absolute_norm(x) == chain.as_rational()
-            assert elt_inverse(x) * x == field.one
+            assert chain.is_rational()
+            assert inverse(x) * x == field.one
 
 
 class TestProduct:
@@ -973,4 +1000,21 @@ def test_inverse_against_sympy(m):
         inv = sympy.Poly(sympy.invert(a, modulus), x, domain="QQ")
         expected = [Fraction(int(c.p), int(c.q)) for c in reversed(inv.all_coeffs())]
         expected += [Fraction(0)] * (field.phi - len(expected))
-        assert coeffs(elt_inverse(field.from_coeffs(values))) == tuple(expected)
+        assert coeffs(inverse(field.from_coeffs(values))) == tuple(expected)
+
+
+@pytest.mark.parametrize("m", [3, 5, 9, 12, 15, 21, 35])
+def test_norm_against_sympy(m):
+    # N(a(zeta)) is the product of a over the roots of the monic Phi_m, which
+    # is the resultant Res(Phi_m, a)
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    modulus = sympy.cyclotomic_poly(m, x)
+    field = get_field(m)
+    rng = random.Random(m)
+    for _ in range(3):
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(field.phi)]
+        a = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(values))
+        expected = sympy.Rational(sympy.resultant(modulus, a, x))
+        norm = relative_norm(field.from_coeffs(values), 1)
+        assert norm == field.from_rational(Fraction(int(expected.p), int(expected.q)))

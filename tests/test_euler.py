@@ -1,13 +1,14 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 from kforge import euler
+from kforge.cli import main
 from kforge.errors import BudgetExhausted, ConfigError, DomainError
 from kforge.cyclotomic import (
     RootOfUnity,
-    absolute_norm,
     embed_up,
     galois_apply,
     GaloisElt,
@@ -15,6 +16,7 @@ from kforge.cyclotomic import (
     is_in_real_subfield,
     minimal_polynomial,
     one_minus_root_inverse,
+    relative_norm,
 )
 from kforge.euler import (
     EulerSystem,
@@ -32,6 +34,8 @@ from kforge.euler import (
     phi_eval_in,
 )
 from kforge.exact_arith import factorize, is_prime
+
+from group_ring import inverse
 
 BASIC = "1:1,2:-1"
 ETA_GRID = [RootOfUnity(1, 0), RootOfUnity(3, 1), RootOfUnity(5, 1), RootOfUnity(7, 1)]
@@ -291,6 +295,10 @@ class TestNormRelations:
             check_tower_norm(parse_omega("1:2,3:-2"), 3, 0)
 
 
+# the systems the desk benchmark passes to the axioms command
+DESK_SYSTEMS = (BASIC, BASIC + ",twist=3:1", "1:2,3:-2", "2:1,3:-1", BASIC + ",compose=2")
+
+
 class TestUnitCheck:
     def test_golden_instance(self):
         E = parse_omega(BASIC)
@@ -307,6 +315,24 @@ class TestUnitCheck:
     def test_eta_one_rejected(self):
         with pytest.raises(DomainError, match="need not be a unit"):
             check_unit(parse_omega(BASIC), RootOfUnity(1, 0))
+
+    @pytest.mark.parametrize("omega", DESK_SYSTEMS)
+    def test_min_poly_norm_matches_the_norm_for_every_axioms_unit(self, capsys, monkeypatch, omega):
+        # the unit check reads N(u) off the minimal polynomial; relative_norm
+        # forms it as the product of all the conjugates of u
+        values = []
+        min_poly = euler.minimal_polynomial
+
+        def recorded(u):
+            values.append(u)
+            return min_poly(u)
+
+        monkeypatch.setattr(euler, "minimal_polynomial", recorded)
+        assert main(["axioms", "--omega", omega]) == 0
+        units = [c for c in json.loads(capsys.readouterr().out)["checks"] if c["name"] == "unit"]
+        assert len(units) == len(values) >= 2
+        for check, u in zip(units, values):
+            assert u.field.from_rational(Fraction(check["witness"]["norm"])) == relative_norm(u, 1)
 
     def test_quadratic_subfield_norm(self):
         # over the real quadratic subfield the golden unit has norm -1
@@ -329,7 +355,7 @@ class TestDecompose:
         for p, n in ((5, 0), (7, 0), (3, 1)):
             for g in cyclotomic_unit_generators(p, n):
                 assert is_in_real_subfield(g)
-                assert absolute_norm(g) in (1, -1)
+                assert relative_norm(g, 1) in (g.field.one, -g.field.one)
                 assert all(c.denominator == 1 for c in minimal_polynomial(g))
 
     def test_trivial_cases(self):
@@ -354,12 +380,12 @@ class TestDecompose:
             gens = cyclotomic_unit_generators(p, 0)
             acc = u.field.one
             for g, e in zip(gens, d.exponents):
-                acc = acc * g**e
+                acc = acc * (g**e if e >= 0 else inverse(g) ** -e)
             assert acc.scale(d.unit_root) == u
 
     def test_composite_unit(self):
         gens = cyclotomic_unit_generators(7, 0)
-        u = gens[0] ** 3 * gens[1] ** -2
+        u = gens[0] ** 3 * inverse(gens[1]) ** 2
         d = decompose_over_cyclotomic_units(-u, 7, 0)
         assert d.exponents == (3, -2) and d.unit_root == -1
 
@@ -403,16 +429,15 @@ class TestDecompose:
         # denominator 11 shows that it is not a unit
         f5 = get_field(5)
         two = f5.from_rational(2)
-        x = (two + f5.root(1)) / (two + f5.root(2))
-        assert absolute_norm(x) == 1 and x.den == 11
+        x = (two + f5.root(1)) * inverse(two + f5.root(2))
+        assert relative_norm(x, 1) == f5.one and x.den == 11
         with pytest.raises(DomainError, match="not a unit"):
             decompose_over_cyclotomic_units(x, 5, 0)
 
 
-E3_SYSTEMS = (BASIC, BASIC + ",twist=3:1", "1:2,3:-2", "2:1,3:-1", BASIC + ",compose=2")
 E3_CASES = [
     (omega, order, q)
-    for omega in E3_SYSTEMS
+    for omega in DESK_SYSTEMS
     for order in (1, 3, 5, 7)
     for q in (3, 7, 11)
     if order % q
