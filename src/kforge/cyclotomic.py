@@ -404,13 +404,16 @@ class CycloElt:
     def __pow__(self, e: int) -> "CycloElt":
         if e < 0:
             raise DomainError("negative exponent: there is no field inverse")
-        result = self.field.one
+        if e == 0:
+            return self.field.one
         base = self
-        while e:
+        while not e & 1:
+            base, e = base * base, e >> 1
+        result = base  # the lowest set bit: no product with one
+        while e := e >> 1:
+            base = base * base
             if e & 1:
                 result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
         return result
 
     def scale(self, c) -> "CycloElt":

@@ -18,6 +18,9 @@ cocycle exists only once its certificate holds: the M-th power identity,
 re-verified by exact multiplication, and cyclic-norm triviality; either
 failure raises InternalInconsistency.
 
+The cocycle norms, the resolvent sums and the Frobenius corrections are
+formed by doubling over <sigma_q> (_partial_norm) in O(log q) products.
+
 Cocycles and classes are pure functions of their arguments, kept in _MEMO
 until clear_memo(), which the command line calls at the start of every
 command.
@@ -130,6 +133,41 @@ def apply_derivative(x: CycloElt, q: int) -> CycloElt:
     return product(_conjugate_suffixes(x, lifted_sigma(x.field, q), q))
 
 
+def _moved(sigma: GaloisElt, k: int, x: CycloElt) -> CycloElt:
+    """sigma^k(x), one Galois action."""
+    return galois_apply(GaloisElt(sigma.field, pow(sigma.a, k, sigma.field.m)), x)
+
+
+def _partial_norm(c: CycloElt, sigma: GaloisElt, n: int, y: CycloElt | None = None) -> CycloElt:
+    """P_n = prod_{i<n} sigma^i(c) for n >= 1, or, given y, the twisted sum
+    B_n = sum_{t<n} sigma^t(y) prod_{t<=i<n} sigma^i(c).
+
+    Reading n's bits from the top, it doubles k with
+    P_2k = P_k sigma^k(P_k) and B_2k = B_k sigma^k(P_k) + sigma^k(B_k),
+    and steps k to k + 1 on a 1 bit with P_(k+1) = P_k sigma^k(c) and
+    B_(k+1) = (B_k + sigma^k(y)) sigma^k(c): O(log n) products, mostly of
+    equal-size factors, where a chain of conjugates makes n - 1 lopsided
+    ones.  When B_n is wanted, P is formed only while a doubling remains.
+    """
+    p, b, k = c, (None if y is None else y * c), 1
+    steps = "".join("d" + "a" * int(bit) for bit in bin(n)[3:])
+    last_doubling = steps.rfind("d")
+    for i, step in enumerate(steps):
+        if step == "d":
+            factor = _moved(sigma, k, p)
+            if b is not None:
+                b = b * factor + _moved(sigma, k, b)
+            k *= 2
+        else:
+            factor = _moved(sigma, k, c)
+            if b is not None:
+                b = (b + _moved(sigma, k, y)) * factor
+            k += 1
+        if b is None or i < last_doubling:
+            p = p * factor
+    return p if b is None else b
+
+
 # ---------------------------------------------------------------------------
 # cocycles and their closed forms
 # ---------------------------------------------------------------------------
@@ -159,9 +197,9 @@ class Cocycle:
     returns one only after _certify has verified both exactly.
 
     With norm 1, each inverse the construction needs is the product of the
-    other conjugates, c^(-1) = prod_{0<i<order} sigma^i(c).  chains[q] holds
-    those inverses for sigma = sigma_q: chains[q][e] = a_{sigma^e} =
-    prod_{e<=i<q-1} sigma^i(c_q), with the norm 1 at e = 0."""
+    other conjugates, c^(-1) = prod_{0<i<order} sigma^i(c), so the inverse
+    of the first e conjugates of c_q is sigma_q^e(P_(q-1-e)(c_q)), formed by
+    _partial_norm when it is read; nothing beyond the values is kept."""
 
     params: KolyParams
     s: int
@@ -169,28 +207,17 @@ class Cocycle:
     values: dict[int, CycloElt]
     dsphi: CycloElt
     frobenius_exponents: dict[int, int]
-    chains: dict[int, list[CycloElt]]
 
 
-def _certify(
-    field: CycloField, M: int, values: dict[int, CycloElt], dsphi: CycloElt
-) -> dict[int, list[CycloElt]]:
-    """Verify c^M * D_s phi = sigma(D_s phi) and cyclic-norm triviality for
-    every generator and return the chains; either failure raises.
-
-    The norm is c times the first suffix product of its conjugates, so one
-    sweep over the conjugates checks it and builds the chain."""
-    chains = {}
+def _certify(field: CycloField, M: int, values: dict[int, CycloElt], dsphi: CycloElt) -> None:
+    """Verify c^M * D_s phi = sigma(D_s phi) and the cyclic norm
+    P_(q-1)(c) = 1 for every generator; either failure raises."""
     for q, c in values.items():
         sigma = lifted_sigma(field, q)
         if c**M * dsphi != galois_apply(sigma, dsphi):
             raise InternalInconsistency("cocycle certificate failed")
-        suffixes = _conjugate_suffixes(c, sigma, q)
-        chain = [c * suffixes[0]] + suffixes
-        if chain[0] != field.one:
+        if _partial_norm(c, sigma, q - 1) != field.one:
             raise InternalInconsistency("cocycle norm condition failed")
-        chains[q] = chain
-    return chains
 
 
 def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
@@ -203,9 +230,10 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
     group as sigma_r^e with t_r^e = q mod r, contributing the inverse of the
     first e conjugates of the level-r closed form c_r.  That value has norm 1
     over sigma_r, so the inverse is the product of the remaining conjugates
-    sigma_r^i(c_r), e <= i < r - 1: the level-r cocycle's chain[e], formed in
-    Q(zeta_{m*r}) and embedded once, since sigma_r acts on the subfield as it
-    does on Q(zeta_{m*s}).  Each level is built once and then read from _MEMO.
+    sigma_r^i(c_r), e <= i < r - 1, which is sigma_r^e(P_(r-1-e)(c_r)),
+    formed in Q(zeta_{m*r}) and embedded once, since sigma_r acts on the
+    subfield as it does on Q(zeta_{m*s}).  Each level is built once and then
+    read from _MEMO.
     """
     key = ("cocycle", E, params, s)
     if key in _MEMO:
@@ -235,25 +263,18 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
         values[q] = derived[r] ** ((q - 1) // M)
         if r > 1:
             sub = cocycle_closed_form(E, params, r)
-            frob_exps[q] = int_dlog(least_primitive_root(r), q, r)
-            values[q] = values[q] * embed_up(sub.chains[r][frob_exps[q]], N)
-    chains = _certify(field, M, values, derived[s])
-    _MEMO[key] = Cocycle(params, s, field, values, derived[s], frob_exps, chains)
+            e = frob_exps[q] = int_dlog(least_primitive_root(r), q, r)
+            sigma_r = lifted_sigma(sub.field, r)
+            inverse = _moved(sigma_r, e, _partial_norm(sub.values[r], sigma_r, r - 1 - e))
+            values[q] = values[q] * embed_up(inverse, N)
+    _certify(field, M, values, derived[s])
+    _MEMO[key] = Cocycle(params, s, field, values, derived[s], frob_exps)
     return _MEMO[key]
 
 
 # ---------------------------------------------------------------------------
 # constructive Hilbert 90 and the class itself
 # ---------------------------------------------------------------------------
-
-
-def _resolvent_factor(y: CycloElt, chain: list[CycloElt], sigma: GaloisElt) -> CycloElt:
-    """R(y) = sum_e a_{sigma^e} sigma^e(y); the e = 0 term is y itself."""
-    total = moved = y
-    for a in chain[1:]:
-        moved = galois_apply(sigma, moved)
-        total = total + a * moved
-    return total
 
 
 def _sample_theta(field: CycloField, rng: random.Random) -> CycloElt:
@@ -278,18 +299,17 @@ def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:
 
         beta = R_1(R_2(... R_k(theta))),  R_q(y) = sum_e a_{sigma_q^e} sigma_q^e(y),
 
-    sum (q - 1) products in place of prod (q - 1).  It is the same element
-    as the sum over G(s), not merely another solution.  No inverse is
-    formed: c_q has norm 1, so each a_{sigma_q^e} is a product of conjugates
-    of c_q, read from coc.chains[q] as _certify built it.  A chain whose norm
-    entry chain[0] is not 1 is refused, and the generator pairs,
+    sum (q - 1) terms in place of prod (q - 1).  It is the same element as
+    the sum over G(s), not merely another solution.  No inverse is formed:
+    c_q has norm 1, so a_{sigma_q^e} = prod_{e<=i<q-1} sigma_q^i(c_q), the
+    e = 0 term is y and R_q(y) = y + sigma_q(B_(q-2)(c_q, y)), summed by
+    doubling in O(log q) products (_partial_norm).  The generator pairs,
     c_1 sigma_1(c_2) = c_2 sigma_2(c_1), are checked before any sum is
-    formed.  theta is drawn deterministically from the seed and resampled
-    while beta vanishes.
+    formed, and beta is checked against sigma(beta) = c * beta, which fails
+    for a value whose norm is not 1.  theta is drawn deterministically from
+    the seed and resampled while beta vanishes.
     """
     field = coc.field
-    if any(chain[0] != field.one for chain in coc.chains.values()):
-        raise InternalInconsistency("cocycle norm condition failed")
     qs = sorted(coc.values)
     sigmas = {q: lifted_sigma(field, q) for q in qs}
     for i, q1 in enumerate(qs):
@@ -300,8 +320,9 @@ def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:
     rng = random.Random(seed)
     for _ in range(32):
         beta = _sample_theta(field, rng)
-        for q in reversed(qs):
-            beta = _resolvent_factor(beta, coc.chains[q], sigmas[q])
+        for q in reversed(qs):  # beta = R_q(beta)
+            tail = _partial_norm(coc.values[q], sigmas[q], q - 2, beta)
+            beta = beta + galois_apply(sigmas[q], tail)
         if beta.is_zero():
             continue
         for q, c in coc.values.items():

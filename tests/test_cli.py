@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from kforge import __version__, euler, kolyvagin, primes
 from kforge.cli import build_parser, main
+from kforge.cyclotomic import CycloElt
 
 
 def run_main(args):
@@ -173,32 +175,52 @@ class TestReports:
         err = capsys.readouterr().err
         assert "[timing] cocycle_certificate:" in err and "[timing] kappa_class:" in err
 
-    def test_kappa_builds_each_conjugate_chain_once(self, capsys, monkeypatch):
-        # one chain per (level, q): two for the level-91 cocycle, and one for
-        # each single-prime sub-cocycle, which gives its Frobenius correction;
-        # the resolvent reads the level-91 chains and forms no norm of its own
-        built, read = [], []
-        certify, factor = kolyvagin._certify, kolyvagin._resolvent_factor
+    def test_kappa_proves_each_level_q_norm_once(self, capsys, monkeypatch):
+        # one norm proof P_(q-1)(c_q) = 1 per (level, q): two for the level-91
+        # cocycle and one for each single-prime sub-cocycle; each sub-cocycle
+        # also gives one partial norm for its Frobenius correction (e = 11 at
+        # r = 13 and e = 3 at r = 7), and the resolvent sums one B_(q-2) per
+        # generator at level 91
+        calls = []
+        partial_norm = kolyvagin._partial_norm
 
-        def counted_certify(field, M, values, dsphi):
-            chains = certify(field, M, values, dsphi)
-            built.extend((field.m // 3, q, chain) for q, chain in chains.items())
-            return chains
+        def counted(c, sigma, n, y=None):
+            calls.append((c.field.m // 3, n, y is not None))
+            return partial_norm(c, sigma, n, y)
 
-        def counted_factor(y, chain, sigma):
-            read.append(chain)
-            return factor(y, chain, sigma)
-
-        monkeypatch.setattr(kolyvagin, "_certify", counted_certify)
-        monkeypatch.setattr(kolyvagin, "_resolvent_factor", counted_factor)
+        monkeypatch.setattr(kolyvagin, "_partial_norm", counted)
         args = ["kappa", "--p", "3", "--n", "0", "--M", "3", "--s", "7,13", "--seed", "42"]
         assert run_main(args) == 0
         assert json.loads(capsys.readouterr().out)["overall"] == "pass"
-        assert sorted((s, q) for s, q, _ in built) == [(7, 7), (13, 13), (91, 7), (91, 13)]
-        top = {id(chain) for s, _, chain in built if s == 91}
-        assert {id(chain) for chain in read} == top
+        norms = [(7, 6, False), (13, 12, False), (91, 6, False), (91, 12, False)]
+        corrections = [(7, 3, False), (13, 1, False)]
+        resolvent = [(91, 5, True), (91, 11, True)]
+        assert sorted(calls) == sorted(norms + corrections + resolvent)
+        assert "chains" not in {f.name for f in dataclasses.fields(kolyvagin.Cocycle)}
         assert not hasattr(kolyvagin, "apply_norm")
         assert not hasattr(kolyvagin, "_generator_chain")
+
+    @pytest.mark.parametrize(
+        "config, products",
+        [
+            (["--p", "5", "--n", "0", "--M", "5", "--s", "61"], 155),
+            (["--p", "3", "--n", "0", "--M", "3", "--s", "7,13"], 138),
+        ],
+    )
+    def test_kappa_field_product_count(self, capsys, monkeypatch, config, products):
+        # the number of field products a kappa run makes: a cost measure that
+        # does not depend on machine load, so a change to it must be deliberate
+        calls = []
+        multiply = CycloElt.__mul__
+
+        def counted(x, y):
+            calls.append(x.field.m)
+            return multiply(x, y)
+
+        monkeypatch.setattr(CycloElt, "__mul__", counted)
+        assert run_main(["kappa", *config, "--seed", "42"]) == 0
+        assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+        assert len(calls) == products
 
     def test_factorize_builds_each_level_q_class_once(self, capsys, monkeypatch):
         # at s = 1 the class checked by the factorization law is also the

@@ -20,6 +20,8 @@ from kforge.exact_arith import ip_eval, primes_upto
 from kforge import kolyvagin
 from kforge.kolyvagin import (
     _certify,
+    _moved,
+    _partial_norm,
     _sample_theta,
     KolyParams,
     apply_derivative,
@@ -159,7 +161,7 @@ class TestCocycle:
         coc = cocycle_closed_form(BASIC, params, 11)
         x = phi_eval(BASIC, level_root(params, 11))
         assert coc.values[11] == x**2  # (q-1)/M = 2
-        assert coc.chains[11][0] == coc.field.one
+        assert apply_norm(coc.values[11], 11) == coc.field.one
 
     def test_certificate_is_mth_power_identity(self):
         params = KolyParams(5, 0, 5)
@@ -180,17 +182,22 @@ class TestCocycle:
     def test_level_nine_conductor(self):
         params = KolyParams(3, 1, 3)
         coc = cocycle_closed_form(BASIC, params, 19)
-        assert coc.chains[19][0] == coc.field.one
+        assert apply_norm(coc.values[19], 19) == coc.field.one
         assert coc.values[19] == phi_eval(BASIC, level_root(params, 19)) ** 6
 
-    def test_chains_are_suffix_products_of_conjugates(self):
+    def test_moved_partial_norms_are_suffix_products_of_conjugates(self):
+        # sigma^e(P_(q-1-e)(c)) is the inverse of the first e conjugates of c,
+        # the entry e of the suffix chain, and 1 at e = 0
         coc = cocycle_closed_form(BASIC, KolyParams(5, 0, 5), 11)
-        chain = coc.chains[11]
+        c, sigma = coc.values[11], lifted_sigma(coc.field, 11)
+        chain = suffix_chain(coc.field, 11, c)
         assert len(chain) == 10 and chain[0] == coc.field.one
-        assert chain == suffix_chain(coc.field, 11, coc.values[11])
+        assert [_moved(sigma, e, _partial_norm(c, sigma, 10 - e)) for e in range(10)] == chain
 
     @pytest.mark.parametrize("q", [7, 13])
-    def test_frobenius_correction_from_the_sub_chain(self, two_prime_cocycle, q):
+    def test_frobenius_correction_is_a_suffix_product_of_the_sub_cocycle(
+        self, two_prime_cocycle, q
+    ):
         # reference: the correction formed at level N as the product of the
         # conjugates sigma_r^i(embed(c_r)), e <= i < r - 1
         coc = two_prime_cocycle
@@ -203,7 +210,7 @@ class TestCocycle:
         sigma_r = lifted_sigma(field, r).a
         for i in range(e, r - 1):
             reference = reference * galois_apply(GaloisElt(field, pow(sigma_r, i, N)), sub_c)
-        assert embed_up(sub.chains[r][e], N) == reference
+        assert embed_up(suffix_chain(sub.field, r, sub.values[r])[e], N) == reference
         x = phi_eval(BASIC, level_root(params, coc.s))
         assert coc.values[q] == apply_derivative(x, r) ** ((q - 1) // params.M) * reference
 
@@ -217,6 +224,37 @@ def suffix_chain(field, q, c):
         suffix = galois_apply(GaloisElt(field, pow(a, e, field.m)), c) * suffix
         chain.insert(0, suffix)
     return chain
+
+
+def schoolbook_partial_norms(c, y, q):
+    """Reference for _partial_norm: P_n = prod_{i<n} sigma^i(c) and
+    B_n = sum_{t<n} sigma^t(y) prod_{t<=i<n} sigma^i(c) for n = 1..q-1,
+    each conjugate formed from its own power of sigma_q and each B_n summed
+    term by term."""
+    field = c.field
+    a = lifted_sigma(field, q).a
+    conj_c = [galois_apply(GaloisElt(field, pow(a, i, field.m)), c) for i in range(q - 1)]
+    conj_y = [galois_apply(GaloisElt(field, pow(a, i, field.m)), y) for i in range(q - 1)]
+    ps, bs = {}, {}
+    for n in range(1, q):
+        bs[n], suffix = field.zero, field.one
+        for t in range(n - 1, -1, -1):
+            suffix = conj_c[t] * suffix
+            bs[n] = bs[n] + conj_y[t] * suffix
+        ps[n] = suffix
+    return ps, bs
+
+
+@pytest.mark.parametrize("m, q", [(3, 7), (5, 11), (3, 13), (3, 19), (5, 31)])
+def test_partial_norm_matches_schoolbook(m, q):
+    field = get_field(m * q)
+    rng = random.Random(q)
+    c, y = (field.from_coeffs([rng.randint(-3, 3) for _ in range(field.phi)]) for _ in range(2))
+    sigma = lifted_sigma(field, q)
+    ps, bs = schoolbook_partial_norms(c, y, q)
+    for n in range(1, q):
+        assert _partial_norm(c, sigma, n) == ps[n], n
+        assert _partial_norm(c, sigma, n, y) == bs[n], n
 
 
 class TestPerturbedCocycle:
@@ -238,8 +276,7 @@ class TestPerturbedCocycle:
         bad = self.perturbed(coc, factor)
         with pytest.raises(InternalInconsistency, match="cocycle certificate failed"):
             _certify(bad.field, 5, bad.values, bad.dsphi)
-        # the unperturbed values still pass
-        assert _certify(coc.field, 5, coc.values, coc.dsphi) == coc.chains
+        _certify(coc.field, 5, coc.values, coc.dsphi)  # the unperturbed values still pass
 
     def test_norm_condition_fails(self):
         # c = zeta_5 in Q(zeta_35) and D = 1 pass the certificate c^5 D = sigma_7(D),
@@ -250,40 +287,51 @@ class TestPerturbedCocycle:
         with pytest.raises(InternalInconsistency, match="cocycle norm condition failed"):
             _certify(field, 5, {7: c}, field.one)
 
-    @pytest.mark.parametrize("factor", ["zeta", "two"])
-    def test_no_class_from_a_perturbed_cocycle(self, factor, monkeypatch):
+    @pytest.mark.parametrize(
+        "factor, refusal",
+        [("zeta", "resolvent left the real subfield"), ("two", "does not satisfy the relation")],
+    )
+    def test_no_class_from_a_perturbed_cocycle(self, factor, refusal, monkeypatch):
         params = KolyParams(5, 0, 5)
         coc = cocycle_closed_form(BASIC, params, 11)
-        # perturbed values beside the certified chains: the resolvent's own
-        # relation check refuses them, in hilbert90_beta and under kappa
+        # values perturbed after certification: zeta * c still has norm 1, so
+        # its resolvent solves the perturbed relation but is not real; 2c has
+        # norm 2^10, so the relation check refuses it; in hilbert90_beta and
+        # under kappa
         stale = self.perturbed(coc, factor)
-        with pytest.raises(InternalInconsistency, match="does not satisfy the relation"):
+        with pytest.raises(InternalInconsistency, match=refusal):
             hilbert90_beta(stale, 42)
         monkeypatch.setattr(kolyvagin, "cocycle_closed_form", lambda *args: stale)
-        with pytest.raises(InternalInconsistency, match="does not satisfy the relation"):
+        with pytest.raises(InternalInconsistency, match=refusal):
             kappa(BASIC, params, 11, 42)
 
-    def test_recertified_copy_leaves_the_original_chains(self):
+    def test_recertified_copy_leaves_the_original_cocycle(self):
         params = KolyParams(5, 0, 5)
         coc = cocycle_closed_form(BASIC, params, 11)
-        chain = coc.chains[11]
+        values = dict(coc.values)
         bad = self.perturbed(coc, "two")
         with pytest.raises(InternalInconsistency):
             _certify(bad.field, 5, bad.values, bad.dsphi)
-        assert coc.chains[11] is chain and chain[0] == coc.field.one
+        assert coc.values == values and apply_norm(coc.values[11], 11) == coc.field.one
         assert cocycle_closed_form(BASIC, params, 11) is coc
         with pytest.raises(dataclasses.FrozenInstanceError):
-            coc.chains = bad.chains
+            coc.values = bad.values
 
     def test_no_class_from_a_cocycle_without_trivial_norm(self, monkeypatch):
+        # c times the real unit u = 1 + zeta_5 + zeta_5^(-1), which sigma_11
+        # fixes: norm u^10, not 1, and uncertified, so only the resolvent's
+        # relation check stands between it and a class
         params = KolyParams(5, 0, 5)
         coc = cocycle_closed_form(BASIC, params, 11)
-        chain = coc.chains[11]
-        unnormed = dataclasses.replace(coc, chains={11: [chain[0].scale(2)] + chain[1:]})
-        with pytest.raises(InternalInconsistency, match="cocycle norm condition failed"):
+        field = coc.field
+        u = field.one + field.root(11) + field.root(-11)
+        assert u != field.one and galois_apply(lifted_sigma(field, 11), u) == u
+        unnormed = dataclasses.replace(coc, values={11: coc.values[11] * u})
+        assert apply_norm(unnormed.values[11], 11) == u**10 != field.one
+        with pytest.raises(InternalInconsistency, match="does not satisfy the relation"):
             hilbert90_beta(unnormed, 42)
         monkeypatch.setattr(kolyvagin, "cocycle_closed_form", lambda *args: unnormed)
-        with pytest.raises(InternalInconsistency, match="cocycle norm condition failed"):
+        with pytest.raises(InternalInconsistency, match="does not satisfy the relation"):
             kappa(BASIC, params, 11, 42)
 
 
@@ -353,14 +401,6 @@ def product_sum_beta(coc, terms, seed):
     raise AssertionError("reference resolvent exhausted")
 
 
-def rechained(coc, values):
-    """A copy of coc with the given values and chains built from them by
-    suffix_chain, uncertified, so that only hilbert90_beta's own checks
-    stand between them and a resolvent."""
-    chains = {q: suffix_chain(coc.field, q, c) for q, c in values.items()}
-    return dataclasses.replace(coc, values=values, chains=chains)
-
-
 @pytest.fixture(scope="module")
 def two_prime_cocycle():
     return cocycle_closed_form(BASIC, KolyParams(3, 0, 3), 7 * 13)
@@ -405,17 +445,21 @@ class TestFactoredResolvent:
         ) * ratio
         values = dict(coc.values)
         values[q] = values[q] * ratio
+        # uncertified, so only hilbert90_beta's own checks stand between the
+        # values and a resolvent
         with pytest.raises(InternalInconsistency, match="inconsistent"):
-            hilbert90_beta(rechained(coc, values), 42)
+            hilbert90_beta(dataclasses.replace(coc, values=values), 42)
 
     @pytest.mark.parametrize("which", [min, max])
-    def test_norm_condition_refuses_a_scaled_generator(self, two_prime_cocycle, which):
+    def test_relation_check_refuses_a_scaled_generator(self, two_prime_cocycle, which):
+        # 2c has norm 2^(q-1) and passes the generator-pair check, since
+        # sigma fixes 2; the relation sigma(beta) = c * beta refuses it
         coc = two_prime_cocycle
         q = which(coc.values)
         values = dict(coc.values)
         values[q] = values[q].scale(2)
-        with pytest.raises(InternalInconsistency, match="norm condition"):
-            hilbert90_beta(rechained(coc, values), 42)
+        with pytest.raises(InternalInconsistency, match="does not satisfy the relation"):
+            hilbert90_beta(dataclasses.replace(coc, values=values), 42)
 
 
 class TestHilbert90:
