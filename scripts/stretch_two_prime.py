@@ -4,17 +4,20 @@
 Certifies the composite-level cocycle closed form (ambient field of degree
 1200) and then verifies the factorization law for s = 11, q = 31, whose
 level-s*q class lives in the same field and reads that cocycle from the
-memo.  On a shared 2-core Xeon (Python 3.11.7) a run takes 8-16 s,
-depending on the machine's load: 6-10 s for the cocycle certificate, most of
-it in the degree-1200 products of the derivative D_s phi and of the
-certificate, and 3-6 s for the factorization.  Those products multiply
-through decimal's number-theoretic transform; with CPython's int multiply
-alone, runs under the same loads took 19-36 s.
+memo.  It prints each stage's time to a tenth of a second.  On a shared
+2-core Xeon (Python 3.11.7) a run takes 5.5-7.5 s, depending on the
+machine's load: 3.6-5.0 s for the cocycle certificate, most of it in the
+degree-1200 products of the certificate and of the derivative D_s phi, and
+2.0-3.4 s for the factorization, most of it in the resolvent.  Those
+products multiply through decimal's number-theoretic transform; with
+CPython's int multiply alone, runs took 14-15 s.
+
+Usage: python3 scripts/stretch_two_prime.py
 """
 
 import pathlib
 import sys
-import time
+from time import perf_counter
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -27,20 +30,20 @@ def main() -> int:
     E = parse_omega("1:1,2:-1")
     params = KolyParams(5, 0, 5)
 
-    t0 = time.time()
+    t0 = perf_counter()
     coc = cocycle_closed_form(E, params, 11 * 31)
     print(
         f"cocycle s=341: certified, frobenius_exponents={coc.frobenius_exponents} "
-        f"({time.time() - t0:.0f} s)",
+        f"({perf_counter() - t0:.1f} s)",
         flush=True,
     )
 
-    t0 = time.time()
+    t0 = perf_counter()
     rep = check_factorization(E, params, 11, 31, seed=42)
     print(
         f"factorization s=11 q=31: passed={rep.passed} "
         f"valuations={rep.part_ii_valuations.entries} dlogs={rep.part_ii_dlogs.entries} "
-        f"({time.time() - t0:.0f} s)",
+        f"({perf_counter() - t0:.1f} s)",
         flush=True,
     )
     return 0 if rep.passed else 1

@@ -512,9 +512,6 @@ class RootOfUnity:
         e = (self.exp * (n // self.order) + other.exp * (n // other.order)) % n
         return RootOfUnity(n, e)
 
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(self.order, -self.exp % self.order)
-
 
 # ---------------------------------------------------------------------------
 # towers, norms, minimal polynomials

@@ -236,7 +236,7 @@ def check_E1(E: EulerSystem, eta: RootOfUnity, a: int) -> AxiomReport:
     value = phi_eval(E, eta)
     lhs = phi_eval(E, eta**a)
     rhs = galois_apply(GaloisElt(value.field, a % m0 if m0 > 1 else 1), value)
-    inv_ok = phi_eval(E, eta.inverse()) == value
+    inv_ok = phi_eval(E, eta**-1) == value
     passed = lhs == rhs and inv_ok
     return AxiomReport(
         "E1",

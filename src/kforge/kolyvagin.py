@@ -18,8 +18,10 @@ cocycle exists only once its certificate holds: the M-th power identity,
 re-verified by exact multiplication, and cyclic-norm triviality; either
 failure raises InternalInconsistency.
 
-The cocycle norms, the resolvent sums and the Frobenius corrections are
-formed by doubling over <sigma_q> (_partial_norm) in O(log q) products.
+One halving recursion, pairing conjugate 2j with 2j + 1 and continuing over
+sigma_q^2, forms every product over <sigma_q>: the norms, the Frobenius
+corrections and the resolvent sums (_partial_norm), and from its norms the
+derivative D_q x (_weighted_norm).  No chain of conjugates is kept.
 
 Cocycles and classes are pure functions of their arguments, kept in _MEMO
 until clear_memo(), which the command line calls at the start of every
@@ -44,7 +46,6 @@ from .cyclotomic import (
     galois_apply,
     get_field,
     is_in_real_subfield,
-    product,
 )
 from .euler import EulerSystem, phi_eval
 from .exact_arith import (
@@ -114,58 +115,54 @@ def lifted_sigma(field: CycloField, q: int) -> GaloisElt:
     return GaloisElt(field, a)
 
 
-def _conjugate_suffixes(x: CycloElt, sigma: GaloisElt, q: int) -> list[CycloElt]:
-    """[prod_{e<=i<q-1} sigma^i(x) for e = 1, ..., q-2], the suffix products of
-    the conjugates of x, with q-2 Galois actions and q-3 multiplies."""
-    conj = [galois_apply(sigma, x)]
-    for _ in range(q - 3):
-        conj.append(galois_apply(sigma, conj[-1]))
-    suffixes = [conj.pop()]
-    while conj:
-        suffixes.append(conj.pop() * suffixes[-1])
-    suffixes.reverse()
-    return suffixes
-
-
 def apply_derivative(x: CycloElt, q: int) -> CycloElt:
-    """D_q x = prod_{0<i<q-1} sigma^i(x)^i, the product of the suffix products
-    of the conjugates of x, multiplied as a balanced tree."""
-    return product(_conjugate_suffixes(x, lifted_sigma(x.field, q), q))
+    """D_q x = prod_{0<i<q-1} sigma_q^i(x)^i = W_(q-1)(x; sigma_q)."""
+    return _weighted_norm(x, lifted_sigma(x.field, q), q - 1)
 
 
-def _moved(sigma: GaloisElt, k: int, x: CycloElt) -> CycloElt:
-    """sigma^k(x), one Galois action."""
-    return galois_apply(GaloisElt(sigma.field, pow(sigma.a, k, sigma.field.m)), x)
+def _power(sigma: GaloisElt, k: int) -> GaloisElt:
+    """sigma^k, so that sigma^k(x) is one Galois action."""
+    return GaloisElt(sigma.field, pow(sigma.a, k, sigma.field.m))
 
 
 def _partial_norm(c: CycloElt, sigma: GaloisElt, n: int, y: CycloElt | None = None) -> CycloElt:
-    """P_n = prod_{i<n} sigma^i(c) for n >= 1, or, given y, the twisted sum
-    B_n = sum_{t<n} sigma^t(y) prod_{t<=i<n} sigma^i(c).
+    """P_n(c; sigma) = prod_{i<n} sigma^i(c) for n >= 1, or, given y, the
+    exclusive twisted sum E_n(c, y; sigma) = sum_{t<n} sigma^t(y) prod_{t<i<n} sigma^i(c).
 
-    Reading n's bits from the top, it doubles k with
-    P_2k = P_k sigma^k(P_k) and B_2k = B_k sigma^k(P_k) + sigma^k(B_k),
-    and steps k to k + 1 on a 1 bit with P_(k+1) = P_k sigma^k(c) and
-    B_(k+1) = (B_k + sigma^k(y)) sigma^k(c): O(log n) products, mostly of
-    equal-size factors, where a chain of conjugates makes n - 1 lopsided
-    ones.  When B_n is wanted, P is formed only while a doubling remains.
+    It pairs conjugate 2j with 2j + 1 and continues over sigma^2,
+    P_2k(c; sigma) = P_k(c sigma(c); sigma^2) and
+    E_2k(c, y; sigma) = E_k(c sigma(c), y sigma(c) + sigma(y); sigma^2),
+    and an odd length first peels off its last conjugate,
+    P_n = P_(n-1) sigma^(n-1)(c) and E_n = E_(n-1) sigma^(n-1)(c) + sigma^(n-1)(y):
+    O(log n) products, mostly of equal-size factors, where a chain of
+    conjugates makes n - 1 lopsided ones.
     """
-    p, b, k = c, (None if y is None else y * c), 1
-    steps = "".join("d" + "a" * int(bit) for bit in bin(n)[3:])
-    last_doubling = steps.rfind("d")
-    for i, step in enumerate(steps):
-        if step == "d":
-            factor = _moved(sigma, k, p)
-            if b is not None:
-                b = b * factor + _moved(sigma, k, b)
-            k *= 2
-        else:
-            factor = _moved(sigma, k, c)
-            if b is not None:
-                b = (b + _moved(sigma, k, y)) * factor
-            k += 1
-        if b is None or i < last_doubling:
-            p = p * factor
-    return p if b is None else b
+    if n == 1:
+        return c if y is None else y
+    if n % 2:
+        last = _power(sigma, n - 1)
+        head = _partial_norm(c, sigma, n - 1, y) * galois_apply(last, c)
+        return head if y is None else head + galois_apply(last, y)
+    moved = galois_apply(sigma, c)
+    if y is not None:
+        y = y * moved + galois_apply(sigma, y)
+        if n == 2:
+            return y
+    return _partial_norm(c * moved, _power(sigma, 2), n // 2, y)
+
+
+def _weighted_norm(x: CycloElt, sigma: GaloisElt, n: int) -> CycloElt:
+    """W_n(x; sigma) = prod_{i<n} sigma^i(x)^i for n >= 2, by the pairing of
+    _partial_norm: W_2k(x; sigma) = W_k(x sigma(x); sigma^2)^2 sigma(P_k(x; sigma^2)),
+    where W_1 = 1, and W_n = W_(n-1) sigma^(n-1)(x)^(n-1) for odd n: each
+    level forms one P_k, so O(log^2 n) products."""
+    if n % 2:
+        return _weighted_norm(x, sigma, n - 1) * galois_apply(_power(sigma, n - 1), x) ** (n - 1)
+    square = _power(sigma, 2)
+    odd = galois_apply(sigma, _partial_norm(x, square, n // 2))
+    if n == 2:
+        return odd
+    return _weighted_norm(x * galois_apply(sigma, x), square, n // 2) ** 2 * odd
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +195,9 @@ class Cocycle:
 
     With norm 1, each inverse the construction needs is the product of the
     other conjugates, c^(-1) = prod_{0<i<order} sigma^i(c), so the inverse
-    of the first e conjugates of c_q is sigma_q^e(P_(q-1-e)(c_q)), formed by
-    _partial_norm when it is read; nothing beyond the values is kept."""
+    of the first e conjugates of c_q is sigma_q^e(P_(q-1-e)(c_q)) and the
+    resolvent factor is R_q(y) = E_(q-1)(c_q, y c_q), both formed by
+    _partial_norm when the values are read; nothing beyond them is kept."""
 
     params: KolyParams
     s: int
@@ -265,8 +263,8 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
             sub = cocycle_closed_form(E, params, r)
             e = frob_exps[q] = int_dlog(least_primitive_root(r), q, r)
             sigma_r = lifted_sigma(sub.field, r)
-            inverse = _moved(sigma_r, e, _partial_norm(sub.values[r], sigma_r, r - 1 - e))
-            values[q] = values[q] * embed_up(inverse, N)
+            tail = _partial_norm(sub.values[r], sigma_r, r - 1 - e)
+            values[q] = values[q] * embed_up(galois_apply(_power(sigma_r, e), tail), N)
     _certify(field, M, values, derived[s])
     _MEMO[key] = Cocycle(params, s, field, values, derived[s], frob_exps)
     return _MEMO[key]
@@ -301,9 +299,9 @@ def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:
 
     sum (q - 1) terms in place of prod (q - 1).  It is the same element as
     the sum over G(s), not merely another solution.  No inverse is formed:
-    c_q has norm 1, so a_{sigma_q^e} = prod_{e<=i<q-1} sigma_q^i(c_q), the
-    e = 0 term is y and R_q(y) = y + sigma_q(B_(q-2)(c_q, y)), summed by
-    doubling in O(log q) products (_partial_norm).  The generator pairs,
+    c_q has norm 1, so a_{sigma_q^e} = prod_{e<=i<q-1} sigma_q^i(c_q) and
+    R_q(y) = E_(q-1)(c_q, y c_q), the exclusive twisted sum of _partial_norm,
+    summed by halving in O(log q) products.  The generator pairs,
     c_1 sigma_1(c_2) = c_2 sigma_2(c_1), are checked before any sum is
     formed, and beta is checked against sigma(beta) = c * beta, which fails
     for a value whose norm is not 1.  theta is drawn deterministically from
@@ -321,8 +319,8 @@ def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:
     for _ in range(32):
         beta = _sample_theta(field, rng)
         for q in reversed(qs):  # beta = R_q(beta)
-            tail = _partial_norm(coc.values[q], sigmas[q], q - 2, beta)
-            beta = beta + galois_apply(sigmas[q], tail)
+            c = coc.values[q]
+            beta = _partial_norm(c, sigmas[q], q - 1, beta * c)
         if beta.is_zero():
             continue
         for q, c in coc.values.items():

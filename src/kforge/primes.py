@@ -41,6 +41,8 @@ from .kolyvagin import KolyParams, find_kolyvagin_primes, kappa
 
 _BASE_PRECISION = 8
 _VALUATION_BUDGET = 512
+# the class relation probes the level-q class at the Kolyvagin primes up to this bound
+_PROBE_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -182,9 +184,6 @@ class AnnihilatorElt:
     coeffs: tuple[tuple[int, int], ...]
     reference_pair: tuple[int, int]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for _, c in self.coeffs)
-
 
 def galois_classes(m: int) -> list[int]:
     """Representatives of Gal(F/Q) = (Z/m)^x / {+-1}, smallest member first."""
@@ -273,20 +272,15 @@ class ClassRelation:
     probes: dict[int, bool]
 
 
-def class_relation(
-    E: EulerSystem,
-    law: FactorizationReport,
-    seed: int = 0,
-    probe_limit: int = 100,
-) -> ClassRelation:
+def class_relation(E: EulerSystem, law: FactorizationReport, seed: int = 0) -> ClassRelation:
     """The annihilator-style relation read off the level-1 factorization law,
     `law` = check_factorization(E, params, 1, q, seed).
 
     The relation holds when part (ii) of the law holds, and theta is the
     group-ring form of the law's discrete-log vector of the level-1 class.
     The witness is the level-q class, whose ideal is then trivial mod M at
-    every other probed split prime; it comes from kappa's memo when the law
-    built it before.
+    every other Kolyvagin prime up to _PROBE_LIMIT; it comes from kappa's
+    memo when the law built it before.
     """
     if law.s != 1:
         raise DomainError("the class relation reads the level-1 factorization law")
@@ -294,7 +288,7 @@ def class_relation(
     theta = annihilator_from_dlogs(law.part_ii_dlogs, split_prime_data(q, params.conductor))
     k_q = kappa(E, params, q, seed)
     probes = {}
-    for other in find_kolyvagin_primes(params, probe_limit):
+    for other in find_kolyvagin_primes(params, _PROBE_LIMIT):
         if other == q:
             continue
         probes[other] = ideal_vector(

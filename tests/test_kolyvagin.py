@@ -20,9 +20,10 @@ from kforge.exact_arith import ip_eval, primes_upto
 from kforge import kolyvagin
 from kforge.kolyvagin import (
     _certify,
-    _moved,
+    _power,
     _partial_norm,
     _sample_theta,
+    _weighted_norm,
     KolyParams,
     apply_derivative,
     clear_memo,
@@ -133,14 +134,14 @@ class TestApply:
 
     @pytest.mark.parametrize("q", [31, 41, 61])
     def test_tree_derivative_matches_operator(self, q):
-        # as at q = 11 above: q - 2 suffix products, an odd count, so the tree
-        # ends by merging partial products of unequal counts (59 = 32 + 16 + 8 + 2 + 1)
+        # as at q = 11 above; the halving of q - 1 meets odd lengths at 31
+        # (30, 15, 14, 7, 6, 3, 2) and 61 but only once at 41 (40, 20, 10, 5, 4, 2)
         x = phi_eval(BASIC, level_root(KolyParams(5, 0, 5), q))
         assert apply_derivative(x, q) == apply_group_ring(build_operators(q)[1], x)
 
     def test_composite_derivative_matches_operator(self):
         # D_13(D_7 x) at (3, 0, 3) is the two-generator operator sum i j sigma_7^i sigma_13^j;
-        # 5 and 11 suffix products
+        # the halvings of 6 and 12 both end at the odd length 3
         x = phi_eval(BASIC, level_root(KolyParams(3, 0, 3), 91))
         op = GroupRingOp.make(((7, 6), (13, 12)), {(i, j): i * j for i in range(1, 6) for j in range(1, 12)})
         assert apply_derivative(apply_derivative(x, 7), 13) == apply_group_ring(op, x)
@@ -192,7 +193,8 @@ class TestCocycle:
         c, sigma = coc.values[11], lifted_sigma(coc.field, 11)
         chain = suffix_chain(coc.field, 11, c)
         assert len(chain) == 10 and chain[0] == coc.field.one
-        assert [_moved(sigma, e, _partial_norm(c, sigma, 10 - e)) for e in range(10)] == chain
+        moved = [galois_apply(_power(sigma, e), _partial_norm(c, sigma, 10 - e)) for e in range(10)]
+        assert moved == chain
 
     @pytest.mark.parametrize("q", [7, 13])
     def test_frobenius_correction_is_a_suffix_product_of_the_sub_cocycle(
@@ -226,35 +228,63 @@ def suffix_chain(field, q, c):
     return chain
 
 
-def schoolbook_partial_norms(c, y, q):
-    """Reference for _partial_norm: P_n = prod_{i<n} sigma^i(c) and
-    B_n = sum_{t<n} sigma^t(y) prod_{t<=i<n} sigma^i(c) for n = 1..q-1,
-    each conjugate formed from its own power of sigma_q and each B_n summed
-    term by term."""
-    field = c.field
+def conjugates(x, q):
+    """[sigma_q^i(x) for i < q - 1], each formed from its own power of sigma_q."""
+    field = x.field
     a = lifted_sigma(field, q).a
-    conj_c = [galois_apply(GaloisElt(field, pow(a, i, field.m)), c) for i in range(q - 1)]
-    conj_y = [galois_apply(GaloisElt(field, pow(a, i, field.m)), y) for i in range(q - 1)]
-    ps, bs = {}, {}
+    return [galois_apply(GaloisElt(field, pow(a, i, field.m)), x) for i in range(q - 1)]
+
+
+def schoolbook_partial_norms(c, y, q):
+    """Reference for _partial_norm: P_n = prod_{i<n} sigma^i(c) and the
+    exclusive sum E_n = sum_{t<n} sigma^t(y) prod_{t<i<n} sigma^i(c) for
+    n = 1..q-1, each E_n summed term by term."""
+    field = c.field
+    conj_c, conj_y = conjugates(c, q), conjugates(y, q)
+    ps, es = {}, {}
     for n in range(1, q):
-        bs[n], suffix = field.zero, field.one
+        es[n], suffix = field.zero, field.one
         for t in range(n - 1, -1, -1):
+            es[n] = es[n] + conj_y[t] * suffix
             suffix = conj_c[t] * suffix
-            bs[n] = bs[n] + conj_y[t] * suffix
         ps[n] = suffix
-    return ps, bs
+    return ps, es
 
 
-@pytest.mark.parametrize("m, q", [(3, 7), (5, 11), (3, 13), (3, 19), (5, 31)])
-def test_partial_norm_matches_schoolbook(m, q):
+# n runs over 1..q-1, so every sequence of odd and even halving steps up to q - 1 is checked
+SCHOOLBOOK_FIELDS = [(3, 7), (5, 11), (3, 13), (3, 19), (5, 31)]
+
+
+def random_elements(m, q, count):
     field = get_field(m * q)
     rng = random.Random(q)
-    c, y = (field.from_coeffs([rng.randint(-3, 3) for _ in range(field.phi)]) for _ in range(2))
-    sigma = lifted_sigma(field, q)
-    ps, bs = schoolbook_partial_norms(c, y, q)
+    return [field.from_coeffs([rng.randint(-3, 3) for _ in range(field.phi)]) for _ in range(count)]
+
+
+@pytest.mark.parametrize("m, q", SCHOOLBOOK_FIELDS)
+def test_partial_norm_matches_schoolbook(m, q):
+    c, y = random_elements(m, q, 2)
+    sigma = lifted_sigma(c.field, q)
+    ps, es = schoolbook_partial_norms(c, y, q)
     for n in range(1, q):
         assert _partial_norm(c, sigma, n) == ps[n], n
-        assert _partial_norm(c, sigma, n, y) == bs[n], n
+        assert _partial_norm(c, sigma, n, y) == es[n], n
+
+
+@pytest.mark.parametrize("m, q", SCHOOLBOOK_FIELDS)
+def test_weighted_norm_matches_schoolbook(m, q):
+    # reference: W_n = W_(n-1) sigma^(n-1)(x)^(n-1), the power formed by
+    # n - 2 multiplies of its conjugate
+    (x,) = random_elements(m, q, 1)
+    sigma = lifted_sigma(x.field, q)
+    conj = conjugates(x, q)
+    reference = x.field.one
+    for n in range(2, q):
+        power = conj[n - 1]
+        for _ in range(n - 2):
+            power = power * conj[n - 1]
+        reference = reference * power
+        assert _weighted_norm(x, sigma, n) == reference, n
 
 
 class TestPerturbedCocycle:

@@ -240,7 +240,7 @@ class TestDlogVector:
 class TestAnnihilator:
     def test_trivial_input(self, data11):
         theta = annihilator_from_dlogs(ideal_dlog_vector(get_field(5).one, 5, data11), data11)
-        assert theta.is_zero()
+        assert all(c == 0 for _, c in theta.coeffs)
 
     def test_classes(self):
         assert galois_classes(5) == [1, 2]
