@@ -47,11 +47,14 @@ leaves at most m coefficients.  It then divides by Phi_m by reversal.  Phi_m
 is the Mobius product of binomials 1 - x^d, so multiplying by Phi_m or by the
 power series 1/Phi_m is one pass over the list per binomial; Phi_m itself is
 built by the same passes.  Apart from products, every such vector is a sum of
-terms c * zeta^e and is built by `CycloField.from_terms`.
+terms c * zeta^e and is built by `CycloField.from_terms`, except the columns of
+`divide_into_subfield`, which stay unnormalized over one denominator.
 
 There is one norm, `relative_norm`, and no field inverse: a quotient is proved
 as a product identity or solved for by `divide_into_subfield`, and a negative
-power raises DomainError.
+power raises DomainError.  That solve keeps its columns over one integer
+denominator, eliminates on fraction-free (Bareiss) integer rows and proves
+the quotient by one integer identity on every coefficient.
 
 Field tables (the cyclotomic polynomial, its binomial factors and the
 unit-group enumeration) are cached in memory per conductor.
@@ -64,7 +67,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import sub
+from operator import mul, sub
 
 from .errors import DomainError, InternalInconsistency
 from .exact_arith import PolyZ, euler_phi, factorize, poly_trim
@@ -144,20 +147,16 @@ class CycloField:
         return _normalized(self, _reduce_vec(self, vec), den)
 
     def from_rational(self, value) -> "CycloElt":
-        value = Fraction(value)
-        vec = [0] * self.phi
-        vec[0] = value.numerator
-        return CycloElt(self, tuple(vec), value.denominator)
+        return self.from_coeffs([value])
 
     def from_coeffs(self, coeffs) -> "CycloElt":
         """Element from a sequence of rationals in the power basis."""
         fracs = [Fraction(c) for c in coeffs]
         if len(fracs) > self.phi:
             raise DomainError("coefficient vector too long")
-        fracs += [Fraction(0)] * (self.phi - len(fracs))
-        den = math.lcm(*[f.denominator for f in fracs]) if fracs else 1
-        nums = [int(f * den) for f in fracs]
-        return _normalized(self, nums, den)
+        den = math.lcm(*[f.denominator for f in fracs])
+        nums = [f.numerator * (den // f.denominator) for f in fracs]
+        return _normalized(self, nums + [0] * (self.phi - len(nums)), den)
 
     @property
     def zero(self) -> "CycloElt":
@@ -416,12 +415,6 @@ class CycloElt:
                 result = result * base
         return result
 
-    def scale(self, c) -> "CycloElt":
-        c = Fraction(c)
-        return _normalized(
-            self.field, [x * c.numerator for x in self.num], self.den * c.denominator
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CycloElt)
@@ -529,77 +522,70 @@ def embed_up(x: CycloElt, m_big: int) -> CycloElt:
     return get_field(m_big).from_terms(range(0, k * len(x.num), k), x.num, x.den)
 
 
-def _solve_against_columns(columns: list["CycloElt"], target: "CycloElt"):
-    """Rationals b_i with sum b_i * columns_i = target, by Gaussian elimination.
+def _solve_against_columns(columns: list[list[int]], target: list[int]):
+    """Integers (n, d) in lowest terms with sum n_i * columns_i = d * target on
+    the rows that fix the only candidate, by fraction-free elimination (E. Bareiss,
+    Math. Comp. 22, 1968): a row is reduced against each pivot row in turn as
+    (pivot * row - row[col] * pivot_row) / previous pivot, exactly, since every
+    entry stays a minor of the rows read.
 
-    Rows are read only until there is one pivot per column; those rows fix
-    the only candidate.  The rows after them are never read, so consistency
-    is decided by the caller, which re-verifies the full identity exactly and
-    raises DomainError when it fails.  A row that is zero in every column but
-    not in the target raises DomainError at once.
+    Rows are read only until there is one pivot per column, so consistency is
+    decided by the caller, which re-checks the full identity exactly and raises
+    DomainError when it fails.  A row that is zero in every column but not in
+    the target raises DomainError at once.
     """
     ncols = len(columns)
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for r in range(target.field.phi):
+    pivots: list[tuple[int, list[int]]] = []
+    for row in zip(*columns, target):
         if len(pivots) == ncols:
             break
-        row = [Fraction(b.num[r], b.den) for b in columns]
-        row.append(Fraction(target.num[r], target.den))
+        prev = 1
         for col, prow in pivots:
-            if row[col]:
-                f = row[col]
-                for j in range(ncols + 1):
-                    row[j] -= f * prow[j]
+            p, f = prow[col], row[col]
+            row = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            prev = p
         lead = next((j for j in range(ncols) if row[j]), None)
         if lead is not None:
-            inv = Fraction(1) / row[lead]
-            row = [c * inv for c in row]
             pivots.append((lead, row))
         elif row[ncols]:
             raise DomainError("element does not lie in the requested subfield")
     if len(pivots) < ncols:
         raise InternalInconsistency("column set is degenerate")
-    sol = [Fraction(0)] * ncols
-    for col, prow in sorted(pivots, reverse=True):
-        val = prow[ncols]
-        for j in range(col + 1, ncols):
-            val -= prow[j] * sol[j]
-        sol[col] = val
-    return sol
+    # the last pivot is the determinant of the pivot rows, so by Cramer's rule
+    # d * solution is integral and each back substitution divides exactly
+    d = pivots[-1][1][pivots[-1][0]]
+    nums = [0] * ncols
+    for col, prow in reversed(pivots):
+        nums[col] = (d * prow[ncols] - sum(map(mul, prow, nums))) // prow[col]
+    g = math.gcd(d, *nums)
+    return [n // g for n in nums], d // g
 
 
 def divide_into_subfield(target: CycloElt, multiplier: CycloElt, m_small: int) -> CycloElt:
     """The element y of Q(zeta_m_small) with embed(y) * multiplier = target.
 
-    Solving the small linear system sidesteps inverting `multiplier`, whose
-    coefficients may be enormous; the identity is re-verified exactly.  With
-    multiplier 1, y is the exact preimage of target under embed_up, and
-    DomainError says that target does not lie in Q(zeta_m_small).
+    A small linear system sidesteps inverting `multiplier`.  Column i is the
+    numerator of embed(zeta_small^i) * multiplier = zeta_m^(i k) * multiplier
+    over the one denominator multiplier.den, so y = multiplier.den * n /
+    (d * target.den) for integers n, d with sum n_i * column_i = d * target.num:
+    fraction-free rows find them and one integer identity re-checks every
+    coefficient.  With multiplier 1, y is the exact preimage of target under
+    embed_up, and DomainError says that target is not in Q(zeta_m_small).
     """
     field = target.field
     if multiplier.field.m != field.m:
         raise DomainError("target and multiplier live in different fields")
     if multiplier.is_zero():
         raise DomainError("division by zero")
-    small = get_field(m_small)
-    if field.m % m_small != 0:
+    if m_small < 1 or field.m % m_small != 0:
         raise DomainError(f"{m_small} does not divide {field.m}")
-    # column i is embed(zeta_small^i) * multiplier = zeta_m^(i k) * multiplier
+    small = get_field(m_small)
     k = field.m // m_small
-    n = len(multiplier.num)
-    columns = [
-        field.from_terms(range(i * k, i * k + n), multiplier.num, multiplier.den)
-        for i in range(small.phi)
-    ]
-    sol = _solve_against_columns(columns, target)
-    # embed_up is linear, so embed(y) * multiplier is sum sol_i * column_i
-    total = field.zero
-    for c, column in zip(sol, columns):
-        if c:
-            total = total + column.scale(c)
-    if total != target:
+    columns = [_reduce_vec(field, [0] * (i * k) + list(multiplier.num)) for i in range(small.phi)]
+    nums, d = _solve_against_columns(columns, target.num)
+    if any(sum(map(mul, nums, row)) != d * t for *row, t in zip(*columns, target.num)):
         raise DomainError("quotient does not lie in the requested subfield")
-    return small.from_coeffs(sol)
+    return _normalized(small, [multiplier.den * c for c in nums], d * target.den)
 
 
 def product(factors) -> CycloElt:
@@ -646,11 +632,7 @@ def relative_norm(x: CycloElt, m_small: int) -> CycloElt:
 
 def minimal_polynomial(x: CycloElt):
     """Monic minimal polynomial of x over Q (tuple of Fractions, low degree first)."""
-    orbit: list[CycloElt] = []
-    for a in x.field.unit_group:
-        y = galois_apply(GaloisElt(x.field, a), x)
-        if y not in orbit:
-            orbit.append(y)
+    orbit = dict.fromkeys(galois_apply(GaloisElt(x.field, a), x) for a in x.field.unit_group)
     # expand prod (T - y) with coefficients in the field, then read off Q
     coeffs = [x.field.one]
     for y in orbit:

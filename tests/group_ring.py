@@ -134,7 +134,7 @@ def inverse(x: CycloElt) -> CycloElt:
     norm = x * cofactor
     if not norm.is_rational():
         raise InternalInconsistency("norm failed to land in Q")
-    return cofactor.scale(1 / norm.as_rational())
+    return cofactor * field.from_rational(1 / norm.as_rational())
 
 
 def apply_group_ring(op: GroupRingOp, x: CycloElt) -> CycloElt:

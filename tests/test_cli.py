@@ -117,7 +117,7 @@ class TestExitCodes:
         certify = kolyvagin._certify
 
         def perturbed(field, M, values, dsphi):
-            return certify(field, M, {q: c.scale(2) for q, c in values.items()}, dsphi)
+            return certify(field, M, {q: c * field.from_rational(2) for q, c in values.items()}, dsphi)
 
         monkeypatch.setattr(kolyvagin, "_certify", perturbed)
         out = tmp_path / "kappa.json"

@@ -259,7 +259,7 @@ class TestTower:
 
     def test_embed_commutes_with_galois(self):
         f5 = get_field(5)
-        x = f5.root(1) + f5.root(2).scale(3)
+        x = f5.root(1) + f5.root(2) * f5.from_rational(3)
         a = 2
         lift = 17  # 17 = 2 mod 5 and is a unit mod 15
         lhs = embed_up(galois_apply(GaloisElt(f5, a), x), 15)
@@ -269,7 +269,7 @@ class TestTower:
     def test_restrict_round_trip(self):
         # dividing by 1 is the exact preimage under embed_up
         f5 = get_field(5)
-        x = f5.root(1).scale(Fraction(2, 3)) + f5.from_rational(5)
+        x = f5.root(1) * f5.from_rational(Fraction(2, 3)) + f5.from_rational(5)
         assert divide_into_subfield(embed_up(x, 35), get_field(35).one, 5) == x
 
     def test_restrict_rejects_outsiders(self):
@@ -291,12 +291,26 @@ class TestSubfieldSolve:
     later row."""
 
     @staticmethod
-    def system(kind):
+    def integer_columns(mult, m_small):
+        """Column i is embed(zeta_small^i) * mult over the one denominator
+        mult.den, as an integer vector."""
+        small = get_field(m_small)
+        products = [embed_up(small.root(i), mult.field.m) * mult for i in range(small.phi)]
+        return [[c * (mult.den // e.den) for c in e.num] for e in products]
+
+    @staticmethod
+    def quotient(solution, mult, target):
+        """The coefficients of y that a solution (n, d) of the system for
+        `target` stands for: y = mult.den * n / (d * target.den)."""
+        nums, d = solution
+        return [Fraction(mult.den * n, d * target.den) for n in nums]
+
+    @classmethod
+    def system(cls, kind):
         f5, f55 = get_field(5), get_field(55)
-        y = f5.root(1).scale(Fraction(2, 3)) + f5.from_rational(3)
+        y = f5.root(1) * f5.from_rational(Fraction(2, 3)) + f5.from_rational(3)
         mult = f55.one if kind == "restrict" else f55.root(7) + f55.from_rational(2)
-        columns = [embed_up(f5.root(i), 55) * mult for i in range(f5.phi)]
-        return y, mult, columns, embed_up(y, 55) * mult
+        return y, mult, cls.integer_columns(mult, 5), embed_up(y, 55) * mult
 
     @pytest.mark.parametrize("kind", ["restrict", "divide"])
     def test_inconsistent_tail_fails_the_final_check(self, kind):
@@ -307,7 +321,7 @@ class TestSubfieldSolve:
         # and returns the valid quotient's coefficients
         bad = target + f55.root(f55.phi - 1)
         assert bad.num[:-1] == target.num[:-1] and bad.num[-1] != target.num[-1]
-        assert _solve_against_columns(columns, bad) == list(coeffs(y))
+        assert self.quotient(_solve_against_columns(columns, bad.num), mult, bad) == list(coeffs(y))
         with pytest.raises(DomainError, match="does not lie in the requested subfield"):
             divide_into_subfield(bad, mult, 5)
 
@@ -323,23 +337,59 @@ class TestSubfieldSolve:
         with pytest.raises(DomainError, match="does not lie in the requested subfield"):
             divide_into_subfield(target + big.root(big.phi - 1), mult, 5)
 
+    @pytest.mark.parametrize("m, m_small", [(275, 25), (1705, 55)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rational_quotients_against_their_construction(self, m, m_small, seed):
+        # phi_s = 20 and 40 unknowns; y and the multiplier have rational
+        # coefficients, so the solve meets three different denominators
+        big, small = get_field(m), get_field(m_small)
+        rng = random.Random(1000 * m + seed)
+
+        def rational_element(field, bits):
+            return field.from_coeffs(
+                [Fraction(rng.getrandbits(bits) - 2 ** (bits - 1), rng.randint(1, 9)) for _ in range(field.phi)]
+            )
+
+        y, mult = rational_element(small, 64), rational_element(big, 64)
+        assert y.den > 1 and mult.den > 1
+        target = embed_up(y, m) * mult
+        assert divide_into_subfield(target, mult, m_small) == y
+        # a coefficient changed in the last row, after every pivot row: the
+        # solve still returns y, and only the integer re-check refuses it
+        bad = target + big.root(big.phi - 1) * big.from_rational(Fraction(1, 7))
+        assert coeffs(bad)[:-1] == coeffs(target)[:-1] and coeffs(bad)[-1] != coeffs(target)[-1]
+        columns = self.integer_columns(mult, m_small)
+        assert self.quotient(_solve_against_columns(columns, bad.num), mult, bad) == list(coeffs(y))
+        with pytest.raises(DomainError, match="does not lie in the requested subfield"):
+            divide_into_subfield(bad, mult, m_small)
+
     def test_row_outside_every_column_raises_at_once(self):
         _, _, columns, target = self.system("restrict")
         # the embedded powers of zeta_5 are zeta_55^(11 i): row 1 is zero in
         # every column
-        assert all(c.num[1] == 0 for c in columns)
+        assert all(c[1] == 0 for c in columns)
         bad = target + target.field.root(1)
         with pytest.raises(DomainError, match="requested subfield"):
-            _solve_against_columns(columns, bad)
+            _solve_against_columns(columns, bad.num)
 
     def test_degenerate_columns(self):
         _, _, columns, _ = self.system("divide")
-        columns[1] = columns[0].scale(3)
+        columns[1] = [3 * c for c in columns[0]]
         # a target inside their span: every row is consistent, but no row
         # gives the fourth pivot
-        target = columns[0] + columns[2] - columns[3]
+        target = [a + b - c for a, b, c in zip(columns[0], columns[2], columns[3])]
         with pytest.raises(InternalInconsistency, match="degenerate"):
             _solve_against_columns(columns, target)
+
+    def test_refused_subconductor_builds_no_field(self, monkeypatch):
+        # a non-divisor, zero or negative m_small is refused before any field
+        # table for it is built
+        f55 = get_field(55)
+        monkeypatch.setattr(cyclotomic, "_FIELDS", {55: f55})
+        for m_small in (7, 0, -5):
+            with pytest.raises(DomainError, match="does not divide"):
+                divide_into_subfield(f55.one, f55.one, m_small)
+        assert cyclotomic._FIELDS == {55: f55}
 
 
 class TestNorms:

@@ -372,7 +372,7 @@ def reference_theta(field, rng):
     for k in range(1, field.phi // 2 + 1):
         c = rng.randint(-3, 3)
         if c:
-            theta = theta + (field.root(k) + field.root(-k)).scale(c)
+            theta = theta + (field.root(k) + field.root(-k)) * field.from_rational(c)
     return theta
 
 
@@ -487,7 +487,7 @@ class TestFactoredResolvent:
         coc = two_prime_cocycle
         q = which(coc.values)
         values = dict(coc.values)
-        values[q] = values[q].scale(2)
+        values[q] = values[q] * values[q].field.from_rational(2)
         with pytest.raises(InternalInconsistency, match="does not satisfy the relation"):
             hilbert90_beta(dataclasses.replace(coc, values=values), 42)
 
