@@ -50,11 +50,14 @@ built by the same passes.  Apart from products, every such vector is a sum of
 terms c * zeta^e and is built by `CycloField.from_terms`, except the columns of
 `divide_into_subfield`, which stay unnormalized over one denominator.
 
-There is one norm, `relative_norm`, and no field inverse: a quotient is proved
-as a product identity or solved for by `divide_into_subfield`, and a negative
-power raises DomainError.  That solve keeps its columns over one integer
-denominator, eliminates on fraction-free (Bareiss) integer rows and proves
-the quotient by one integer identity on every coefficient.
+`relative_norm` is the norm to a subfield Q(zeta_m'), m' | m; `kolyvagin`
+forms the norms over <sigma_q> by its halving recursion.  There is no field
+inverse: a quotient is proved as a product identity or solved for by
+`divide_into_subfield`, and a negative power raises DomainError.  That solve
+keeps its columns over one integer denominator, eliminates on fraction-free
+(Bareiss) integer rows and proves the quotient by one integer identity on
+every coefficient.  `minimal_polynomial` reads its integer coefficients off
+traces by Newton's identities and proves them by evaluation: 2d products.
 
 Field tables (the cyclotomic polynomial, its binomial factors and the
 unit-group enumeration) are cached in memory per conductor.
@@ -66,11 +69,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul, sub
 
 from .errors import DomainError, InternalInconsistency
-from .exact_arith import PolyZ, euler_phi, factorize, poly_trim
+from .exact_arith import PolyZ, euler_phi, factorize
 
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and field tables
@@ -157,10 +160,6 @@ class CycloField:
         den = math.lcm(*[f.denominator for f in fracs])
         nums = [f.numerator * (den // f.denominator) for f in fracs]
         return _normalized(self, nums + [0] * (self.phi - len(nums)), den)
-
-    @property
-    def zero(self) -> "CycloElt":
-        return CycloElt(self, tuple([0] * self.phi), 1)
 
     @property
     def one(self) -> "CycloElt":
@@ -630,23 +629,34 @@ def relative_norm(x: CycloElt, m_small: int) -> CycloElt:
     )
 
 
-def minimal_polynomial(x: CycloElt):
-    """Monic minimal polynomial of x over Q (tuple of Fractions, low degree first)."""
-    orbit = dict.fromkeys(galois_apply(GaloisElt(x.field, a), x) for a in x.field.unit_group)
-    # expand prod (T - y) with coefficients in the field, then read off Q
-    coeffs = [x.field.one]
-    for y in orbit:
-        new = [x.field.zero] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            new[i + 1] = new[i + 1] + c
-            new[i] = new[i] - c * y
-        coeffs = new
-    out = []
-    for c in coeffs:
-        if not c.is_rational():
-            raise InternalInconsistency("minimal polynomial has irrational coefficient")
-        out.append(c.as_rational())
-    return poly_trim(out)
+def minimal_polynomial(x: CycloElt) -> tuple[Fraction, ...]:
+    """Monic minimal polynomial of x over Q, as Fractions, low degree first.
+
+    Its degree d is the size of the orbit of x.  The d conjugates of the
+    algebraic integer y = den * x have power sums p_k = (d/phi) Tr(y^k), where
+    Tr(zeta^j) is the Ramanujan sum of e mu(m/e) over the binomials with e | j,
+    and Newton's identities k e_k = sum_{i<=k} (-1)^(i-1) e_(k-i) p_i give the
+    integer coefficients of their product P (H. Cohen, GTM 138, 4.3).  As P is
+    monic of degree d, P(y) = 0 proves it minimal; x has P(den T) / den^d."""
+    field = x.field
+    d = len(dict.fromkeys(galois_apply(GaloisElt(field, a), x) for a in field.unit_group))
+    traces = [sum(e * mu for e, mu in field.binomials if j % e == 0) for j in range(field.phi)]
+    y = CycloElt(field, x.num, 1)
+    sums, elem = [], [1]
+    for k, power in enumerate(accumulate(repeat(y, d), mul), 1):
+        p, r = divmod(sum(map(mul, traces, power.num)), field.phi // d)
+        sums.append(p)
+        e_k, r_k = divmod(sum((-1) ** i * elem[k - 1 - i] * sums[i] for i in range(k)), k)
+        if r or r_k:
+            raise InternalInconsistency("power sums are not those of an algebraic integer")
+        elem.append(e_k)
+    coeffs = [(-1) ** k * elem[k] for k in range(d, -1, -1)]
+    acc = y + field.from_rational(coeffs[-2])
+    for c in reversed(coeffs[:-2]):
+        acc = acc * y + field.from_rational(c)
+    if not acc.is_zero():
+        raise InternalInconsistency("minimal polynomial does not vanish at its element")
+    return tuple(Fraction(c, x.den ** (d - i)) for i, c in enumerate(coeffs))
 
 
 def elt_to_strings(x: CycloElt) -> dict:

@@ -107,8 +107,7 @@ class EulerSystem:
 def parse_omega(text: str) -> EulerSystem:
     """Parse "a:n,a:n,...[,compose=n][,twist=h:e]" with positioned errors."""
     pairs = []
-    compose = None
-    twist = RootOfUnity(1, 0)
+    compose = twist = None
     pos = 0
     for idx, token in enumerate(text.split(",")):
         tok = token.strip()
@@ -117,12 +116,16 @@ def parse_omega(text: str) -> EulerSystem:
         if not tok:
             raise ConfigError(f"empty token ({where})")
         if tok.startswith("compose="):
+            if compose is not None:
+                raise ConfigError(f"repeated compose= ({where})")
             try:
                 compose = int(tok[len("compose=") :])
             except ValueError:
                 raise ConfigError(f"bad composition power ({where})") from None
             continue
         if tok.startswith("twist="):
+            if twist is not None:
+                raise ConfigError(f"repeated twist= ({where})")
             body = tok[len("twist=") :]
             try:
                 h_text, _, e_text = body.partition(":")
@@ -143,7 +146,7 @@ def parse_omega(text: str) -> EulerSystem:
             raise ConfigError(f"expected integers a:n ({where})") from None
     if not pairs:
         raise ConfigError("no pairs given")
-    return EulerSystem(OmegaSpec.build(pairs), compose, twist)
+    return EulerSystem(OmegaSpec.build(pairs), compose, twist or RootOfUnity(1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ of their own: they are powers, computed where they are used.
 Conventions used throughout the package:
 
 * rationals are `fractions.Fraction`, always in lowest terms;
-* a polynomial is a tuple of coefficients, lowest degree first, with no
-  trailing zero; ``()`` is the zero polynomial.
+* an integer polynomial (`PolyZ`) is a tuple of ints, lowest degree first;
+  a minimal polynomial over Q is a tuple of Fractions in the same order.
 
 All values are immutable and all functions are pure.
 """
@@ -14,7 +14,6 @@ All values are immutable and all functions are pure.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -124,20 +123,6 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     if g != 1:
         raise DomainError("moduli not coprime")
     return (r1 + m1 * ((r2 - r1) * pow(m1, -1, m2) % m2)) % (m1 * m2)
-
-
-# ---------------------------------------------------------------------------
-# polynomials over Q
-# ---------------------------------------------------------------------------
-
-PolyQ = tuple[Fraction, ...]
-
-
-def poly_trim(coeffs) -> PolyQ:
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(Fraction(c) for c in cs)
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,8 @@ def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaCla
 
     kappa is recovered inside Q(zeta_m) by solving kappa * beta^M = D_s phi
     linearly over the embedded power basis (so the huge beta is never
-    inverted) and the identity is then re-verified by one multiplication.
+    inverted); divide_into_subfield proves the identity by one integer
+    equation per coefficient of the numerators, with no further product.
     Each class, and each cocycle, is built once and then read from _MEMO.
     """
     key = ("kappa", E, params, s, seed)

@@ -1,4 +1,5 @@
-"""Group-ring operators, certificates and a field inverse that only the tests use.
+"""Group-ring operators, certificates, a field inverse and a minimal
+polynomial that only the tests use.
 
 The formal operators check the telescoping identity (sigma_q - 1) D_q =
 (q - 1) - N_q in the group ring, and apply_group_ring evaluates an operator
@@ -7,6 +8,8 @@ suffix-product derivative.  apply_norm is the plain cyclic norm,
 ratio_mth_power_witness exhibits the representative ambiguity of a class, and
 apply_galois_to_annihilator moves an annihilator by a Galois element.
 inverse is the reference field inverse: kforge itself forms none.
+minimal_polynomial is the reference for kforge's: it expands prod (T - y)
+over the Galois orbit with field elements as coefficients.
 """
 
 from __future__ import annotations
@@ -135,6 +138,23 @@ def inverse(x: CycloElt) -> CycloElt:
     if not norm.is_rational():
         raise InternalInconsistency("norm failed to land in Q")
     return cofactor * field.from_rational(1 / norm.as_rational())
+
+
+def minimal_polynomial(x: CycloElt):
+    """Monic minimal polynomial of x over Q, low degree first, by about d^2
+    field products for an orbit of d elements."""
+    field = x.field
+    orbit = dict.fromkeys(galois_apply(GaloisElt(field, a), x) for a in field.unit_group)
+    coeffs = [field.one]
+    for y in orbit:
+        new = [field.from_rational(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            new[i + 1] = new[i + 1] + c
+            new[i] = new[i] - c * y
+        coeffs = new
+    if not all(c.is_rational() for c in coeffs):
+        raise InternalInconsistency("minimal polynomial has irrational coefficient")
+    return tuple(c.as_rational() for c in coeffs)
 
 
 def apply_group_ring(op: GroupRingOp, x: CycloElt) -> CycloElt:

@@ -37,6 +37,11 @@ class TestExitCodes:
         assert run_main(["axioms", "--omega", "1:1"]) == 2
         assert "sum to zero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("omega", ["1:1,2:-1,twist=3:1,twist=5:1", "1:1,2:-1,compose=2,compose=3"])
+    def test_config_error_repeated_decoration(self, capsys, omega):
+        assert run_main(["axioms", "--omega", omega]) == 2
+        assert "repeated" in capsys.readouterr().err
+
     def test_config_error_bad_kolyvagin_prime(self, capsys):
         assert run_main(["kappa", "--s", "13"]) == 2
         assert "not a Kolyvagin prime" in capsys.readouterr().err

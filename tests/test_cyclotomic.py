@@ -32,9 +32,17 @@ from kforge.cyclotomic import (
     _reduce_vec,
     _solve_against_columns,
 )
-from kforge.exact_arith import euler_phi, factorize, is_prime, poly_trim
+from kforge.exact_arith import euler_phi, factorize, is_prime
 
-from group_ring import inverse
+from group_ring import inverse, minimal_polynomial as reference_minimal_polynomial
+
+
+def poly_trim(coeffs):
+    """A polynomial over Q without its trailing zeros, as Fractions."""
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(Fraction(c) for c in cs)
 
 
 def ip_trim(coeffs):
@@ -148,6 +156,14 @@ small_coeffs = st.lists(
 )
 
 
+def norm_from_minimal_polynomial(x):
+    """N(x) over Q read off the minimal polynomial: for degree d its power
+    phi/d is the characteristic polynomial, so N(x) = ((-1)^d c_0)^(phi/d)."""
+    mp = minimal_polynomial(x)
+    d = len(mp) - 1
+    return x.field.from_rational(((-1) ** d * mp[0]) ** (x.field.phi // d))
+
+
 class TestEltArithmetic:
     def test_inverse_examples(self):
         f5 = get_field(5)
@@ -155,7 +171,7 @@ class TestEltArithmetic:
         f3 = get_field(3)
         assert inverse(f3.one + f3.root(1)) == -f3.root(1)
         with pytest.raises(DomainError, match="division by zero"):
-            inverse(f5.zero)
+            inverse(f5.from_rational(0))
 
     def test_negative_power_is_refused(self):
         # the square-and-multiply loop never ends on a negative exponent, so
@@ -420,7 +436,7 @@ class TestNorms:
         assert relative_norm(f5.from_rational(2), 1) == f5.from_rational(16)
         golden = -(f5.root(2) + f5.root(3))
         assert relative_norm(golden, 1) == f5.one
-        assert relative_norm(f5.zero, 1) == f5.zero
+        assert relative_norm(f5.from_rational(0), 1) == f5.from_rational(0)
 
     @settings(max_examples=25, deadline=None)
     @given(small_coeffs, small_coeffs)
@@ -430,15 +446,10 @@ class TestNorms:
         assert relative_norm(x * y, 1) == relative_norm(x, 1) * relative_norm(y, 1)
 
     @settings(max_examples=20, deadline=None)
-    @given(small_coeffs)
-    def test_norm_to_q_is_read_off_the_minimal_polynomial(self, ca):
-        # the minimal polynomial of degree d to the power phi/d is the
-        # characteristic polynomial, so N(x) = ((-1)^d c_0)^(phi/d)
-        f = get_field(5)
-        x = rand_elt(f, ca)
-        mp = minimal_polynomial(x)
-        d = len(mp) - 1
-        assert relative_norm(x, 1) == f.from_rational(((-1) ** d * mp[0]) ** (f.phi // d))
+    @given(small_coeffs, st.sampled_from([5, 21, 105]))
+    def test_norm_to_q_is_read_off_the_minimal_polynomial(self, ca, m):
+        x = rand_elt(get_field(m), ca)
+        assert relative_norm(x, 1) == norm_from_minimal_polynomial(x)
 
     @settings(max_examples=20, deadline=None)
     @given(small_coeffs, st.sampled_from([5, 15]))
@@ -454,7 +465,7 @@ class TestNorms:
         x = rand_elt(f, ca)
         middle = divide_into_subfield(relative_norm(x, 15), f.one, 15)
         assert embed_up(relative_norm(middle, 1), 105) == relative_norm(x, 1)
-        assert relative_norm(x, 1).is_rational()
+        assert relative_norm(x, 1) == norm_from_minimal_polynomial(x)
 
     def test_product_missing_a_conjugate_is_refused(self):
         f = get_field(105)
@@ -483,7 +494,7 @@ class TestNorms:
                 chain = chain * galois_apply(GaloisElt(field, a), x)
         assert relative_norm(x, m_small) == chain
         if m_small == 1:
-            assert chain.is_rational()
+            assert chain == norm_from_minimal_polynomial(x)
             assert inverse(x) * x == field.one
 
 
@@ -545,10 +556,47 @@ class TestMinimalPolynomial:
         f = get_field(5)
         x = rand_elt(f, ca)
         mp = minimal_polynomial(x)
-        acc = f.zero
+        acc = f.from_rational(0)
         for c in reversed(mp):
             acc = acc * x + f.from_rational(c)
         assert acc.is_zero()
+
+    @pytest.mark.parametrize(
+        "m, m_small",
+        [(1, 1), (2, 1), (3, 1), (5, 1), (7, 1), (9, 3), (12, 4), (15, 5), (21, 7), (35, 5), (55, 11), (105, 15), (105, 21)],
+    )
+    def test_against_the_field_valued_expansion(self, m, m_small):
+        # full orbits, and subfield elements whose orbit is shorter than phi:
+        # real elements, embedded ones and traces down to Q(zeta_m_small)
+        field, small = get_field(m), get_field(m_small)
+        rng = random.Random(m + m_small)
+
+        def draw(f):
+            return f.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(f.phi)])
+
+        x = draw(field)
+        trace = field.from_rational(0)
+        for a in field.unit_group:
+            if a % m_small == 1 % m_small:
+                trace = trace + galois_apply(GaloisElt(field, a), x)
+        for y in (
+            x,
+            x + conjugate(x),
+            embed_up(draw(small), m),
+            trace,
+            field.from_rational(0),
+            field.from_rational(Fraction(-7, 3)),
+        ):
+            assert minimal_polynomial(y) == reference_minimal_polynomial(y)
+
+    def test_a_misread_orbit_is_refused(self, monkeypatch):
+        # with every automorphism read as the identity the orbit of
+        # y = zeta - zeta^2 has one element and trace 0, so the power sums
+        # give P = T, and only the evaluation P(y) = y != 0 refuses it
+        f5 = get_field(5)
+        monkeypatch.setattr(cyclotomic, "galois_apply", lambda s, x: x)
+        with pytest.raises(InternalInconsistency, match="does not vanish"):
+            minimal_polynomial(f5.root(1) - f5.root(2))
 
 
 def lowest_terms(t):
@@ -947,7 +995,7 @@ class TestReduction:
             for e, c in zip(exponents, terms):
                 vec[e % m] += c
             assert field.from_terms(exponents, terms, den) == reference_element(field, vec, den)
-        assert field.from_terms((), ()) == field.zero
+        assert field.from_terms((), ()) == field.from_rational(0)
 
     @pytest.mark.parametrize("m", REDUCTION_CONDUCTORS)
     @pytest.mark.parametrize("bits", [1, 64, 2000])

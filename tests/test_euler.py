@@ -70,6 +70,21 @@ class TestParsing:
         assert E == parse_omega(BASIC) == EulerSystem(E.base)
         assert E.twist == RootOfUnity(1, 0) and E.describe() == BASIC
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("1:1,2:-1,twist=3:1,twist=5:1", "repeated twist= (token 4 at position 19)"),
+            ("1:1,twist=5:1,2:-1,twist=5:1", "repeated twist= (token 4 at position 19)"),
+            ("1:1,2:-1,compose=2,compose=3", "repeated compose= (token 4 at position 19)"),
+            ("compose=3,1:1,compose=3,2:-1", "repeated compose= (token 3 at position 14)"),
+        ],
+    )
+    def test_repeated_decoration_rejected(self, text, where):
+        # the second token would replace the first without notice
+        with pytest.raises(ConfigError) as raised:
+            parse_omega(text)
+        assert str(raised.value) == where
+
     def test_imprimitive_twist_rejected(self):
         with pytest.raises(ConfigError):
             parse_omega("1:1,2:-1,twist=9:3")

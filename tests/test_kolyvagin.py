@@ -153,7 +153,7 @@ class TestApply:
         x = f55.from_rational(2)
         assert apply_group_ring(op, x) == f55.from_rational(Fraction(1, 2))
         with pytest.raises(DomainError):
-            apply_group_ring(op, f55.zero)
+            apply_group_ring(op, f55.from_rational(0))
 
 
 class TestCocycle:
@@ -243,7 +243,7 @@ def schoolbook_partial_norms(c, y, q):
     conj_c, conj_y = conjugates(c, q), conjugates(y, q)
     ps, es = {}, {}
     for n in range(1, q):
-        es[n], suffix = field.zero, field.one
+        es[n], suffix = field.from_rational(0), field.one
         for t in range(n - 1, -1, -1):
             es[n] = es[n] + conj_y[t] * suffix
             suffix = conj_c[t] * suffix
@@ -423,7 +423,7 @@ def product_sum_beta(coc, terms, seed):
     rng = random.Random(seed)
     for _ in range(32):
         theta = _sample_theta(field, rng)
-        beta = field.zero
+        beta = field.from_rational(0)
         for value, a in terms:
             beta = beta + value * galois_apply(GaloisElt(field, a), theta)
         if not beta.is_zero():
@@ -467,7 +467,7 @@ class TestFactoredResolvent:
         a = lifted_sigma(field, q).a
         # sigma_q(v) / v for v = 1 - zeta: its sigma_q-norm is 1, so only the
         # generator-pair check can see it
-        ratio = field.zero
+        ratio = field.from_rational(0)
         for i in range(a):
             ratio = ratio + field.root(i)
         assert galois_apply(lifted_sigma(field, q), field.one - field.root(1)) == (
@@ -479,6 +479,17 @@ class TestFactoredResolvent:
         # values and a resolvent
         with pytest.raises(InternalInconsistency, match="inconsistent"):
             hilbert90_beta(dataclasses.replace(coc, values=values), 42)
+
+    def test_pair_consistency_refuses_a_root_of_unity_on_one_generator(self, two_prime_cocycle):
+        # zeta_N c_13 breaks c_7 sigma_7(c_13) = c_13 sigma_13(c_7) by
+        # sigma_7(zeta_N) / zeta_N != 1, since zeta_N has a nontrivial 7-part
+        coc = two_prime_cocycle
+        assert sorted(coc.values) == [7, 13]
+        values = dict(coc.values)
+        values[13] = values[13] * coc.field.root(1)
+        with pytest.raises(InternalInconsistency) as raised:
+            hilbert90_beta(dataclasses.replace(coc, values=values), 42)
+        assert str(raised.value) == "cocycle extension is inconsistent"
 
     @pytest.mark.parametrize("which", [min, max])
     def test_relation_check_refuses_a_scaled_generator(self, two_prime_cocycle, which):

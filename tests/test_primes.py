@@ -148,7 +148,7 @@ class TestValuation:
 
     def test_zero_rejected(self, data11):
         with pytest.raises(DomainError):
-            valuation(get_field(5).zero, 3, data11)
+            valuation(get_field(5).from_rational(0), 3, data11)
 
     def test_non_root_rejected(self, data11):
         with pytest.raises(DomainError, match="not a root"):
