@@ -124,10 +124,13 @@ def _axiom_entry(report: Report, ax: AxiomReport, anchor: str, elapsed: float):
     report.add(ax.name, anchor, ax.passed, witness, elapsed)
 
 
-def _kolyvagin_product(params: KolyParams, primes: tuple[int, ...], option: str) -> int:
+def _kolyvagin_product(E: EulerSystem, params: KolyParams, primes: tuple[int, ...], option: str) -> int:
     """The product of the entries of --option, which must be distinct
-    Kolyvagin primes; ConfigError otherwise."""
+    Kolyvagin primes outside the system's excluded set; ConfigError
+    otherwise, before any field is built."""
     for q in primes:
+        if q in E.effective_excluded:
+            raise ConfigError(f"--{option} entry {q} is excluded by the system")
         if not is_kolyvagin_prime(params, q):
             raise ConfigError(f"{q} is not a Kolyvagin prime")
     if len(set(primes)) != len(primes):
@@ -177,7 +180,7 @@ def cmd_kappa(cfg: RunConfig) -> Report:
     E = cfg.system()
     params = cfg.params()
     params.validate_system(E)
-    s = _kolyvagin_product(params, cfg.s, "s")
+    s = _kolyvagin_product(E, params, cfg.s, "s")
     report = Report("kappa", cfg.as_block())
     if s > 1:
         # a cocycle exists only once its certificate and norm condition hold
@@ -214,9 +217,9 @@ def cmd_factorize(cfg: RunConfig) -> Report:
     E = cfg.system()
     params = cfg.params()
     params.validate_system(E)
-    s = _kolyvagin_product(params, cfg.s, "s")
+    s = _kolyvagin_product(E, params, cfg.s, "s")
     qs = cfg.q or (11,)
-    _kolyvagin_product(params, qs, "q")
+    _kolyvagin_product(E, params, qs, "q")
     if any(s % q == 0 for q in qs):
         raise ConfigError("q must not divide s")
     report = Report("factorize", cfg.as_block())

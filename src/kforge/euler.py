@@ -35,7 +35,6 @@ from .cyclotomic import (
     RootOfUnity,
     divide_into_subfield,
     elt_to_strings,
-    embed_up,
     galois_apply,
     get_field,
     is_in_real_subfield,
@@ -215,7 +214,7 @@ def phi_eval_in(E: EulerSystem, eta: RootOfUnity, N: int) -> CycloElt:
 
 
 # ---------------------------------------------------------------------------
-# axiom and norm-relation verifiers
+# axiom verifiers
 # ---------------------------------------------------------------------------
 
 
@@ -251,7 +250,11 @@ def check_E1(E: EulerSystem, eta: RootOfUnity, a: int) -> AxiomReport:
 
 def check_E2(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
     """Distribution relation: the product over all q-th-root translates equals
-    the value at eta^q."""
+    the value at eta^q.  Read through Galois conjugates it is also the norm
+    relation N(x) y = Frob_q(y), for x, y the values at eta*zeta_q and eta
+    when ord(eta) > 1 is prime to q, and norm compatibility from
+    Q(zeta_(p^(n+2))) down to Q(zeta_(p^(n+1))) at eta = zeta_(p^(n+2)), q = p.
+    """
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
     if q in E.effective_excluded:
@@ -302,54 +305,6 @@ def check_E3(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
         },
         all(c % q == 0 for c in residue),
         {"delta": elt_to_strings(delta)},
-    )
-
-
-def check_norm_frobenius(E: EulerSystem, m: int, q: int) -> AxiomReport:
-    """Norm of the q-translated value x down one auxiliary level equals the
-    value y twisted by Frobenius-at-q minus identity, N(x) y = Frob_q(y)."""
-    if m <= 1:
-        raise DomainError("argument must be a nontrivial root of unity")
-    if not is_prime(q) or q in E.effective_excluded:
-        raise DomainError("bad auxiliary prime")
-    if math.gcd(m, q) != 1:
-        raise DomainError("level and auxiliary prime must be coprime")
-    if not E.admissible(RootOfUnity(m, 1)):
-        raise DomainError("level shares a factor with the excluded primes")
-    N = m * q
-    x = phi_eval(E, RootOfUnity(N, (N // q + N // m) % N))
-    norm = relative_norm(x, m)
-    y = phi_eval(E, RootOfUnity(m, 1))
-    image = galois_apply(GaloisElt(y.field, q % m), y)
-    return AxiomReport(
-        "norm_frobenius",
-        {"omega": E.describe(), "m": m, "q": q, "frobenius": q % m},
-        norm * embed_up(y, N) == embed_up(image, N),
-        {
-            "norm": elt_to_strings(norm),
-            "frobenius_image": elt_to_strings(image),
-            "frobenius_trivial": image == y,
-        },
-    )
-
-
-def check_tower_norm(E: EulerSystem, p: int, n: int) -> AxiomReport:
-    """Norm compatibility one step down the p-power tower of real fields."""
-    if not is_prime(p) or p == 2:
-        raise DomainError("tower prime must be odd")
-    if p in E.effective_excluded:
-        raise DomainError(f"tower prime {p} is excluded")
-    if n < 0:
-        raise DomainError("level must be nonnegative")
-    m_low = p ** (n + 1)
-    m_high = m_low * p
-    lhs = relative_norm(phi_eval(E, RootOfUnity(m_high, 1)), m_low)
-    rhs = embed_up(phi_eval(E, RootOfUnity(m_low, 1)), m_high)
-    return AxiomReport(
-        "tower_norm",
-        {"omega": E.describe(), "p": p, "n": n},
-        lhs == rhs,
-        {"lhs": elt_to_strings(lhs), "rhs": elt_to_strings(rhs)},
     )
 
 

@@ -337,8 +337,6 @@ class KappaClass:
     """A representative of the class D_s phi / beta^M together with the data
     needed to re-verify it with the memoized cocycle (beta, the seed)."""
 
-    params: KolyParams
-    s: int
     kappa: CycloElt
     beta: CycloElt
     theta_seed: int
@@ -360,7 +358,7 @@ def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaCla
     if s == 1:
         field = get_field(params.conductor)
         value = phi_eval(E, RootOfUnity(params.conductor, 1))
-        _MEMO[key] = KappaClass(params, 1, value, field.one, seed)
+        _MEMO[key] = KappaClass(value, field.one, seed)
         return _MEMO[key]
     coc = cocycle_closed_form(E, params, s)
     beta = hilbert90_beta(coc, seed)
@@ -368,5 +366,5 @@ def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaCla
     value = divide_into_subfield(coc.dsphi, beta_m, params.conductor)
     if not is_in_real_subfield(value):
         raise InternalInconsistency("class representative is not real")
-    _MEMO[key] = KappaClass(params, s, value, beta, seed)
+    _MEMO[key] = KappaClass(value, beta, seed)
     return _MEMO[key]

@@ -189,18 +189,21 @@ def apply_norm(x: CycloElt, q: int) -> CycloElt:
     return acc
 
 
-def ratio_mth_power_witness(ka: KappaClass, kb: KappaClass) -> CycloElt:
+def ratio_mth_power_witness(ka: KappaClass, kb: KappaClass, M: int) -> CycloElt:
     """Exact w in F with ka.kappa = kb.kappa * w^M, from the beta ratio.
 
     Verifies the representative ambiguity: two seeds change the class by an
-    M-th power of a field element.
+    M-th power of a field element.  A class of conductor m at level s has
+    kappa in Q(zeta_m) and beta in Q(zeta_(m s)), so two classes of one
+    configuration share both fields.
     """
-    if ka.params != kb.params or ka.s != kb.s:
+    m = ka.kappa.field.m
+    if (kb.kappa.field.m, kb.beta.field.m) != (m, ka.beta.field.m):
         raise DomainError("classes from different configurations")
-    if ka.s == 1:
-        return get_field(ka.params.conductor).one
-    w = divide_into_subfield(kb.beta, ka.beta, ka.params.conductor)
-    if kb.kappa * w**ka.params.M != ka.kappa:
+    if ka.beta.field.m == m:  # level 1, where beta = 1
+        return get_field(m).one
+    w = divide_into_subfield(kb.beta, ka.beta, m)
+    if kb.kappa * w**M != ka.kappa:
         raise InternalInconsistency("beta ratio does not witness the class ambiguity")
     return w
 

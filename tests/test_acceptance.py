@@ -16,18 +16,18 @@ import pytest
 from kforge.cyclotomic import (
     GaloisElt,
     RootOfUnity,
+    elt_to_strings,
     embed_up,
     galois_apply,
     get_field,
     is_in_real_subfield,
+    relative_norm,
 )
 from kforge.cli import main as cli_main
 from kforge.euler import (
     check_E1,
     check_E2,
     check_E3,
-    check_norm_frobenius,
-    check_tower_norm,
     check_unit,
     cyclotomic_unit_generators,
     decompose_over_cyclotomic_units,
@@ -124,20 +124,29 @@ def test_A2_axiom_suite():
 
 
 def test_A3_aux_level_norm_relation():
+    # E2 at q prime to ord(eta) > 1 is N(x) y = Frob_q(y), for the values x
+    # at eta*zeta_q and y at eta
     with Budget("A3", 10.0):
         E = parse_omega(BASIC)
-        assert check_norm_frobenius(E, 5, 3).passed
-        collapse = check_norm_frobenius(E, 5, 11)
-        assert collapse.passed and collapse.witness["frobenius_trivial"]
-        # Frob_11 fixes Q(zeta_5), so the norm in Q(zeta_55) is exactly 1
-        assert collapse.witness["norm"]["num"] == ["1"] + ["0"] * 39
-        assert collapse.witness["norm"]["den"] == "1"
-        assert check_norm_frobenius(E, 7, 3).passed
+        eta = RootOfUnity(5, 1)
+        assert check_E2(E, eta, 3).passed
+        collapse = check_E2(E, eta, 11)
+        # Frob_11 fixes Q(zeta_5): the value at eta^11 is the value at eta ...
+        y = phi_eval(E, eta)
+        assert collapse.passed and collapse.witness["rhs"] == elt_to_strings(embed_up(y, 55))
+        # ... so the norm of x from Q(zeta_55) is exactly 1
+        x = phi_eval(E, eta.times(RootOfUnity(11, 1)))
+        assert elt_to_strings(relative_norm(x, 5)) == {"conductor": "55", "den": "1", "num": ["1"] + ["0"] * 39}
+        assert check_E2(E, RootOfUnity(7, 1), 3).passed
 
 
 def test_A4_tower_norm_degree_twenty():
+    # E2 at (zeta_25, 5) is norm compatibility from Q(zeta_25) down to Q(zeta_5)
     with Budget("A4", 60.0):
-        assert check_tower_norm(parse_omega(BASIC), 5, 0).passed
+        E = parse_omega(BASIC)
+        assert check_E2(E, RootOfUnity(25, 1), 5).passed
+        norm = relative_norm(phi_eval(E, RootOfUnity(25, 1)), 5)
+        assert norm == embed_up(phi_eval(E, RootOfUnity(5, 1)), 25)
 
 
 def test_A5_values_are_units():
@@ -183,7 +192,7 @@ def test_A7_hilbert90_and_class():
         assert a.kappa.field.m == 5 and is_in_real_subfield(a.kappa)
         assert embed_up(a.kappa, 55) * a.beta**5 == cocycle_closed_form(E, params, 11).dsphi
         b = kappa(E, params, 11, 43)
-        w = ratio_mth_power_witness(a, b)
+        w = ratio_mth_power_witness(a, b, params.M)
         assert w**5 == a.kappa * inverse(b.kappa)
 
 

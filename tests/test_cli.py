@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from kforge import __version__, euler, kolyvagin, primes
+from kforge import __version__, cyclotomic, euler, kolyvagin, primes
 from kforge.cli import build_parser, main
 from kforge.cyclotomic import CycloElt
 
@@ -65,6 +65,17 @@ class TestExitCodes:
         # factorize once ran --s 1,1 to a passing report
         assert run_main(args) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["s", "q"])
+    def test_excluded_prime_is_refused_before_any_field(self, capsys, monkeypatch, option):
+        # the twist excludes 7, so s = 7 or q = 7 would ask for values at roots
+        # of order 21, which phi_eval refuses only after building their fields
+        monkeypatch.setattr(cyclotomic, "_FIELDS", {})
+        command = "kappa" if option == "s" else "factorize"
+        args = [command, "--omega", "1:1,2:-1,twist=7:1", "--p", "3", "--n", "0", "--M", "3", "--" + option, "7"]
+        assert run_main(args) == 2
+        assert f"--{option} entry 7 is excluded by the system" in capsys.readouterr().err
+        assert cyclotomic._FIELDS == {}  # not even the table for 21
 
     def test_repeated_q_is_refused(self, capsys):
         # a repeated q would write the same two report entries twice

@@ -9,6 +9,7 @@ from kforge.cli import main
 from kforge.errors import BudgetExhausted, ConfigError, DomainError
 from kforge.cyclotomic import (
     RootOfUnity,
+    elt_to_strings,
     embed_up,
     galois_apply,
     GaloisElt,
@@ -24,8 +25,6 @@ from kforge.euler import (
     check_E1,
     check_E2,
     check_E3,
-    check_norm_frobenius,
-    check_tower_norm,
     check_unit,
     cyclotomic_unit_generators,
     decompose_over_cyclotomic_units,
@@ -279,8 +278,8 @@ PERTURBED = EulerSystem(OmegaSpec(((3, 1),), frozenset({2})))
         (check_E1, (RootOfUnity(5, 1), 2)),
         (check_E2, (RootOfUnity(1, 0), 5)),
         (check_unit, (RootOfUnity(5, 1),)),
-        (check_norm_frobenius, (5, 3)),
-        (check_tower_norm, (3, 1)),
+        (check_E2, (RootOfUnity(5, 1), 3)),
+        (check_E2, (RootOfUnity(27, 1), 3)),
     ],
     ids=["E1", "E2", "unit", "norm_frobenius", "tower_norm"],
 )
@@ -289,29 +288,68 @@ def test_verifier_fails_on_a_perturbed_system(check, args):
     assert check(PERTURBED, *args).passed is False
 
 
+def norm_frobenius_reading(E, eta, q, N):
+    """N(x) y inside Q(zeta_N) for the values x at eta*zeta_q and y at eta,
+    the norm taken down to Q(zeta_ord(eta)): E2's product read as a norm."""
+    x = phi_eval(E, eta.times(RootOfUnity(q, 1)))
+    return embed_up(relative_norm(x, eta.order), N) * embed_up(phi_eval(E, eta), N)
+
+
+def tower_norm_reading(E, p, N):
+    """The norm of the value at zeta_(p^2) down to Q(zeta_p), inside Q(zeta_N)."""
+    return embed_up(relative_norm(phi_eval(E, RootOfUnity(p * p, 1)), p), N)
+
+
 class TestNormRelations:
+    # E2 at q prime to ord(eta) > 1 is N(x) y = Frob_q(y); at (zeta_(p^2), p)
+    # it is norm compatibility from Q(zeta_(p^2)) down to Q(zeta_p)
+
     def test_aux_norm_instances(self):
         E = parse_omega(BASIC)
-        assert check_norm_frobenius(E, 5, 3).passed
-        rep = check_norm_frobenius(E, 5, 11)
-        assert rep.passed and rep.witness["frobenius_trivial"]
-        assert check_norm_frobenius(E, 7, 3).passed
-
-    def test_aux_norm_rejects_trivial_eta(self):
-        with pytest.raises(DomainError):
-            check_norm_frobenius(parse_omega(BASIC), 1, 3)
+        assert check_E2(E, RootOfUnity(5, 1), 3).passed
+        rep = check_E2(E, RootOfUnity(5, 1), 11)
+        # Frob_11 fixes Q(zeta_5): the value at eta^11 is the value at eta
+        assert rep.passed and rep.witness["rhs"] == elt_to_strings(phi_eval_in(E, RootOfUnity(5, 1), 55))
+        assert check_E2(E, RootOfUnity(7, 1), 3).passed
 
     def test_tower_norm_small(self):
         E = parse_omega(BASIC)
-        assert check_tower_norm(E, 3, 0).passed
+        assert check_E2(E, RootOfUnity(9, 1), 3).passed
+        assert tower_norm_reading(E, 3, 9) == embed_up(phi_eval(E, RootOfUnity(3, 1)), 9)
 
     def test_tower_norm_excluded_prime(self):
         with pytest.raises(DomainError, match="excluded"):
-            check_tower_norm(parse_omega("1:2,3:-2"), 3, 0)
+            check_E2(parse_omega("1:2,3:-2"), RootOfUnity(9, 1), 3)
 
 
 # the systems the desk benchmark passes to the axioms command
 DESK_SYSTEMS = (BASIC, BASIC + ",twist=3:1", "1:2,3:-2", "2:1,3:-1", BASIC + ",compose=2")
+
+
+@pytest.mark.parametrize("omega", DESK_SYSTEMS)
+def test_axioms_report_carries_the_norm_relations(capsys, omega):
+    # every E2 entry at q prime to ord(eta) > 1 is the norm-Frobenius
+    # relation, and E2 at (zeta_(p^2), p) is one step of the tower relation
+    E = parse_omega(omega)
+    assert main(["axioms", "--omega", omega]) == 0
+    entries = [c["witness"] for c in json.loads(capsys.readouterr().out)["checks"] if c["name"] == "E2"]
+    read = 0
+    for witness in entries:
+        label, q = witness["params"]["eta"], int(witness["params"]["q"])
+        order = 1 if label == "1" else int(label.split("^")[0].removeprefix("zeta_"))
+        if order == 1 or order % q == 0:
+            continue
+        N = int(witness["lhs"]["conductor"])
+        assert witness["lhs"] == elt_to_strings(norm_frobenius_reading(E, RootOfUnity(order, 1), q, N))
+        read += 1
+    grid = [(o, q) for o in (3, 5, 7) for q in (3, 7, 11) if o % q and E.admissible(RootOfUnity(o * q, 1))]
+    assert read == len(grid) >= 3
+    for p in (3, 5, 7):
+        if p in E.effective_excluded:
+            continue
+        rep = check_E2(E, RootOfUnity(p * p, 1), p)
+        N = int(rep.witness["lhs"]["conductor"])
+        assert rep.passed and rep.witness["lhs"] == elt_to_strings(tower_norm_reading(E, p, N))
 
 
 class TestUnitCheck:

@@ -547,7 +547,7 @@ class TestKappa:
         a = kappa(BASIC, params, 11, 42)
         b = kappa(BASIC, params, 11, 43)
         assert a.kappa != b.kappa  # representatives differ
-        w = ratio_mth_power_witness(a, b)
+        w = ratio_mth_power_witness(a, b, params.M)
         assert b.kappa * w**5 == a.kappa
 
     def test_reuses_a_given_cocycle(self, certified):
@@ -572,4 +572,4 @@ class TestKappa:
         a = kappa(BASIC, params, 11, 42)
         b = kappa(BASIC, params, 1, 42)
         with pytest.raises(DomainError):
-            ratio_mth_power_witness(a, b)
+            ratio_mth_power_witness(a, b, params.M)
