@@ -6,13 +6,14 @@ same configuration and seed; measured timings therefore go to stderr only
 (the serialized timing field is null).
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 bad
-configuration, 3 internal inconsistency (a certified identity failed to
-re-verify, which should never happen).
+configuration or an unwritable --out, 3 internal inconsistency (a certified
+identity failed to re-verify, which should never happen).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -384,16 +385,24 @@ def run(cfg: RunConfig) -> tuple[Report, int]:
     return report, 0 if report.overall == "pass" else 1
 
 
-def _write_report(report: Report, out: str | None) -> None:
+def _write_report(report: Report, out: str | None) -> bool:
+    """Write --out, then stdout; False, with nothing on stdout and no
+    temporary file left, when --out cannot be written."""
     text = report.to_json()
-    sys.stdout.write(text)
     if out:
-        tmp = out + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
+        try:
+            with open(out + ".tmp", "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(out + ".tmp", out)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                os.remove(out + ".tmp")
+            print(f"error: cannot write --out {out}: {exc.strerror or exc}", file=sys.stderr)
+            return False
+    sys.stdout.write(text)
     for check, ms in zip(report.checks, report.timings_ms):
         print(f"[timing] {check['name']}: {ms:.1f} ms", file=sys.stderr)
+    return True
 
 
 def main(argv=None) -> int:
@@ -410,8 +419,7 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    _write_report(report, cfg.out)
-    return code
+    return code if _write_report(report, cfg.out) else 2
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ twist by a primitive h-th root of unity xi, whose value is the product of
 the base values at eta*xi^b over b coprime to h (enlarging the excluded set
 by the primes of h).
 
-Every value is built as one balanced product of its elementary factors:
-1 - zeta^k, the closed-form inverses of such factors, and one root of unity,
-gathered over every translate of a twist.  The decomposition over
+Every value, twisted or not, is one balanced product of elementary factors
+in Q(zeta_ord(eta)): 1 - zeta^k, the closed-form inverses of such factors,
+and one rational times a root of unity.  The decomposition over
 cyclotomic-unit generators is proved by an identity between two such
 products and forms no inverse.
 """
@@ -33,7 +33,6 @@ from .cyclotomic import (
     CycloField,
     GaloisElt,
     RootOfUnity,
-    divide_into_subfield,
     elt_to_strings,
     galois_apply,
     get_field,
@@ -43,7 +42,7 @@ from .cyclotomic import (
     product,
     relative_norm,
 )
-from .exact_arith import factorize, is_prime, multiplicative_order
+from .exact_arith import euler_phi, factorize, is_prime, multiplicative_order
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,8 @@ class EulerSystem:
             raise ConfigError("composition power must be nonzero")
         if any(self.twist.order % p == 0 for p in self.base.excluded):
             raise ConfigError("twist order must be coprime to the excluded primes")
+        if any(math.gcd(2 * a, self.twist.order) != 1 for a, _ in self.base.pairs):
+            raise ConfigError("twist order must be coprime to 2a for every base a")
 
     @property
     def effective_excluded(self) -> frozenset[int]:
@@ -156,60 +157,54 @@ def parse_omega(text: str) -> EulerSystem:
 def _factors(E: EulerSystem, eta: RootOfUnity, field: CycloField):
     """The elementary factors whose product is the value at eta in field.
 
-    At eta = 1 that is the rational limit.  Otherwise each factor
-    (zeta^(-ea) - zeta^(ea))^n is zeta^(-ean) (1 - zeta^k)^n with k = 2ea:
-    n copies of 1 - zeta^k, or -n copies of its closed-form inverse, so no
-    polynomial gcd is ever needed; the roots of unity gather into one
-    zeta^shift.  A twist yields the factors at every translate, a
-    composition those at the power of eta.
+    With y = eta^n, n the composition power, a base factor (y^(-a) - y^a)^k
+    is y^(-ak) (1 - Y)^k, Y = y^(2a).  Over the translates y*xi^(bn) of a
+    twist of order h, xi^(bn) runs phi(h)/phi(h') times over the primitive
+    h'-th roots, h' = h/gcd(n, h); h being odd and prime to 2a, the factors
+    1 - Y*xi'^(2a) multiply to Phi_h'(Y) = prod_{d | h'} (1 - Y^d)^mu(h'/d)
+    and, the units mod h summing to 0 mod h, the roots of unity to
+    y^(-ak phi(h)) (Washington, Introduction to Cyclotomic Fields, Ch. 2).
+    A negative power of 1 - Y^d is a power of its closed-form inverse, so no
+    gcd is needed.  Where Y = 1 the pair gives its limit: a^(k phi(h)) at y = 1
+    if h' = 1, else Phi_h'(1)^(k phi(h)/phi(h')) = prod d^(mu k phi(h)/phi(h')).
     """
     h = E.twist.order
-    if h > 1:
-        inner = EulerSystem(E.base, E.compose_n)
-        for b in range(1, h + 1):
-            if math.gcd(b, h) == 1:
-                yield from _factors(inner, eta.times(E.twist**b), field)
-        return
-    if E.compose_n:
-        yield from _factors(EulerSystem(E.base), eta**E.compose_n, field)
-        return
-    if eta.order == 1:
-        yield field.from_rational(math.prod(Fraction(a) ** n for a, n in E.base.pairs))
-        return
+    n = E.compose_n or 1
+    y = eta**n
+    h_prime = h // math.gcd(n, h)
+    phi_h = euler_phi(h)
+    reps = phi_h // euler_phi(h_prime)
+    binomials = get_field(h_prime).binomials
     m = field.m
-    e = eta.exp * (m // eta.order)
-    shift = 0
-    for a, n in E.base.pairs:
-        k = (2 * e * a) % m
-        if k == 0:
-            raise DomainError("zero factor: argument outside the admissible domain")
-        shift -= e * a * n
-        if n > 0:
-            yield from repeat(field.from_terms((0, k), (1, -1)), n)
-        elif n < 0:
-            yield from repeat(one_minus_root_inverse(field, k), -n)
-    yield field.root(shift % m)
+    e = y.exp * (m // y.order)
+    shift, limit = 0, Fraction(1)
+    for a, k in E.base.pairs:
+        shift -= e * a * k * phi_h
+        if 2 * e * a % m == 0:
+            if h_prime > 1:
+                limit *= math.prod(Fraction(d) ** mu for d, mu in binomials) ** (k * reps)
+            elif y.order == 1:
+                limit *= Fraction(a) ** (k * phi_h)
+            else:
+                raise DomainError("zero factor: argument outside the admissible domain")
+            continue
+        for d, mu in binomials:
+            count = k * mu * reps
+            if count > 0:
+                yield from repeat(field.from_terms((0, 2 * e * a * d), (1, -1)), count)
+            elif count < 0:
+                yield from repeat(one_minus_root_inverse(field, 2 * e * a * d), -count)
+    yield field.from_terms((shift,), (limit.numerator,), limit.denominator)
 
 
-def phi_eval(E: EulerSystem, eta: RootOfUnity) -> CycloElt:
-    """Exact value of the system at eta, as an element of Q(zeta_ord(eta))."""
+def phi_eval(E: EulerSystem, eta: RootOfUnity, N: int | None = None) -> CycloElt:
+    """Exact value of the system at eta, as an element of Q(zeta_N) for a
+    multiple N of ord(eta), by default Q(zeta_ord(eta)) itself."""
     if not E.admissible(eta):
         raise DomainError(f"root of order {eta.order} is outside the admissible domain")
-    N = math.lcm(eta.order, E.twist.order)
-    value = phi_eval_in(E, eta, N)
-    if N == eta.order:
-        return value
-    # a twist widened the field: descend to Q(zeta_ord(eta)), or refuse
-    return divide_into_subfield(value, value.field.one, eta.order)
-
-
-def phi_eval_in(E: EulerSystem, eta: RootOfUnity, N: int) -> CycloElt:
-    """Value at eta represented inside Q(zeta_N), without intermediate
-    subfield descents; intended for product identities that compare several
-    values in one ambient field.  N must be a multiple of ord(eta) and of
-    the twist order."""
-    if N % math.lcm(eta.order, E.twist.order) != 0:
-        raise DomainError("ambient conductor too small")
+    N = eta.order if N is None else N
+    if N % eta.order != 0:
+        raise DomainError(f"{eta.order} does not divide {N}")
     return product(_factors(E, eta, get_field(N)))
 
 
@@ -260,8 +255,8 @@ def check_E2(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
     if q in E.effective_excluded:
         raise DomainError(f"auxiliary prime {q} is excluded")
     N = math.lcm(q, eta.order, E.twist.order)
-    lhs = product(phi_eval_in(E, eta.times(RootOfUnity(q, c)), N) for c in range(q))
-    rhs = phi_eval_in(E, eta**q, N)
+    lhs = product(phi_eval(E, eta.times(RootOfUnity(q, c)), N) for c in range(q))
+    rhs = phi_eval(E, eta**q, N)
     return AxiomReport(
         "E2",
         {"omega": E.describe(), "eta": _root_label(eta), "q": q},
@@ -291,7 +286,7 @@ def check_E3(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
         raise DomainError("argument order must be coprime to q")
     m_prime = math.lcm(m0, E.twist.order)
     N = q * m_prime
-    delta = phi_eval_in(E, eta.times(RootOfUnity(q, 1)), N) - phi_eval_in(E, eta, N)
+    delta = phi_eval(E, eta.times(RootOfUnity(q, 1)), N) - phi_eval(E, eta, N)
     if delta.den % q == 0:
         raise DomainError("non-integral test value")
     residue = get_field(m_prime).from_terms(range(len(delta.num)), delta.num).num

@@ -199,8 +199,6 @@ class Cocycle:
     resolvent factor is R_q(y) = E_(q-1)(c_q, y c_q), both formed by
     _partial_norm when the values are read; nothing beyond them is kept."""
 
-    params: KolyParams
-    s: int
     field: CycloField
     values: dict[int, CycloElt]
     dsphi: CycloElt
@@ -266,7 +264,7 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
             tail = _partial_norm(sub.values[r], sigma_r, r - 1 - e)
             values[q] = values[q] * embed_up(galois_apply(_power(sigma_r, e), tail), N)
     _certify(field, M, values, derived[s])
-    _MEMO[key] = Cocycle(params, s, field, values, derived[s], frob_exps)
+    _MEMO[key] = Cocycle(field, values, derived[s], frob_exps)
     return _MEMO[key]
 
 

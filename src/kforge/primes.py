@@ -121,8 +121,6 @@ def valuation(x: CycloElt, root: int, data: SplitPrimeData) -> int:
 class IdealVector:
     """An element of I_q / M I_q: one residue per prime of F above q."""
 
-    q: int
-    M: int
     entries: tuple[int, ...]
 
     def is_zero(self) -> bool:
@@ -142,7 +140,7 @@ def ideal_vector(x: CycloElt, M: int, data: SplitPrimeData) -> IdealVector:
         if v1 != v2:
             raise InternalInconsistency("paired-root valuations disagree")
         entries.append(v1 % M)
-    return IdealVector(data.q, M, tuple(entries))
+    return IdealVector(tuple(entries))
 
 
 def _residue_at_root(x: CycloElt, root: int, q: int) -> int:
@@ -166,7 +164,7 @@ def ideal_dlog_vector(w: CycloElt, M: int, data: SplitPrimeData) -> IdealVector:
         if r1 != r2:
             raise InternalInconsistency("paired-root residues disagree")
         entries.append(int_dlog(data.gamma, r1, q) % M)
-    return IdealVector(q, M, tuple(entries))
+    return IdealVector(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +177,6 @@ class AnnihilatorElt:
     """Element of (Z/M)[Gal(F/Q)]; keys are the class representatives
     a <= m/2 of {a, m-a}, together with the reference prime's root pair."""
 
-    m: int
-    M: int
     coeffs: tuple[tuple[int, int], ...]
     reference_pair: tuple[int, int]
 
@@ -212,7 +208,7 @@ def annihilator_from_dlogs(vec: IdealVector, data: SplitPrimeData) -> Annihilato
         a_inv = pow(a, -1, m)
         image_root = pow(c0, a_inv, data.q)
         coeffs.append((a, vec.entries[_pair_index(data, image_root)]))
-    return AnnihilatorElt(m, vec.M, tuple(coeffs), data.pairs[0])
+    return AnnihilatorElt(tuple(coeffs), data.pairs[0])
 
 
 # ---------------------------------------------------------------------------

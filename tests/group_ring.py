@@ -10,21 +10,27 @@ apply_galois_to_annihilator moves an annihilator by a Galois element.
 inverse is the reference field inverse: kforge itself forms none.
 minimal_polynomial is the reference for kforge's: it expands prod (T - y)
 over the Galois orbit with field elements as coefficients.
+twisted_value_reference is the reference for a twisted system value: the
+product over the twist's translates, formed in the wider field and solved
+back down.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from kforge.cyclotomic import (
     CycloElt,
     GaloisElt,
+    RootOfUnity,
     divide_into_subfield,
     galois_apply,
     get_field,
     product,
 )
 from kforge.errors import DomainError, InternalInconsistency
+from kforge.euler import EulerSystem, phi_eval
 from kforge.exact_arith import is_prime
 from kforge.kolyvagin import KappaClass, lifted_sigma
 from kforge.primes import AnnihilatorElt, galois_classes
@@ -208,9 +214,21 @@ def ratio_mth_power_witness(ka: KappaClass, kb: KappaClass, M: int) -> CycloElt:
     return w
 
 
-def apply_galois_to_annihilator(theta: AnnihilatorElt, b: int) -> AnnihilatorElt:
-    """Left multiplication by the class of sigma_b."""
-    m = theta.m
+def twisted_value_reference(E: EulerSystem, eta: RootOfUnity) -> CycloElt:
+    """The value at eta as the product of the base values at (eta*xi^b)^n
+    for every b prime to the twist order h, n the composition power, formed
+    in Q(zeta_lcm(ord eta, h)) and brought down to Q(zeta_ord(eta)) by a
+    subfield solve, which refuses a product outside it."""
+    h, n = E.twist.order, E.compose_n or 1
+    N = math.lcm(eta.order, h)
+    base = EulerSystem(E.base)
+    translates = (eta.times(E.twist**b) ** n for b in range(1, h + 1) if math.gcd(b, h) == 1)
+    value = product(phi_eval(base, t, N) for t in translates)
+    return divide_into_subfield(value, value.field.one, eta.order)
+
+
+def apply_galois_to_annihilator(theta: AnnihilatorElt, b: int, m: int) -> AnnihilatorElt:
+    """Left multiplication by the class of sigma_b in Gal(F/Q), F of conductor m."""
     mapping = dict(theta.coeffs)
     out = []
     for a in galois_classes(m):
@@ -219,4 +237,4 @@ def apply_galois_to_annihilator(theta: AnnihilatorElt, b: int) -> AnnihilatorElt
         pre = a * pow(b, -1, m) % m
         pre = min(pre, m - pre)
         out.append((a, mapping[pre]))
-    return AnnihilatorElt(m, theta.M, tuple(out), theta.reference_pair)
+    return AnnihilatorElt(tuple(out), theta.reference_pair)

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import math
 import sys
 
 import pytest
@@ -19,7 +21,7 @@ def resolved_levels(monkeypatch):
     resolvent = kolyvagin.hilbert90_beta
 
     def counted(coc, seed):
-        levels.append(coc.s)
+        levels.append(math.prod(coc.values))
         return resolvent(coc, seed)
 
     monkeypatch.setattr(kolyvagin, "hilbert90_beta", counted)
@@ -142,6 +144,19 @@ class TestExitCodes:
         assert "internal inconsistency: cocycle certificate failed" in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("target", ["missing/r.json", "directory"])
+    def test_unwritable_out_exits_two_and_prints_no_report(self, capsys, tmp_path, target):
+        # the report once went to stdout before --out raised, with exit 1
+        (tmp_path / "directory").mkdir()
+        out = tmp_path / target
+        args = ["primes", "--p", "5", "--n", "0", "--M", "5", "--limit", "50", "--out", str(out)]
+        assert run_main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()] and str(out) in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["directory"]
+        assert not any((tmp_path / "directory").iterdir())
+
 
 class TestReports:
     def test_schema_and_key_order(self, capsys):
@@ -255,7 +270,7 @@ class TestReports:
             return closed_form(*args)
 
         def counted_resolvent(coc, seed):
-            solved.append(coc.s)
+            solved.append(math.prod(coc.values))
             return resolvent(coc, seed)
 
         monkeypatch.setattr(kolyvagin, "cocycle_closed_form", counted_cocycle)
@@ -328,6 +343,27 @@ class TestDeterminism:
         assert run_main(args + ["--out", str(out1)]) == 0
         assert run_main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ["kappa", "--omega", "1:1,2:-1,twist=7:1", "--p", "3", "--n", "0", "--M", "3", "--s", "13"],
+                "afdafd8c97816699aaf0b8278b46bdd237dff5845bb904758584080454963d5f",
+            ),
+            (
+                ["factorize", "--omega", "1:1,2:-1,twist=5:2", "--p", "3", "--n", "0", "--M", "3", "--q", "7"],
+                "cf910bce5cca11fa042be00b7b552a85b106c045544a14ebadab4351b2758f0c",
+            ),
+        ],
+        ids=["kappa-twist-7", "factorize-twist-5"],
+    )
+    def test_twisted_reports_are_pinned(self, capsys, args, digest):
+        # the reports of the translate-and-descend construction, which built
+        # each twisted value in Q(zeta_lcm(ord eta, h)) and solved it back down
+        assert run_main(args + ["--seed", "42"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestDecomposeCommand:

@@ -30,11 +30,10 @@ from kforge.euler import (
     decompose_over_cyclotomic_units,
     parse_omega,
     phi_eval,
-    phi_eval_in,
 )
 from kforge.exact_arith import factorize, is_prime
 
-from group_ring import inverse
+from group_ring import inverse, twisted_value_reference
 
 BASIC = "1:1,2:-1"
 ETA_GRID = [RootOfUnity(1, 0), RootOfUnity(3, 1), RootOfUnity(5, 1), RootOfUnity(7, 1)]
@@ -92,6 +91,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="coprime"):
             EulerSystem(OmegaSpec.build([(1, 1), (2, -1)]), None, RootOfUnity(2, 1))
 
+    def test_twist_must_be_prime_to_twice_every_base(self):
+        # a hand-built excluded set may leave out the base 3; the translates
+        # then do not multiply to Phi_3(y^6), so the twist is refused
+        spec = OmegaSpec(((3, 1), (1, -1)), frozenset({2}))
+        with pytest.raises(ConfigError, match="coprime to 2a"):
+            EulerSystem(spec, twist=RootOfUnity(3, 1))
+        # untwisted or twisted prime to 6, it builds; PERTURBED and the
+        # weight-sum-1 system of the E3 test are the untwisted controls
+        assert EulerSystem(spec) and EulerSystem(spec, twist=RootOfUnity(5, 1))
+
 
 class TestValues:
     def test_value_at_one(self):
@@ -131,7 +140,9 @@ class TestValues:
     def test_ambient_evaluation_consistent(self):
         E = parse_omega(BASIC)
         v = phi_eval(E, RootOfUnity(5, 1))
-        assert phi_eval_in(E, RootOfUnity(5, 1), 35) == embed_up(v, 35)
+        assert phi_eval(E, RootOfUnity(5, 1), 35) == embed_up(v, 35)
+        with pytest.raises(DomainError, match="5 does not divide 21"):
+            phi_eval(E, RootOfUnity(5, 1), 21)
 
     def test_derived_system_degeneracies(self):
         base = parse_omega(BASIC)
@@ -140,16 +151,11 @@ class TestValues:
             assert phi_eval(parse_omega(BASIC + ",compose=1"), eta) == v
             assert phi_eval(parse_omega(BASIC + ",twist=1:0"), eta) == v
 
-    def test_twisted_value_descends_or_is_refused(self, monkeypatch):
+    def test_twisted_value_lies_in_its_argument_field(self):
         E = parse_omega(BASIC + ",twist=3:1")
         eta = RootOfUnity(7, 1)
         v = phi_eval(E, eta)
-        assert v.field.m == 7 and embed_up(v, 21) == phi_eval_in(E, eta, 21)
-        # a twisted value outside Q(zeta_7) is refused, not truncated
-        genuine = euler.phi_eval_in
-        monkeypatch.setattr(euler, "phi_eval_in", lambda E, eta, N: genuine(E, eta, N) + get_field(N).root(1))
-        with pytest.raises(DomainError, match="does not lie in the requested subfield"):
-            phi_eval(E, eta)
+        assert v.field.m == 7 and embed_up(v, 21) == phi_eval(E, eta, 21)
 
 
 ORACLE_SYSTEMS = (
@@ -189,11 +195,11 @@ def residue_oracle(E, eta, N, ell, r):
 
 @pytest.mark.parametrize("omega,eta,N", ORACLE_CASES)
 def test_values_against_direct_evaluation_mod_a_split_prime(omega, eta, N):
-    """phi_eval_in agrees with the definition at every embedding zeta_N -> r
+    """phi_eval agrees with the definition at every embedding zeta_N -> r
     into F_ell, for a prime ell = 1 mod N and r of order N mod ell; so it
     agrees with it modulo every prime above ell."""
     E = parse_omega(omega)
-    value = phi_eval_in(E, eta, N)
+    value = phi_eval(E, eta, N)
     ell = next(ell for ell in range(N * (10**4 // N) + 1, 10**7, N) if is_prime(ell))
     assert value.den % ell != 0
     r = next(
@@ -205,6 +211,61 @@ def test_values_against_direct_evaluation_mod_a_split_prime(omega, eta, N):
         r_u = pow(r, u, ell)
         at_r_u = sum(c * pow(r_u, i, ell) for i, c in enumerate(value.num)) * pow(value.den, -1, ell)
         assert at_r_u % ell == residue_oracle(E, eta, N, ell, r_u), u
+
+
+# the systems the desk benchmark passes to the axioms command
+DESK_SYSTEMS = (BASIC, BASIC + ",twist=3:1", "1:2,3:-2", "2:1,3:-1", BASIC + ",compose=2")
+
+
+# h' = h / gcd(n, h) is 1 for compose=3,twist=3:1 and 3 for compose=5,twist=15:2
+TWISTED_SYSTEMS = tuple(
+    BASIC + decoration
+    for decoration in (",twist=5:2", ",twist=15:1", ",compose=3,twist=3:1", ",compose=5,twist=15:2")
+)
+
+
+@pytest.mark.parametrize("omega", DESK_SYSTEMS + TWISTED_SYSTEMS)
+def test_values_equal_the_translate_product(omega):
+    """phi_eval, which expands a twist through Phi_h' in Q(zeta_ord(eta)),
+    equals the product over the translates formed in the wider field and
+    solved back down, at 1 and at three exponents of every admissible order
+    up to 40."""
+    E = parse_omega(omega)
+    etas = {
+        RootOfUnity(order, exp % order)
+        for order in range(1, 41)
+        for exp in (1, 2, -1)
+        if math.gcd(exp, order) == 1 and E.admissible(RootOfUnity(order, exp % order))
+    }
+    assert len(etas) >= 20
+    for eta in etas:
+        value = phi_eval(E, eta)
+        assert value.field.m == eta.order
+        assert value == twisted_value_reference(E, eta), eta
+
+
+@pytest.mark.parametrize(
+    "pairs, compose, twist, order",
+    [
+        (((1, 1),), 5, (15, 1), 1),  # weight sum 1: (Phi_3(1)^4)^1 at 1
+        (((1, 1),), 5, (15, 1), 7),
+        (((3, 1), (1, -1)), None, (5, 1), 3),  # zeta_3^6 = 1: the pair (3, 1) gives Phi_5(1)
+        (((3, 1), (1, -1)), None, (5, 1), 9),
+        (((3, 2), (5, 1)), 7, (7, 3), 3),  # h' = 1 and zeta_3^6 = 1: a zero factor
+    ],
+)
+def test_hand_built_limits_equal_the_translate_product(pairs, compose, twist, order):
+    # a hand-built excluded set may leave out base primes, so Y = y^(2a) = 1
+    # at eta != 1 too; with a nonzero weight sum, the limits do not cancel
+    E = EulerSystem(OmegaSpec(pairs, frozenset({2})), compose, RootOfUnity(*twist))
+    eta = RootOfUnity(order, 1 % order)
+    try:
+        expected = twisted_value_reference(E, eta)
+    except DomainError:
+        with pytest.raises(DomainError, match="zero factor"):
+            phi_eval(E, eta)
+        return
+    assert phi_eval(E, eta) == expected
 
 
 class TestAxioms:
@@ -233,7 +294,7 @@ class TestAxioms:
             big = get_field(q)
             prod = big.one
             for c in range(1, q):
-                prod = prod * phi_eval_in(E, RootOfUnity(q, c), q)
+                prod = prod * phi_eval(E, RootOfUnity(q, c), q)
             assert prod == big.one
 
     def test_E3_examples(self):
@@ -309,7 +370,7 @@ class TestNormRelations:
         assert check_E2(E, RootOfUnity(5, 1), 3).passed
         rep = check_E2(E, RootOfUnity(5, 1), 11)
         # Frob_11 fixes Q(zeta_5): the value at eta^11 is the value at eta
-        assert rep.passed and rep.witness["rhs"] == elt_to_strings(phi_eval_in(E, RootOfUnity(5, 1), 55))
+        assert rep.passed and rep.witness["rhs"] == elt_to_strings(phi_eval(E, RootOfUnity(5, 1), 55))
         assert check_E2(E, RootOfUnity(7, 1), 3).passed
 
     def test_tower_norm_small(self):
@@ -320,10 +381,6 @@ class TestNormRelations:
     def test_tower_norm_excluded_prime(self):
         with pytest.raises(DomainError, match="excluded"):
             check_E2(parse_omega("1:2,3:-2"), RootOfUnity(9, 1), 3)
-
-
-# the systems the desk benchmark passes to the axioms command
-DESK_SYSTEMS = (BASIC, BASIC + ",twist=3:1", "1:2,3:-2", "2:1,3:-1", BASIC + ",compose=2")
 
 
 @pytest.mark.parametrize("omega", DESK_SYSTEMS)
@@ -532,7 +589,7 @@ def test_E3_against_sympy_factors(omega, order, q, monkeypatch):
     field = get_field(int(rep.witness["delta"]["conductor"]))
     m_prime = field.m // q
     translate = eta.times(RootOfUnity(q, 1))
-    real_phi_eval_in = euler.phi_eval_in
+    real_phi_eval = euler.phi_eval
     for pert, expected in (
         (field.one, False),
         (field.root(1), False),
@@ -540,11 +597,11 @@ def test_E3_against_sympy_factors(omega, order, q, monkeypatch):
         (field.one - field.root(m_prime), True),
     ):
 
-        def perturbed(E_, eta_, N):
-            value = real_phi_eval_in(E_, eta_, N)
+        def perturbed(E_, eta_, N=None):
+            value = real_phi_eval(E_, eta_, N)
             return value + pert if eta_ == translate else value
 
-        monkeypatch.setattr(euler, "phi_eval_in", perturbed)
+        monkeypatch.setattr(euler, "phi_eval", perturbed)
         rep = check_E3(E, eta, q)
         assert rep.passed is expected
         assert e3_oracle(sympy, rep.witness["delta"], q) is expected

@@ -203,8 +203,8 @@ class TestCocycle:
         # reference: the correction formed at level N as the product of the
         # conjugates sigma_r^i(embed(c_r)), e <= i < r - 1
         coc = two_prime_cocycle
-        params, field, N = coc.params, coc.field, coc.field.m
-        r = coc.s // q
+        params, s, field, N = KolyParams(3, 0, 3), 7 * 13, coc.field, coc.field.m
+        r = s // q
         e = coc.frobenius_exponents[q]
         sub = cocycle_closed_form(BASIC, params, r)
         sub_c = embed_up(sub.values[r], N)
@@ -213,7 +213,7 @@ class TestCocycle:
         for i in range(e, r - 1):
             reference = reference * galois_apply(GaloisElt(field, pow(sigma_r, i, N)), sub_c)
         assert embed_up(suffix_chain(sub.field, r, sub.values[r])[e], N) == reference
-        x = phi_eval(BASIC, level_root(params, coc.s))
+        x = phi_eval(BASIC, level_root(params, s))
         assert coc.values[q] == apply_derivative(x, r) ** ((q - 1) // params.M) * reference
 
 

@@ -31,10 +31,9 @@ BASIC = parse_omega("1:1,2:-1")
 PARAMS = KolyParams(5, 0, 5)
 
 
-def added(u, v):
+def added(u, v, M):
     """Entries of the sum of two vectors in I_q / M I_q."""
-    assert (u.q, u.M) == (v.q, v.M)
-    return tuple((a + b) % u.M for a, b in zip(u.entries, v.entries))
+    return tuple((a + b) % M for a, b in zip(u.entries, v.entries))
 
 
 # Conductors and precisions of the lift grid; each conductor is taken with
@@ -194,7 +193,7 @@ class TestIdealVector:
         x = f5.from_rational(11) * golden
         y = f5.from_rational(Fraction(1, 11)) + f5.from_rational(Fraction(121, 11))
         vx, vy, vxy = (ideal_vector(v, 5, data11) for v in (x, y, x * y))
-        assert vxy.entries == added(vx, vy)
+        assert vxy.entries == added(vx, vy, 5)
 
     def test_pair_mismatch_is_inconsistency(self, data11):
         f5 = get_field(5)
@@ -226,7 +225,7 @@ class TestDlogVector:
         w2 = golden + f5.from_rational(2)
         a = ideal_dlog_vector(w1, 5, data11)
         b = ideal_dlog_vector(w2, 5, data11)
-        assert ideal_dlog_vector(w1 * w2, 5, data11).entries == added(a, b)
+        assert ideal_dlog_vector(w1 * w2, 5, data11).entries == added(a, b, 5)
         assert ideal_dlog_vector(w1 * golden**5, 5, data11).entries == a.entries
 
     def test_not_prime_to_q(self, data11):
@@ -258,7 +257,7 @@ class TestAnnihilator:
         moved = galois_apply(GaloisElt(f5, b), w)
         lhs = annihilator_from_dlogs(ideal_dlog_vector(moved, 5, data11), data11)
         rhs = apply_galois_to_annihilator(
-            annihilator_from_dlogs(ideal_dlog_vector(w, 5, data11), data11), b
+            annihilator_from_dlogs(ideal_dlog_vector(w, 5, data11), data11), b, 5
         )
         assert lhs == rhs
 
