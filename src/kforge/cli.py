@@ -1,9 +1,11 @@
 """Command-line driver and deterministic JSON verification reports.
 
-Commands: axioms | kappa | factorize | primes | decompose.  Reports carry
-every number as a decimal string and are byte-identical across runs with the
-same configuration and seed; measured timings therefore go to stderr only
-(the serialized timing field is null).
+Commands: axioms | kappa | factorize | primes | decompose.  Commands and
+verifiers hand their reports elements, integers and fractions; _json, applied
+once in Report.to_json, is where every number becomes a decimal string and
+every element its conductor, denominator and numerator.  Reports are
+byte-identical across runs with the same configuration and seed; measured
+timings therefore go to stderr only (the serialized timing field is null).
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 bad
 configuration or an unwritable --out, 3 internal inconsistency (a certified
@@ -20,10 +22,11 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from . import __version__
 from .errors import BudgetExhausted, ConfigError, DomainError, InternalInconsistency
-from .cyclotomic import RootOfUnity, elt_to_strings
+from .cyclotomic import CycloElt, RootOfUnity, elt_to_strings
 from .euler import (
     AxiomReport,
     EulerSystem,
@@ -64,7 +67,6 @@ class RunConfig:
     limit: int = 100
     seed: int = 0
     out: str | None = None
-    self_test: bool = False
 
     def system(self) -> EulerSystem:
         return parse_omega(self.omega)
@@ -73,16 +75,7 @@ class RunConfig:
         return KolyParams(self.p, self.n, self.M)
 
     def as_block(self) -> dict:
-        return {
-            "omega": self.omega,
-            "p": str(self.p),
-            "n": str(self.n),
-            "M": str(self.M),
-            "s": [str(v) for v in self.s],
-            "q": [str(v) for v in self.q],
-            "limit": str(self.limit),
-            "seed": str(self.seed),
-        }
+        return {k: getattr(self, k) for k in ("omega", "p", "n", "M", "s", "q", "limit", "seed")}
 
 
 @dataclass
@@ -116,13 +109,29 @@ class Report:
             "checks": self.checks,
             "overall": self.overall,
         }
-        return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+        return json.dumps(_json(payload), indent=2, ensure_ascii=False) + "\n"
+
+
+def _json(value):
+    """The report form of value: an element as elt_to_strings, a dict, tuple
+    or list entry by entry (dict keys as str), an int or Fraction as its
+    decimal string; None, bool and str are kept.  Any other type raises
+    TypeError, so a record passed by mistake fails instead of printing."""
+    if isinstance(value, CycloElt):
+        return elt_to_strings(value)
+    if isinstance(value, dict):
+        return {str(k): _json(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return str(value)
+    raise TypeError(f"no report form for {type(value).__name__}")
 
 
 def _axiom_entry(report: Report, ax: AxiomReport, anchor: str, elapsed: float):
-    witness = dict(ax.witness)
-    witness["params"] = {k: str(v) for k, v in ax.params.items()}
-    report.add(ax.name, anchor, ax.passed, witness, elapsed)
+    report.add(ax.name, anchor, ax.passed, {**ax.witness, "params": ax.params}, elapsed)
 
 
 def _kolyvagin_product(E: EulerSystem, params: KolyParams, primes: tuple[int, ...], option: str) -> int:
@@ -173,7 +182,7 @@ def cmd_axioms(cfg: RunConfig) -> Report:
         if eta.order > 1:
             ax, dt = _timed(check_unit, E, eta)
             _axiom_entry(report, ax, "unit:integrality-norm", dt)
-    report.config["effective_excluded"] = [str(p) for p in sorted(excluded)]
+    report.config["effective_excluded"] = sorted(excluded)
     return report
 
 
@@ -191,10 +200,10 @@ def cmd_kappa(cfg: RunConfig) -> Report:
             "cocycle:mth-power-certificate",
             True,
             {
-                "s": str(s),
-                "values": {str(q): elt_to_strings(c) for q, c in coc.values.items()},
+                "s": s,
+                "values": coc.values,
                 "norm_trivial": True,
-                "frobenius_exponents": {str(k): str(v) for k, v in coc.frobenius_exponents.items()},
+                "frobenius_exponents": coc.frobenius_exponents,
             },
             dt,
         )
@@ -203,12 +212,7 @@ def cmd_kappa(cfg: RunConfig) -> Report:
         "kappa_class",
         "kappa:descent",
         True,
-        {
-            "s": str(s),
-            "kappa": elt_to_strings(kc.kappa),
-            "beta": elt_to_strings(kc.beta),
-            "theta_seed": str(kc.theta_seed),
-        },
+        {"s": s, "kappa": kc.kappa, "beta": kc.beta, "theta_seed": kc.theta_seed},
         dt,
     )
     return report
@@ -224,7 +228,7 @@ def cmd_factorize(cfg: RunConfig) -> Report:
     if any(s % q == 0 for q in qs):
         raise ConfigError("q must not divide s")
     report = Report("factorize", cfg.as_block())
-    report.config["q"] = [str(q) for q in qs]
+    report.config["q"] = qs
     for q in qs:
         rep, dt = _timed(check_factorization, E, params, s, q, cfg.seed)
         report.add(
@@ -232,11 +236,11 @@ def cmd_factorize(cfg: RunConfig) -> Report:
             "factorization:projection-law",
             rep.passed,
             {
-                "part_i": [str(e) for e in rep.part_i_vector.entries],
-                "part_ii_valuations": [str(e) for e in rep.part_ii_valuations.entries],
-                "part_ii_dlogs": [str(e) for e in rep.part_ii_dlogs.entries],
-                "kappa_s": rep.witness["kappa_s"],
-                "kappa_sq": rep.witness["kappa_sq"],
+                "part_i": rep.part_i_vector.entries,
+                "part_ii_valuations": rep.part_ii_valuations.entries,
+                "part_ii_dlogs": rep.part_ii_dlogs.entries,
+                "kappa_s": rep.kappa_s,
+                "kappa_sq": rep.kappa_sq,
             },
             dt,
         )
@@ -248,9 +252,9 @@ def cmd_factorize(cfg: RunConfig) -> Report:
             "annihilator:group-ring",
             cr.relation_holds and all(cr.probes.values()),
             {
-                "theta": {str(a): str(c) for a, c in cr.theta.coeffs},
-                "reference_pair": [str(v) for v in cr.theta.reference_pair],
-                "probes": {str(k): v for k, v in sorted(cr.probes.items())},
+                "theta": dict(cr.theta.coeffs),
+                "reference_pair": cr.theta.reference_pair,
+                "probes": cr.probes,
             },
             dt_law + dt,
         )
@@ -266,17 +270,12 @@ def cmd_primes(cfg: RunConfig) -> Report:
     summaries = {}
     for q in found[:25]:
         data = split_prime_data(q, params.conductor)
-        summaries[str(q)] = {
-            "roots": [str(r) for r in data.roots],
-            "pairs": [[str(a), str(b)] for a, b in data.pairs],
-            "t": str(data.t),
-            "gamma": str(data.gamma),
-        }
+        summaries[q] = {"roots": data.roots, "pairs": data.pairs, "t": data.t, "gamma": data.gamma}
     report.add(
         "prime_search",
         "primes:congruence-splitting",
         True,
-        {"found": [str(q) for q in found], "count": str(len(found)), "split_data": summaries},
+        {"found": found, "count": len(found), "split_data": summaries},
         dt,
     )
     return report
@@ -292,25 +291,19 @@ def cmd_decompose(cfg: RunConfig) -> Report:
     if euler_phi(m) > 40:
         raise ConfigError("field degree exceeds the desk-scale bound (phi <= 40)")
     report = Report("decompose", cfg.as_block())
-    gens = cyclotomic_unit_generators(cfg.p, cfg.n)
-    if cfg.self_test:
-        target = gens[0]
-        label = "generator_self_test"
-    else:
-        target = phi_eval(E, RootOfUnity(m, 1))
-        label = "system_value"
+    target = phi_eval(E, RootOfUnity(m, 1))
     # a decomposition is returned only once its identity is proved exactly
     dec, dt = _timed(decompose_over_cyclotomic_units, target, cfg.p, cfg.n)
     report.add(
-        label,
+        "system_value",
         "decompose:cyclotomic-units",
         True,
         {
-            "exponents": [str(e) for e in dec.exponents],
-            "unit_root": str(dec.unit_root),
-            "generators": [elt_to_strings(g) for g in gens],
-            "target": elt_to_strings(target),
-            "precision_bits": str(dec.precision_bits),
+            "exponents": dec.exponents,
+            "unit_root": dec.unit_root,
+            "generators": cyclotomic_unit_generators(cfg.p, cfg.n),
+            "target": target,
+            "precision_bits": dec.precision_bits,
         },
         dt,
     )
@@ -351,7 +344,6 @@ _OPTIONS = {
     "q": {"type": _int_list, "help": "comma-separated primes"},
     "limit": {"type": int},
     "seed": {"type": int},
-    "self_test": {"action": "store_true"},
     "out": {},
 }
 
@@ -360,7 +352,7 @@ _COMMAND_OPTIONS = {
     "kappa": ("omega", "p", "n", "M", "s", "seed"),
     "factorize": ("omega", "p", "n", "M", "s", "q", "seed"),
     "primes": ("p", "n", "M", "limit"),
-    "decompose": ("omega", "p", "n", "self_test"),
+    "decompose": ("omega", "p", "n"),
 }
 
 
@@ -374,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, options in _COMMAND_OPTIONS.items():
         cp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         for option in options + ("out",):
-            cp.add_argument("--" + option.replace("_", "-"), **_OPTIONS[option])
+            cp.add_argument("--" + option, **_OPTIONS[option])
     return parser
 
 

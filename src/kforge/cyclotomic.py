@@ -134,10 +134,6 @@ class CycloField:
     unit_group: tuple[int, ...]
     binomials: tuple[tuple[int, int], ...]
 
-    def root(self, e: int = 1) -> "CycloElt":
-        """zeta_m^e as a field element."""
-        return self.from_terms((e,), (1,))
-
     def from_terms(self, exponents, coeffs, den: int = 1) -> "CycloElt":
         """(sum c * zeta_m^e over zip(exponents, coeffs)) / den, for any
         integer exponents: the terms are folded into one length-m vector,

@@ -23,7 +23,7 @@ products and forms no inverse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
@@ -33,7 +33,6 @@ from .cyclotomic import (
     CycloField,
     GaloisElt,
     RootOfUnity,
-    elt_to_strings,
     galois_apply,
     get_field,
     is_in_real_subfield,
@@ -213,12 +212,14 @@ def phi_eval(E: EulerSystem, eta: RootOfUnity, N: int | None = None) -> CycloElt
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class AxiomReport:
+    """A verdict with the elements and numbers that decided it."""
+
     name: str
     params: dict
     passed: bool
-    witness: dict = dc_field(default_factory=dict)
+    witness: dict
 
 
 def _root_label(eta: RootOfUnity) -> str:
@@ -239,7 +240,7 @@ def check_E1(E: EulerSystem, eta: RootOfUnity, a: int) -> AxiomReport:
         "E1",
         {"omega": E.describe(), "eta": _root_label(eta), "a": a},
         passed,
-        {"lhs": elt_to_strings(lhs), "rhs": elt_to_strings(rhs), "inverse_invariant": inv_ok},
+        {"lhs": lhs, "rhs": rhs, "inverse_invariant": inv_ok},
     )
 
 
@@ -261,7 +262,7 @@ def check_E2(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
         "E2",
         {"omega": E.describe(), "eta": _root_label(eta), "q": q},
         lhs == rhs,
-        {"lhs": elt_to_strings(lhs), "rhs": elt_to_strings(rhs)},
+        {"lhs": lhs, "rhs": rhs},
     )
 
 
@@ -299,7 +300,7 @@ def check_E3(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
             "residue_field": f"F_{q}^{multiplicative_order(q, m_prime)}",
         },
         all(c % q == 0 for c in residue),
-        {"delta": elt_to_strings(delta)},
+        {"delta": delta},
     )
 
 
@@ -317,11 +318,7 @@ def check_unit(E: EulerSystem, eta: RootOfUnity) -> AxiomReport:
         "unit",
         {"omega": E.describe(), "eta": _root_label(eta)},
         integral and nrm in (1, -1),
-        {
-            "min_poly": [str(c) for c in mp],
-            "norm": str(nrm),
-            "real": is_in_real_subfield(u),
-        },
+        {"min_poly": mp, "norm": nrm, "real": is_in_real_subfield(u)},
     )
 
 
@@ -349,7 +346,7 @@ def cyclotomic_unit_generators(p: int, n: int) -> list[CycloElt]:
     return gens
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decomposition:
     exponents: tuple[int, ...]
     unit_root: Fraction  # +1 or -1: the real fields contain no other roots of unity

@@ -264,8 +264,8 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
             tail = _partial_norm(sub.values[r], sigma_r, r - 1 - e)
             values[q] = values[q] * embed_up(galois_apply(_power(sigma_r, e), tail), N)
     _certify(field, M, values, derived[s])
-    _MEMO[key] = Cocycle(field, values, derived[s], frob_exps)
-    return _MEMO[key]
+    coc = _MEMO[key] = Cocycle(field, values, derived[s], frob_exps)
+    return coc
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +356,13 @@ def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaCla
     if s == 1:
         field = get_field(params.conductor)
         value = phi_eval(E, RootOfUnity(params.conductor, 1))
-        _MEMO[key] = KappaClass(value, field.one, seed)
-        return _MEMO[key]
+        kc = _MEMO[key] = KappaClass(value, field.one, seed)
+        return kc
     coc = cocycle_closed_form(E, params, s)
     beta = hilbert90_beta(coc, seed)
     beta_m = beta**params.M
     value = divide_into_subfield(coc.dsphi, beta_m, params.conductor)
     if not is_in_real_subfield(value):
         raise InternalInconsistency("class representative is not real")
-    _MEMO[key] = KappaClass(value, beta, seed)
-    return _MEMO[key]
+    kc = _MEMO[key] = KappaClass(value, beta, seed)
+    return kc

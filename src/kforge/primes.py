@@ -25,10 +25,10 @@ cocycle machinery, which keeps the two pipelines convention-consistent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import BudgetExhausted, DomainError, InternalInconsistency
-from .cyclotomic import CycloElt, elt_to_strings, get_field
+from .cyclotomic import CycloElt, get_field
 from .euler import EulerSystem
 from .exact_arith import (
     int_dlog,
@@ -216,7 +216,7 @@ def annihilator_from_dlogs(vec: IdealVector, data: SplitPrimeData) -> Annihilato
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorizationReport:
     params: KolyParams
     s: int
@@ -225,7 +225,8 @@ class FactorizationReport:
     part_ii_valuations: IdealVector
     part_ii_dlogs: IdealVector
     passed: bool
-    witness: dict = dc_field(default_factory=dict)
+    kappa_s: CycloElt
+    kappa_sq: CycloElt
 
 
 def check_factorization(
@@ -246,22 +247,10 @@ def check_factorization(
     lhs = ideal_vector(k_sq.kappa, params.M, data)
     rhs = ideal_dlog_vector(k_s.kappa, params.M, data)
     passed = part_i.is_zero() and lhs.entries == rhs.entries
-    return FactorizationReport(
-        params,
-        s,
-        q,
-        part_i,
-        lhs,
-        rhs,
-        passed,
-        {
-            "kappa_s": elt_to_strings(k_s.kappa),
-            "kappa_sq": elt_to_strings(k_sq.kappa),
-        },
-    )
+    return FactorizationReport(params, s, q, part_i, lhs, rhs, passed, k_s.kappa, k_sq.kappa)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassRelation:
     theta: AnnihilatorElt
     relation_holds: bool

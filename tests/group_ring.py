@@ -7,7 +7,8 @@ on a field element term by term, as an independent reference for the
 suffix-product derivative.  apply_norm is the plain cyclic norm,
 ratio_mth_power_witness exhibits the representative ambiguity of a class, and
 apply_galois_to_annihilator moves an annihilator by a Galois element.
-inverse is the reference field inverse: kforge itself forms none.
+zeta builds a root of unity as a field element, and inverse is the
+reference field inverse: kforge itself forms none.
 minimal_polynomial is the reference for kforge's: it expands prod (T - y)
 over the Galois orbit with field elements as coefficients.
 twisted_value_reference is the reference for a twisted system value: the
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 from kforge.cyclotomic import (
     CycloElt,
+    CycloField,
     GaloisElt,
     RootOfUnity,
     divide_into_subfield,
@@ -130,6 +132,11 @@ def operator_identity_holds(q: int) -> bool:
     lhs = (sigma - one) * deriv_op
     rhs = GroupRingOp.constant(gens, q - 1) - norm_op
     return lhs == rhs
+
+
+def zeta(field: CycloField, e: int) -> CycloElt:
+    """zeta_m^e as an element of field = Q(zeta_m)."""
+    return field.from_terms((e,), (1,))
 
 
 def inverse(x: CycloElt) -> CycloElt:

@@ -1,18 +1,30 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
+import pathlib
 import sys
+from fractions import Fraction
 
 import pytest
 
 from kforge import __version__, cyclotomic, euler, kolyvagin, primes
-from kforge.cli import build_parser, main
-from kforge.cyclotomic import CycloElt
+from kforge.cli import _json, build_parser, main
+from kforge.cyclotomic import CycloElt, RootOfUnity
 
 
 def run_main(args):
     return main(args)
+
+
+def report_runs():
+    """The command lines scripts/run_reports.py drives."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "run_reports.py"
+    spec = importlib.util.spec_from_file_location("run_reports", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.RUNS
 
 
 def resolved_levels(monkeypatch):
@@ -103,6 +115,7 @@ class TestExitCodes:
             ["primes", "--omega", "1:1,2:-1"],
             ["kappa", "--self-test"],
             ["decompose", "--M", "5"],
+            ["decompose", "--self-test"],
         ],
     )
     def test_option_the_command_does_not_read_exits_two(self, capsys, args):
@@ -169,21 +182,32 @@ class TestReports:
         assert check["timing_ms"] is None
         assert check["witness"]["found"] == ["11", "31", "41", "61", "71"]
 
-    def test_no_floats_anywhere(self, capsys):
-        assert run_main(["kappa", "--s", "11", "--seed", "42"]) == 0
-        text = capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "args",
+        report_runs() + [["factorize", "--p", "3", "--n", "0", "--M", "3", "--s", "7", "--q", "13", "--seed", "42"]],
+        ids=" ".join,
+    )
+    def test_no_floats_anywhere(self, capsys, args):
+        # every number is a decimal string: each leaf is a str, bool or null
+        assert run_main(args) == 0
 
         def walk(node):
-            if isinstance(node, float):
-                raise AssertionError("float leaked into a report")
             if isinstance(node, dict):
                 for v in node.values():
                     walk(v)
-            if isinstance(node, list):
+            elif isinstance(node, list):
                 for v in node:
                     walk(v)
+            elif node is not None and not isinstance(node, (str, bool)):
+                raise AssertionError(f"{node!r} leaked into a report")
 
-        walk(json.loads(text))
+        walk(json.loads(capsys.readouterr().out))
+
+    def test_a_value_without_a_report_form_is_refused(self):
+        assert _json({3: (Fraction(1, 2), None, True, "x")}) == {"3": ["1/2", None, True, "x"]}
+        for value in (0.5, RootOfUnity(5, 1)):
+            with pytest.raises(TypeError, match=type(value).__name__):
+                _json({"witness": [value]})
 
     def test_axioms_report(self, capsys):
         assert run_main(["axioms", "--omega", "1:1,2:-1,compose=2"]) == 0
@@ -356,12 +380,21 @@ class TestDeterminism:
                 ["factorize", "--omega", "1:1,2:-1,twist=5:2", "--p", "3", "--n", "0", "--M", "3", "--q", "7"],
                 "cf910bce5cca11fa042be00b7b552a85b106c045544a14ebadab4351b2758f0c",
             ),
+            (
+                ["kappa", "--p", "3", "--n", "1", "--M", "3", "--s", "19"],
+                "07391f720cac5e76811f4276f38aba71832cff747977e1bbb5c996c21d57ace0",
+            ),
+            (
+                ["factorize", "--p", "3", "--n", "1", "--M", "3", "--q", "19"],
+                "eccc3f781dab032253c865566307baf4e14d57226ef728c6cb74a930a5281488",
+            ),
         ],
-        ids=["kappa-twist-7", "factorize-twist-5"],
+        ids=["kappa-twist-7", "factorize-twist-5", "kappa-level-1", "factorize-level-1"],
     )
     def test_twisted_reports_are_pinned(self, capsys, args, digest):
-        # the reports of the translate-and-descend construction, which built
-        # each twisted value in Q(zeta_lcm(ord eta, h)) and solved it back down
+        # reports no benchmark digest covers, pinned so that a change in how a
+        # value is built or written shows: two twisted systems and two runs at
+        # level n = 1
         assert run_main(args + ["--seed", "42"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -372,11 +405,6 @@ class TestDecomposeCommand:
         report = json.loads(capsys.readouterr().out)
         w = report["checks"][0]["witness"]
         assert w["exponents"] == ["1"] and w["unit_root"] == "-1"
-
-    def test_self_test_mode(self, capsys):
-        assert run_main(["decompose", "--p", "7", "--self-test"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["checks"][0]["witness"]["exponents"] == ["1", "0"]
 
     def test_desk_scale_guard(self):
         assert run_main(["decompose", "--p", "5", "--n", "2"]) == 2

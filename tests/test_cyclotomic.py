@@ -34,7 +34,7 @@ from kforge.cyclotomic import (
 )
 from kforge.exact_arith import euler_phi, factorize, is_prime
 
-from group_ring import inverse, minimal_polynomial as reference_minimal_polynomial
+from group_ring import inverse, minimal_polynomial as reference_minimal_polynomial, zeta
 
 
 def poly_trim(coeffs):
@@ -167,9 +167,9 @@ def norm_from_minimal_polynomial(x):
 class TestEltArithmetic:
     def test_inverse_examples(self):
         f5 = get_field(5)
-        assert inverse(f5.root(1)) == f5.root(4)
+        assert inverse(zeta(f5, 1)) == zeta(f5, 4)
         f3 = get_field(3)
-        assert inverse(f3.one + f3.root(1)) == -f3.root(1)
+        assert inverse(f3.one + zeta(f3, 1)) == -zeta(f3, 1)
         with pytest.raises(DomainError, match="division by zero"):
             inverse(f5.from_rational(0))
 
@@ -179,7 +179,7 @@ class TestEltArithmetic:
         script = """
 from kforge.cyclotomic import get_field
 from kforge.errors import DomainError
-x = get_field(5).root(1)
+x = get_field(5).from_terms((1,), (1,))
 try:
     x ** -1
 except DomainError as exc:
@@ -218,19 +218,19 @@ except DomainError as exc:
             f = get_field(m)
             for k in (1, 2, m - 1):
                 inv = one_minus_root_inverse(f, k)
-                assert (f.one - f.root(k)) * inv == f.one
+                assert (f.one - zeta(f, k)) * inv == f.one
 
 
 class TestGalois:
     def test_action_examples(self):
         f5 = get_field(5)
-        assert galois_apply(GaloisElt(f5, 2), f5.root(1)) == f5.root(2)
-        real = f5.root(1) + f5.root(-1)
+        assert galois_apply(GaloisElt(f5, 2), zeta(f5, 1)) == zeta(f5, 2)
+        real = zeta(f5, 1) + zeta(f5, -1)
         assert galois_apply(GaloisElt(f5, 4), real) == real
 
     def test_composition(self):
         f7 = get_field(7)
-        x = f7.root(1)
+        x = zeta(f7, 1)
         lhs = galois_apply(GaloisElt(f7, 3), galois_apply(GaloisElt(f7, 2), x))
         assert lhs == galois_apply(GaloisElt(f7, 6), x)
 
@@ -258,24 +258,24 @@ class TestGalois:
 class TestTower:
     def test_embed_examples(self):
         f5, f15 = get_field(5), get_field(15)
-        assert embed_up(f5.root(1), 15) == f15.root(3)
+        assert embed_up(zeta(f5, 1), 15) == zeta(f15, 3)
         assert embed_up(f5.from_rational(Fraction(7, 3)), 15) == f15.from_rational(
             Fraction(7, 3)
         )
-        prod = embed_up(get_field(3).root(1), 15) * embed_up(f5.root(1), 15)
-        assert prod == f15.root(8)
+        prod = embed_up(zeta(get_field(3), 1), 15) * embed_up(zeta(f5, 1), 15)
+        assert prod == zeta(f15, 8)
 
     def test_embed_requires_divisibility(self):
         with pytest.raises(DomainError):
-            embed_up(get_field(5).root(1), 12)
+            embed_up(zeta(get_field(5), 1), 12)
 
     def test_embed_associative(self):
-        x = get_field(5).root(1) + get_field(5).from_rational(2)
+        x = zeta(get_field(5), 1) + get_field(5).from_rational(2)
         assert embed_up(embed_up(x, 15), 45) == embed_up(x, 45)
 
     def test_embed_commutes_with_galois(self):
         f5 = get_field(5)
-        x = f5.root(1) + f5.root(2) * f5.from_rational(3)
+        x = zeta(f5, 1) + zeta(f5, 2) * f5.from_rational(3)
         a = 2
         lift = 17  # 17 = 2 mod 5 and is a unit mod 15
         lhs = embed_up(galois_apply(GaloisElt(f5, a), x), 15)
@@ -285,18 +285,18 @@ class TestTower:
     def test_restrict_round_trip(self):
         # dividing by 1 is the exact preimage under embed_up
         f5 = get_field(5)
-        x = f5.root(1) * f5.from_rational(Fraction(2, 3)) + f5.from_rational(5)
+        x = zeta(f5, 1) * f5.from_rational(Fraction(2, 3)) + f5.from_rational(5)
         assert divide_into_subfield(embed_up(x, 35), get_field(35).one, 5) == x
 
     def test_restrict_rejects_outsiders(self):
         f15 = get_field(15)
         with pytest.raises(DomainError, match="does not lie in the requested subfield"):
-            divide_into_subfield(f15.root(1), f15.one, 5)
+            divide_into_subfield(zeta(f15, 1), f15.one, 5)
 
     def test_divide_into_subfield(self):
         f5, f55 = get_field(5), get_field(55)
-        y = f5.root(1) + f5.from_rational(3)
-        mult = f55.root(7) + f55.from_rational(2)
+        y = zeta(f5, 1) + f5.from_rational(3)
+        mult = zeta(f55, 7) + f55.from_rational(2)
         target = embed_up(y, 55) * mult
         assert divide_into_subfield(target, mult, 5) == y
 
@@ -311,7 +311,7 @@ class TestSubfieldSolve:
         """Column i is embed(zeta_small^i) * mult over the one denominator
         mult.den, as an integer vector."""
         small = get_field(m_small)
-        products = [embed_up(small.root(i), mult.field.m) * mult for i in range(small.phi)]
+        products = [embed_up(zeta(small, i), mult.field.m) * mult for i in range(small.phi)]
         return [[c * (mult.den // e.den) for c in e.num] for e in products]
 
     @staticmethod
@@ -324,8 +324,8 @@ class TestSubfieldSolve:
     @classmethod
     def system(cls, kind):
         f5, f55 = get_field(5), get_field(55)
-        y = f5.root(1) * f5.from_rational(Fraction(2, 3)) + f5.from_rational(3)
-        mult = f55.one if kind == "restrict" else f55.root(7) + f55.from_rational(2)
+        y = zeta(f5, 1) * f5.from_rational(Fraction(2, 3)) + f5.from_rational(3)
+        mult = f55.one if kind == "restrict" else zeta(f55, 7) + f55.from_rational(2)
         return y, mult, cls.integer_columns(mult, 5), embed_up(y, 55) * mult
 
     @pytest.mark.parametrize("kind", ["restrict", "divide"])
@@ -335,7 +335,7 @@ class TestSubfieldSolve:
         assert divide_into_subfield(target, mult, 5) == y
         # the last row comes after the pivot rows: the solver never reads it
         # and returns the valid quotient's coefficients
-        bad = target + f55.root(f55.phi - 1)
+        bad = target + zeta(f55, f55.phi - 1)
         assert bad.num[:-1] == target.num[:-1] and bad.num[-1] != target.num[-1]
         assert self.quotient(_solve_against_columns(columns, bad.num), mult, bad) == list(coeffs(y))
         with pytest.raises(DomainError, match="does not lie in the requested subfield"):
@@ -351,7 +351,7 @@ class TestSubfieldSolve:
         target = embed_up(y, 1705) * mult
         assert divide_into_subfield(target, mult, 5) == y
         with pytest.raises(DomainError, match="does not lie in the requested subfield"):
-            divide_into_subfield(target + big.root(big.phi - 1), mult, 5)
+            divide_into_subfield(target + zeta(big, big.phi - 1), mult, 5)
 
     @pytest.mark.parametrize("m, m_small", [(275, 25), (1705, 55)])
     @pytest.mark.parametrize("seed", range(3))
@@ -372,7 +372,7 @@ class TestSubfieldSolve:
         assert divide_into_subfield(target, mult, m_small) == y
         # a coefficient changed in the last row, after every pivot row: the
         # solve still returns y, and only the integer re-check refuses it
-        bad = target + big.root(big.phi - 1) * big.from_rational(Fraction(1, 7))
+        bad = target + zeta(big, big.phi - 1) * big.from_rational(Fraction(1, 7))
         assert coeffs(bad)[:-1] == coeffs(target)[:-1] and coeffs(bad)[-1] != coeffs(target)[-1]
         columns = self.integer_columns(mult, m_small)
         assert self.quotient(_solve_against_columns(columns, bad.num), mult, bad) == list(coeffs(y))
@@ -384,7 +384,7 @@ class TestSubfieldSolve:
         # the embedded powers of zeta_5 are zeta_55^(11 i): row 1 is zero in
         # every column
         assert all(c[1] == 0 for c in columns)
-        bad = target + target.field.root(1)
+        bad = target + zeta(target.field, 1)
         with pytest.raises(DomainError, match="requested subfield"):
             _solve_against_columns(columns, bad.num)
 
@@ -411,7 +411,7 @@ class TestSubfieldSolve:
 class TestNorms:
     def test_relative_norm_full_group(self):
         f5 = get_field(5)
-        x = f5.one - f5.root(1)
+        x = f5.one - zeta(f5, 1)
         assert relative_norm(x, 1) == f5.from_rational(5)
 
     def test_rational_power(self):
@@ -422,19 +422,19 @@ class TestNorms:
     def test_root_of_unity_down_one_level(self):
         # the units a = 1 mod 5 of Z/15 are 1 and 11: zeta * zeta^11 = zeta_5^4
         f15 = get_field(15)
-        assert relative_norm(f15.root(1), 5) == f15.root(12)
+        assert relative_norm(zeta(f15, 1), 5) == zeta(f15, 12)
 
     @pytest.mark.parametrize("m_small", [4, 30, 0, -5])
     def test_rejects_a_conductor_that_does_not_divide(self, m_small):
         f15 = get_field(15)
         with pytest.raises(DomainError, match="not a subconductor"):
-            relative_norm(f15.root(1), m_small)
+            relative_norm(zeta(f15, 1), m_small)
 
     def test_norm_to_q_examples(self):
         f5 = get_field(5)
-        assert relative_norm(f5.root(1), 1) == f5.one
+        assert relative_norm(zeta(f5, 1), 1) == f5.one
         assert relative_norm(f5.from_rational(2), 1) == f5.from_rational(16)
-        golden = -(f5.root(2) + f5.root(3))
+        golden = -(zeta(f5, 2) + zeta(f5, 3))
         assert relative_norm(golden, 1) == f5.one
         assert relative_norm(f5.from_rational(0), 1) == f5.from_rational(0)
 
@@ -469,7 +469,7 @@ class TestNorms:
 
     def test_product_missing_a_conjugate_is_refused(self):
         f = get_field(105)
-        x = f.from_rational(2) + f.root(1)
+        x = f.from_rational(2) + zeta(f, 1)
         fixing = [a for a in f.unit_group if a % 15 == 1]
         assert len(fixing) == 6
         partial = f.one
@@ -517,7 +517,7 @@ class TestProduct:
         calls = []
         real = CycloElt.__mul__
         monkeypatch.setattr(CycloElt, "__mul__", lambda x, y: calls.append(1) or real(x, y))
-        product([field.root(e) for e in range(7)])
+        product([zeta(field, e) for e in range(7)])
         assert len(calls) == 6
 
     def test_empty_product_is_refused(self):
@@ -528,9 +528,9 @@ class TestProduct:
 class TestMinimalPolynomial:
     def test_examples(self):
         f3 = get_field(3)
-        assert minimal_polynomial(f3.root(1)) == poly_trim([1, 1, 1])
+        assert minimal_polynomial(zeta(f3, 1)) == poly_trim([1, 1, 1])
         f5 = get_field(5)
-        golden = -(f5.root(2) + f5.root(3))
+        golden = -(zeta(f5, 2) + zeta(f5, 3))
         assert minimal_polynomial(golden) == poly_trim([-1, -1, 1])
         assert minimal_polynomial(f5.from_rational(Fraction(3, 2))) == poly_trim(
             [Fraction(-3, 2), 1]
@@ -596,7 +596,7 @@ class TestMinimalPolynomial:
         f5 = get_field(5)
         monkeypatch.setattr(cyclotomic, "galois_apply", lambda s, x: x)
         with pytest.raises(InternalInconsistency, match="does not vanish"):
-            minimal_polynomial(f5.root(1) - f5.root(2))
+            minimal_polynomial(zeta(f5, 1) - zeta(f5, 2))
 
 
 def lowest_terms(t):
@@ -794,9 +794,9 @@ class TestKernelsAgainstSchoolbook:
         for e in range(-1, 2 * m + 1):
             vec = [0] * m
             vec[e % m] = 1
-            assert field.root(e) == reference_element(field, vec, 1)
+            assert zeta(field, e) == reference_element(field, vec, 1)
             if e % m:
-                assert (field.one - field.root(e)) * one_minus_root_inverse(field, e) == field.one
+                assert (field.one - zeta(field, e)) * one_minus_root_inverse(field, e) == field.one
 
     @settings(max_examples=120, deadline=None)
     @given(slot_vectors(), slot_vectors())
@@ -934,7 +934,7 @@ class TestProductPaths:
         x = field.from_coeffs([rng.getrandbits(2000) - 2**1999 for _ in range(field.phi)])
         paths = record_paths(monkeypatch)
         shifted = field.from_terms(range(k, k + field.phi), x.num, x.den)
-        assert field.root(k) * x == x * field.root(k) == shifted
+        assert zeta(field, k) * x == x * zeta(field, k) == shifted
         assert DECIMAL not in paths
 
     def test_decimal_is_imported_only_by_a_product_that_needs_it(self):

@@ -17,6 +17,7 @@ from kforge.cyclotomic import (
     is_in_real_subfield,
     minimal_polynomial,
     one_minus_root_inverse,
+    product,
     relative_norm,
 )
 from kforge.euler import (
@@ -33,7 +34,7 @@ from kforge.euler import (
 )
 from kforge.exact_arith import factorize, is_prime
 
-from group_ring import inverse, twisted_value_reference
+from group_ring import inverse, twisted_value_reference, zeta
 
 BASIC = "1:1,2:-1"
 ETA_GRID = [RootOfUnity(1, 0), RootOfUnity(3, 1), RootOfUnity(5, 1), RootOfUnity(7, 1)]
@@ -117,7 +118,7 @@ class TestValues:
     def test_value_at_fifth_root_is_golden_unit(self):
         E = parse_omega(BASIC)
         f5 = get_field(5)
-        assert phi_eval(E, RootOfUnity(5, 1)) == -(f5.root(2) + f5.root(3))
+        assert phi_eval(E, RootOfUnity(5, 1)) == -(zeta(f5, 2) + zeta(f5, 3))
 
     def test_values_are_real(self):
         E = parse_omega(BASIC)
@@ -279,7 +280,9 @@ class TestAxioms:
         E = parse_omega(BASIC)
         rep = check_E2(E, RootOfUnity(1, 0), 3)
         assert rep.passed
-        assert rep.witness["lhs"]["num"][0] == "1" and rep.witness["lhs"]["den"] == "2"
+        assert rep.witness["lhs"].num[0] == 1 and rep.witness["lhs"].den == 2
+        # the witness is the element E2 formed, not its serialization
+        assert rep.witness["lhs"] == product(phi_eval(E, RootOfUnity(3, c), 3) for c in range(3))
         assert check_E2(E, RootOfUnity(5, 1), 3).passed
         assert check_E2(E, RootOfUnity(3, 1), 3).passed  # eta^q = 1 branch
 
@@ -370,7 +373,7 @@ class TestNormRelations:
         assert check_E2(E, RootOfUnity(5, 1), 3).passed
         rep = check_E2(E, RootOfUnity(5, 1), 11)
         # Frob_11 fixes Q(zeta_5): the value at eta^11 is the value at eta
-        assert rep.passed and rep.witness["rhs"] == elt_to_strings(phi_eval(E, RootOfUnity(5, 1), 55))
+        assert rep.passed and rep.witness["rhs"] == phi_eval(E, RootOfUnity(5, 1), 55)
         assert check_E2(E, RootOfUnity(7, 1), 3).passed
 
     def test_tower_norm_small(self):
@@ -405,8 +408,8 @@ def test_axioms_report_carries_the_norm_relations(capsys, omega):
         if p in E.effective_excluded:
             continue
         rep = check_E2(E, RootOfUnity(p * p, 1), p)
-        N = int(rep.witness["lhs"]["conductor"])
-        assert rep.passed and rep.witness["lhs"] == elt_to_strings(tower_norm_reading(E, p, N))
+        N = rep.witness["lhs"].field.m
+        assert rep.passed and rep.witness["lhs"] == tower_norm_reading(E, p, N)
 
 
 class TestUnitCheck:
@@ -414,13 +417,13 @@ class TestUnitCheck:
         E = parse_omega(BASIC)
         rep = check_unit(E, RootOfUnity(5, 1))
         assert rep.passed
-        assert rep.witness["min_poly"] == ["-1", "-1", "1"]
-        assert rep.witness["norm"] == "1"
+        assert rep.witness["min_poly"] == (-1, -1, 1)
+        assert rep.witness["norm"] == 1
 
     def test_third_root_instance(self):
         # the value is -1, whose norm from the degree-2 field is (+1)
         rep = check_unit(parse_omega(BASIC), RootOfUnity(3, 1))
-        assert rep.passed and rep.witness["norm"] == "1"
+        assert rep.passed and rep.witness["norm"] == 1
 
     def test_eta_one_rejected(self):
         with pytest.raises(DomainError, match="need not be a unit"):
@@ -457,7 +460,7 @@ class TestDecompose:
         gens5 = cyclotomic_unit_generators(5, 0)
         assert len(gens5) == 1
         f5 = get_field(5)
-        assert gens5[0] == f5.root(2) + f5.root(3)
+        assert gens5[0] == zeta(f5, 2) + zeta(f5, 3)
         assert len(cyclotomic_unit_generators(7, 0)) == 2
         assert len(cyclotomic_unit_generators(5, 1)) == 9
 
@@ -472,9 +475,10 @@ class TestDecompose:
         f5 = get_field(5)
         d = decompose_over_cyclotomic_units(f5.one, 5, 0)
         assert d.exponents == (0,) and d.unit_root == 1
-        g = cyclotomic_unit_generators(5, 0)[0]
-        d = decompose_over_cyclotomic_units(g, 5, 0)
-        assert d.exponents == (1,) and d.unit_root == 1
+        for p, exponents in ((5, (1,)), (7, (1, 0))):
+            g = cyclotomic_unit_generators(p, 0)[0]
+            d = decompose_over_cyclotomic_units(g, p, 0)
+            assert d.exponents == exponents and d.unit_root == 1
 
     def test_golden_value(self):
         E = parse_omega(BASIC)
@@ -522,8 +526,8 @@ class TestDecompose:
         m = p ** (n + 1)
         field = get_field(m)
         expected = [
-            field.root((1 - a) * pow(2, -1, m) % m)
-            * (field.one - field.root(a))
+            zeta(field, (1 - a) * pow(2, -1, m) % m)
+            * (field.one - zeta(field, a))
             * one_minus_root_inverse(field, 1)
             for a in range(2, (m + 1) // 2)
             if a % p
@@ -539,7 +543,7 @@ class TestDecompose:
         # denominator 11 shows that it is not a unit
         f5 = get_field(5)
         two = f5.from_rational(2)
-        x = (two + f5.root(1)) * inverse(two + f5.root(2))
+        x = (two + zeta(f5, 1)) * inverse(two + zeta(f5, 2))
         assert relative_norm(x, 1) == f5.one and x.den == 11
         with pytest.raises(DomainError, match="not a unit"):
             decompose_over_cyclotomic_units(x, 5, 0)
@@ -556,19 +560,18 @@ E3_CASES = [
 ]
 
 
-def e3_oracle(sympy, witness, q):
+def e3_oracle(sympy, delta, q):
     """Whether delta vanishes at every prime above q, from sympy's factors of
     Phi_m' mod q: the primes above q correspond to those factors under
     zeta_N -> x^a', a' = q^-1 mod m', and x^m' = 1 modulo each of them."""
-    N = int(witness["conductor"])
-    m_prime = N // q
-    if int(witness["den"]) % q == 0:
+    m_prime = delta.field.m // q
+    if delta.den % q == 0:
         raise AssertionError("delta is not integral at q")
     x = sympy.symbols("x")
     a_prime = pow(q, -1, m_prime)
     image = [0] * m_prime
-    for i, c in enumerate(witness["num"]):
-        image[i * a_prime % m_prime] += int(c)
+    for i, c in enumerate(delta.num):
+        image[i * a_prime % m_prime] += c
     image = sympy.Poly(list(reversed(image)), x, modulus=q)
     _, factors = sympy.factor_list(sympy.cyclotomic_poly(m_prime, x), modulus=q)
     return all(image.rem(sympy.Poly(f, x, modulus=q)).is_zero for f, _ in factors)
@@ -586,15 +589,15 @@ def test_E3_against_sympy_factors(omega, order, q, monkeypatch):
     eta = RootOfUnity(order, 1 % order)
     rep = check_E3(E, eta, q)
     assert rep.passed and e3_oracle(sympy, rep.witness["delta"], q)
-    field = get_field(int(rep.witness["delta"]["conductor"]))
+    field = rep.witness["delta"].field
     m_prime = field.m // q
     translate = eta.times(RootOfUnity(q, 1))
     real_phi_eval = euler.phi_eval
     for pert, expected in (
         (field.one, False),
-        (field.root(1), False),
-        (field.root(3) * field.from_rational(q), True),
-        (field.one - field.root(m_prime), True),
+        (zeta(field, 1), False),
+        (zeta(field, 3) * field.from_rational(q), True),
+        (field.one - zeta(field, m_prime), True),
     ):
 
         def perturbed(E_, eta_, N=None):

@@ -41,6 +41,7 @@ from group_ring import (
     build_operators,
     operator_identity_holds,
     ratio_mth_power_witness,
+    zeta,
 )
 
 BASIC = parse_omega("1:1,2:-1")
@@ -294,7 +295,7 @@ class TestPerturbedCocycle:
     @staticmethod
     def perturbed(coc, factor):
         field = coc.field
-        unit = field.root(1) if factor == "zeta" else field.from_rational(2)
+        unit = zeta(field, 1) if factor == "zeta" else field.from_rational(2)
         values = dict(coc.values)
         q = min(values)
         values[q] = values[q] * unit
@@ -312,7 +313,7 @@ class TestPerturbedCocycle:
         # c = zeta_5 in Q(zeta_35) and D = 1 pass the certificate c^5 D = sigma_7(D),
         # but sigma_7 fixes c, so its norm is c^6 = zeta_5
         field = get_field(35)
-        c = field.root(7)
+        c = zeta(field, 7)
         assert c**5 == field.one and galois_apply(lifted_sigma(field, 7), c) == c
         with pytest.raises(InternalInconsistency, match="cocycle norm condition failed"):
             _certify(field, 5, {7: c}, field.one)
@@ -354,7 +355,7 @@ class TestPerturbedCocycle:
         params = KolyParams(5, 0, 5)
         coc = cocycle_closed_form(BASIC, params, 11)
         field = coc.field
-        u = field.one + field.root(11) + field.root(-11)
+        u = field.one + zeta(field, 11) + zeta(field, -11)
         assert u != field.one and galois_apply(lifted_sigma(field, 11), u) == u
         unnormed = dataclasses.replace(coc, values={11: coc.values[11] * u})
         assert apply_norm(unnormed.values[11], 11) == u**10 != field.one
@@ -372,7 +373,7 @@ def reference_theta(field, rng):
     for k in range(1, field.phi // 2 + 1):
         c = rng.randint(-3, 3)
         if c:
-            theta = theta + (field.root(k) + field.root(-k)) * field.from_rational(c)
+            theta = theta + (zeta(field, k) + zeta(field, -k)) * field.from_rational(c)
     return theta
 
 
@@ -469,9 +470,9 @@ class TestFactoredResolvent:
         # generator-pair check can see it
         ratio = field.from_rational(0)
         for i in range(a):
-            ratio = ratio + field.root(i)
-        assert galois_apply(lifted_sigma(field, q), field.one - field.root(1)) == (
-            field.one - field.root(1)
+            ratio = ratio + zeta(field, i)
+        assert galois_apply(lifted_sigma(field, q), field.one - zeta(field, 1)) == (
+            field.one - zeta(field, 1)
         ) * ratio
         values = dict(coc.values)
         values[q] = values[q] * ratio
@@ -486,7 +487,7 @@ class TestFactoredResolvent:
         coc = two_prime_cocycle
         assert sorted(coc.values) == [7, 13]
         values = dict(coc.values)
-        values[13] = values[13] * coc.field.root(1)
+        values[13] = values[13] * zeta(coc.field, 1)
         with pytest.raises(InternalInconsistency) as raised:
             hilbert90_beta(dataclasses.replace(coc, values=values), 42)
         assert str(raised.value) == "cocycle extension is inconsistent"
