@@ -42,7 +42,7 @@ def main() -> int:
     rep = check_factorization(E, params, 11, 31, seed=42)
     print(
         f"factorization s=11 q=31: passed={rep.passed} "
-        f"valuations={rep.part_ii_valuations.entries} dlogs={rep.part_ii_dlogs.entries} "
+        f"valuations={rep.part_ii_valuations} dlogs={rep.part_ii_dlogs} "
         f"({perf_counter() - t0:.1f} s)",
         flush=True,
     )

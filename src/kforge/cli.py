@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -84,8 +85,14 @@ class Report:
     config: dict
     checks: list[dict] = dc_field(default_factory=list)
     timings_ms: list[float] = dc_field(default_factory=list)
+    mark: float = dc_field(default_factory=time.perf_counter)
 
-    def add(self, name: str, anchor: str, passed: bool, witness: dict, elapsed: float):
+    def add(self, name: str, anchor: str, passed: bool, witness: dict):
+        """Append a check, timed from the previous check or, for the first,
+        from the report's creation."""
+        now = time.perf_counter()
+        self.timings_ms.append((now - self.mark) * 1000.0)
+        self.mark = now
         self.checks.append(
             {
                 "name": name,
@@ -95,7 +102,6 @@ class Report:
                 "timing_ms": None,
             }
         )
-        self.timings_ms.append(elapsed * 1000.0)
 
     @property
     def overall(self) -> str:
@@ -130,8 +136,8 @@ def _json(value):
     raise TypeError(f"no report form for {type(value).__name__}")
 
 
-def _axiom_entry(report: Report, ax: AxiomReport, anchor: str, elapsed: float):
-    report.add(ax.name, anchor, ax.passed, {**ax.witness, "params": ax.params}, elapsed)
+def _axiom_entry(report: Report, ax: AxiomReport, anchor: str):
+    report.add(ax.name, anchor, ax.passed, {**ax.witness, "params": ax.params})
 
 
 def _kolyvagin_product(E: EulerSystem, params: KolyParams, primes: tuple[int, ...], option: str) -> int:
@@ -148,10 +154,14 @@ def _kolyvagin_product(E: EulerSystem, params: KolyParams, primes: tuple[int, ..
     return math.prod(primes)
 
 
-def _timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0
+def _default_q(E: EulerSystem, params: KolyParams, s: int) -> int:
+    """The q factorize checks without --q: the least Kolyvagin prime outside
+    the system's excluded set that does not divide s."""
+    return next(
+        q
+        for q in itertools.count(2)
+        if is_kolyvagin_prime(params, q) and s % q and q not in E.effective_excluded
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +179,15 @@ def cmd_axioms(cfg: RunConfig) -> Report:
         for a in DEFAULT_E1_EXPONENTS:
             if eta.order > 1 and math.gcd(a, eta.order) != 1:
                 continue
-            ax, dt = _timed(check_E1, E, eta, a)
-            _axiom_entry(report, ax, "axiom:E1", dt)
+            _axiom_entry(report, check_E1(E, eta, a), "axiom:E1")
         for q in DEFAULT_AUX_PRIMES:
             if q in excluded:
                 continue
-            ax, dt = _timed(check_E2, E, eta, q)
-            _axiom_entry(report, ax, "axiom:E2", dt)
+            _axiom_entry(report, check_E2(E, eta, q), "axiom:E2")
             if math.gcd(q, eta.order) == 1:
-                ax, dt = _timed(check_E3, E, eta, q)
-                _axiom_entry(report, ax, "axiom:E3", dt)
+                _axiom_entry(report, check_E3(E, eta, q), "axiom:E3")
         if eta.order > 1:
-            ax, dt = _timed(check_unit, E, eta)
-            _axiom_entry(report, ax, "unit:integrality-norm", dt)
+            _axiom_entry(report, check_unit(E, eta), "unit:integrality-norm")
     report.config["effective_excluded"] = sorted(excluded)
     return report
 
@@ -194,7 +200,7 @@ def cmd_kappa(cfg: RunConfig) -> Report:
     report = Report("kappa", cfg.as_block())
     if s > 1:
         # a cocycle exists only once its certificate and norm condition hold
-        coc, dt = _timed(cocycle_closed_form, E, params, s)
+        coc = cocycle_closed_form(E, params, s)
         report.add(
             "cocycle_certificate",
             "cocycle:mth-power-certificate",
@@ -205,15 +211,13 @@ def cmd_kappa(cfg: RunConfig) -> Report:
                 "norm_trivial": True,
                 "frobenius_exponents": coc.frobenius_exponents,
             },
-            dt,
         )
-    kc, dt = _timed(kappa, E, params, s, cfg.seed)
+    kc = kappa(E, params, s, cfg.seed)
     report.add(
         "kappa_class",
         "kappa:descent",
         True,
         {"s": s, "kappa": kc.kappa, "beta": kc.beta, "theta_seed": kc.theta_seed},
-        dt,
     )
     return report
 
@@ -223,30 +227,28 @@ def cmd_factorize(cfg: RunConfig) -> Report:
     params = cfg.params()
     params.validate_system(E)
     s = _kolyvagin_product(E, params, cfg.s, "s")
-    qs = cfg.q or (11,)
+    qs = cfg.q or (_default_q(E, params, s),)
     _kolyvagin_product(E, params, qs, "q")
     if any(s % q == 0 for q in qs):
         raise ConfigError("q must not divide s")
     report = Report("factorize", cfg.as_block())
     report.config["q"] = qs
     for q in qs:
-        rep, dt = _timed(check_factorization, E, params, s, q, cfg.seed)
+        rep = check_factorization(E, params, s, q, cfg.seed)
         report.add(
             f"factorization_q{q}",
             "factorization:projection-law",
             rep.passed,
             {
-                "part_i": rep.part_i_vector.entries,
-                "part_ii_valuations": rep.part_ii_valuations.entries,
-                "part_ii_dlogs": rep.part_ii_dlogs.entries,
+                "part_i": rep.part_i_vector,
+                "part_ii_valuations": rep.part_ii_valuations,
+                "part_ii_dlogs": rep.part_ii_dlogs,
                 "kappa_s": rep.kappa_s,
                 "kappa_sq": rep.kappa_sq,
             },
-            dt,
         )
         # at s = 1 the law just checked is the level-1 law the relation reads
-        law, dt_law = (rep, 0.0) if s == 1 else _timed(check_factorization, E, params, 1, q, cfg.seed)
-        cr, dt = _timed(class_relation, E, law, cfg.seed)
+        cr = class_relation(rep if s == 1 else check_factorization(E, params, 1, q, cfg.seed))
         report.add(
             f"class_relation_q{q}",
             "annihilator:group-ring",
@@ -256,7 +258,6 @@ def cmd_factorize(cfg: RunConfig) -> Report:
                 "reference_pair": cr.theta.reference_pair,
                 "probes": cr.probes,
             },
-            dt_law + dt,
         )
     return report
 
@@ -266,7 +267,7 @@ def cmd_primes(cfg: RunConfig) -> Report:
         raise ConfigError("limit must be between 2 and 10^6")
     params = cfg.params()
     report = Report("primes", cfg.as_block())
-    found, dt = _timed(find_kolyvagin_primes, params, cfg.limit)
+    found = find_kolyvagin_primes(params, cfg.limit)
     summaries = {}
     for q in found[:25]:
         data = split_prime_data(q, params.conductor)
@@ -276,7 +277,6 @@ def cmd_primes(cfg: RunConfig) -> Report:
         "primes:congruence-splitting",
         True,
         {"found": found, "count": len(found), "split_data": summaries},
-        dt,
     )
     return report
 
@@ -293,7 +293,7 @@ def cmd_decompose(cfg: RunConfig) -> Report:
     report = Report("decompose", cfg.as_block())
     target = phi_eval(E, RootOfUnity(m, 1))
     # a decomposition is returned only once its identity is proved exactly
-    dec, dt = _timed(decompose_over_cyclotomic_units, target, cfg.p, cfg.n)
+    dec = decompose_over_cyclotomic_units(target, cfg.p, cfg.n)
     report.add(
         "system_value",
         "decompose:cyclotomic-units",
@@ -305,7 +305,6 @@ def cmd_decompose(cfg: RunConfig) -> Report:
             "target": target,
             "precision_bits": dec.precision_bits,
         },
-        dt,
     )
     return report
 

@@ -15,9 +15,11 @@ by the primes of h).
 
 Every value, twisted or not, is one balanced product of elementary factors
 in Q(zeta_ord(eta)): 1 - zeta^k, the closed-form inverses of such factors,
-and one rational times a root of unity.  The decomposition over
-cyclotomic-unit generators is proved by an identity between two such
-products and forms no inverse.
+and one rational times a root of unity.  E2 and E3 compare values at
+several roots; each value is lifted from its own field into their common
+witness field by embed_up.  The decomposition over cyclotomic-unit
+generators is proved by an identity between two such products and forms no
+inverse.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from itertools import repeat
 from .errors import BudgetExhausted, ConfigError, DomainError
 from .cyclotomic import (
     CycloElt,
-    CycloField,
     GaloisElt,
     RootOfUnity,
+    embed_up,
     galois_apply,
     get_field,
     is_in_real_subfield,
@@ -153,8 +155,9 @@ def parse_omega(text: str) -> EulerSystem:
 # ---------------------------------------------------------------------------
 
 
-def _factors(E: EulerSystem, eta: RootOfUnity, field: CycloField):
-    """The elementary factors whose product is the value at eta in field.
+def _factors(E: EulerSystem, eta: RootOfUnity):
+    """The elementary factors whose product is the value at eta in
+    Q(zeta_ord(eta)).
 
     With y = eta^n, n the composition power, a base factor (y^(-a) - y^a)^k
     is y^(-ak) (1 - Y)^k, Y = y^(2a).  Over the translates y*xi^(bn) of a
@@ -174,7 +177,8 @@ def _factors(E: EulerSystem, eta: RootOfUnity, field: CycloField):
     phi_h = euler_phi(h)
     reps = phi_h // euler_phi(h_prime)
     binomials = get_field(h_prime).binomials
-    m = field.m
+    m = eta.order
+    field = get_field(m)
     e = y.exp * (m // y.order)
     shift, limit = 0, Fraction(1)
     for a, k in E.base.pairs:
@@ -196,15 +200,11 @@ def _factors(E: EulerSystem, eta: RootOfUnity, field: CycloField):
     yield field.from_terms((shift,), (limit.numerator,), limit.denominator)
 
 
-def phi_eval(E: EulerSystem, eta: RootOfUnity, N: int | None = None) -> CycloElt:
-    """Exact value of the system at eta, as an element of Q(zeta_N) for a
-    multiple N of ord(eta), by default Q(zeta_ord(eta)) itself."""
+def phi_eval(E: EulerSystem, eta: RootOfUnity) -> CycloElt:
+    """Exact value of the system at eta, an element of Q(zeta_ord(eta))."""
     if not E.admissible(eta):
         raise DomainError(f"root of order {eta.order} is outside the admissible domain")
-    N = eta.order if N is None else N
-    if N % eta.order != 0:
-        raise DomainError(f"{eta.order} does not divide {N}")
-    return product(_factors(E, eta, get_field(N)))
+    return product(_factors(E, eta))
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +250,16 @@ def check_E2(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
     relation N(x) y = Frob_q(y), for x, y the values at eta*zeta_q and eta
     when ord(eta) > 1 is prime to q, and norm compatibility from
     Q(zeta_(p^(n+2))) down to Q(zeta_(p^(n+1))) at eta = zeta_(p^(n+2)), q = p.
+    Both sides are formed in Q(zeta_N), N = lcm(q, ord(eta), h) for h the
+    twist order, the witness field the reports record.
     """
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
     if q in E.effective_excluded:
         raise DomainError(f"auxiliary prime {q} is excluded")
     N = math.lcm(q, eta.order, E.twist.order)
-    lhs = product(phi_eval(E, eta.times(RootOfUnity(q, c)), N) for c in range(q))
-    rhs = phi_eval(E, eta**q, N)
+    lhs = product(embed_up(phi_eval(E, eta.times(RootOfUnity(q, c))), N) for c in range(q))
+    rhs = embed_up(phi_eval(E, eta**q), N)
     return AxiomReport(
         "E2",
         {"omega": E.describe(), "eta": _root_label(eta), "q": q},
@@ -270,13 +272,14 @@ def check_E3(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
     """Congruence relation: the q-th-root translate agrees with the value
     modulo every prime above q.
 
-    With N = q*m', those primes multiply to (1 - zeta_q).  Since
-    Phi_N = Phi_m'^(q-1) mod q, zeta_N -> x maps Z[zeta_N] onto
-    F_q[x]/(Phi_m'); its kernel contains 1 - zeta_q (zeta_q -> x^m' = 1) and
-    has the same index q^phi(m'), so it is (1 - zeta_q).  The difference,
-    whose denominator is prime to q, therefore vanishes at every prime above
-    q exactly when its numerator, folded modulo x^m' - 1 and reduced modulo
-    Phi_m', is 0 mod q.
+    The difference is formed in Q(zeta_N), N = q*m', m' = lcm(ord(eta), h)
+    for h the twist order; there the primes above q multiply to
+    (1 - zeta_q).  Since Phi_N = Phi_m'^(q-1) mod q, zeta_N -> x maps
+    Z[zeta_N] onto F_q[x]/(Phi_m'); its kernel contains 1 - zeta_q
+    (zeta_q -> x^m' = 1) and has the same index q^phi(m'), so it is
+    (1 - zeta_q).  The difference, whose denominator is prime to q,
+    therefore vanishes at every prime above q exactly when its numerator,
+    folded modulo x^m' - 1 and reduced modulo Phi_m', is 0 mod q.
     """
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
@@ -287,7 +290,7 @@ def check_E3(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
         raise DomainError("argument order must be coprime to q")
     m_prime = math.lcm(m0, E.twist.order)
     N = q * m_prime
-    delta = phi_eval(E, eta.times(RootOfUnity(q, 1)), N) - phi_eval(E, eta, N)
+    delta = embed_up(phi_eval(E, eta.times(RootOfUnity(q, 1))), N) - embed_up(phi_eval(E, eta), N)
     if delta.den % q == 0:
         raise DomainError("non-integral test value")
     residue = get_field(m_prime).from_terms(range(len(delta.num)), delta.num).num

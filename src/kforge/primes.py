@@ -13,7 +13,7 @@ computed mod q itself.
 check_factorization compares the two sides of the factorization law
 [kappa(sq)]_q = lambda_q(kappa(s)) by these disjoint pipelines; the class
 relation is that law at s = 1, read as a group-ring element, plus probes of
-kappa(q) at the other split primes.
+the law's kappa(q) at the other split primes.
 
 The canonical generator gamma of the residue field is t^(-1) mod q, where t
 is the least primitive root mod q: with the uniformizer 1 - eta_q one has
@@ -117,18 +117,9 @@ def valuation(x: CycloElt, root: int, data: SplitPrimeData) -> int:
     raise BudgetExhausted("valuation undecidable at budget")
 
 
-@dataclass(frozen=True)
-class IdealVector:
-    """An element of I_q / M I_q: one residue per prime of F above q."""
-
-    entries: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
-
-def ideal_vector(x: CycloElt, M: int, data: SplitPrimeData) -> IdealVector:
-    """Valuations of x modulo M at the primes of F above q.
+def ideal_vector(x: CycloElt, M: int, data: SplitPrimeData) -> tuple[int, ...]:
+    """Valuations of x modulo M at the primes of F above q, in the order of
+    data.pairs: an element of I_q / M I_q.
 
     x must be conjugation-invariant; the two paired roots must then agree,
     and a disagreement raises InternalInconsistency.
@@ -140,7 +131,7 @@ def ideal_vector(x: CycloElt, M: int, data: SplitPrimeData) -> IdealVector:
         if v1 != v2:
             raise InternalInconsistency("paired-root valuations disagree")
         entries.append(v1 % M)
-    return IdealVector(tuple(entries))
+    return tuple(entries)
 
 
 def _residue_at_root(x: CycloElt, root: int, q: int) -> int:
@@ -149,7 +140,7 @@ def _residue_at_root(x: CycloElt, root: int, q: int) -> int:
     return ip_eval(x.num, root) * pow(x.den, -1, q) % q
 
 
-def ideal_dlog_vector(w: CycloElt, M: int, data: SplitPrimeData) -> IdealVector:
+def ideal_dlog_vector(w: CycloElt, M: int, data: SplitPrimeData) -> tuple[int, ...]:
     """The discrete-log map into I_q / M I_q: reduce w at each prime and take
     the exponent with respect to gamma = t^(-1)."""
     if w.field.m != data.m:
@@ -164,7 +155,7 @@ def ideal_dlog_vector(w: CycloElt, M: int, data: SplitPrimeData) -> IdealVector:
         if r1 != r2:
             raise InternalInconsistency("paired-root residues disagree")
         entries.append(int_dlog(data.gamma, r1, q) % M)
-    return IdealVector(tuple(entries))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +178,7 @@ def galois_classes(m: int) -> list[int]:
     return [a for a in field.unit_group if a <= m - a]
 
 
-def _pair_index(data: SplitPrimeData, root: int) -> int:
-    partner = pow(root, -1, data.q)
-    key = (min(root, partner), max(root, partner))
-    return data.pairs.index(key)
-
-
-def annihilator_from_dlogs(vec: IdealVector, data: SplitPrimeData) -> AnnihilatorElt:
+def annihilator_from_dlogs(vec: tuple[int, ...], data: SplitPrimeData) -> AnnihilatorElt:
     """The unique group-ring element carrying the reference prime, the first
     of data.pairs, onto the discrete-log vector vec under the Galois action
     on primes above q.
@@ -203,12 +188,9 @@ def annihilator_from_dlogs(vec: IdealVector, data: SplitPrimeData) -> Annihilato
     """
     m = data.m
     c0 = data.pairs[0][0]
-    coeffs = []
-    for a in galois_classes(m):
-        a_inv = pow(a, -1, m)
-        image_root = pow(c0, a_inv, data.q)
-        coeffs.append((a, vec.entries[_pair_index(data, image_root)]))
-    return AnnihilatorElt(tuple(coeffs), data.pairs[0])
+    pair_of = {c: i for i, pair in enumerate(data.pairs) for c in pair}
+    coeffs = tuple((a, vec[pair_of[pow(c0, pow(a, -1, m), data.q)]]) for a in galois_classes(m))
+    return AnnihilatorElt(coeffs, data.pairs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +203,9 @@ class FactorizationReport:
     params: KolyParams
     s: int
     q: int
-    part_i_vector: IdealVector
-    part_ii_valuations: IdealVector
-    part_ii_dlogs: IdealVector
+    part_i_vector: tuple[int, ...]
+    part_ii_valuations: tuple[int, ...]
+    part_ii_dlogs: tuple[int, ...]
     passed: bool
     kappa_s: CycloElt
     kappa_sq: CycloElt
@@ -246,7 +228,7 @@ def check_factorization(
     k_sq = kappa(E, params, s * q, seed)
     lhs = ideal_vector(k_sq.kappa, params.M, data)
     rhs = ideal_dlog_vector(k_s.kappa, params.M, data)
-    passed = part_i.is_zero() and lhs.entries == rhs.entries
+    passed = not any(part_i) and lhs == rhs
     return FactorizationReport(params, s, q, part_i, lhs, rhs, passed, k_s.kappa, k_sq.kappa)
 
 
@@ -257,27 +239,22 @@ class ClassRelation:
     probes: dict[int, bool]
 
 
-def class_relation(E: EulerSystem, law: FactorizationReport, seed: int = 0) -> ClassRelation:
+def class_relation(law: FactorizationReport) -> ClassRelation:
     """The annihilator-style relation read off the level-1 factorization law,
     `law` = check_factorization(E, params, 1, q, seed).
 
     The relation holds when part (ii) of the law holds, and theta is the
     group-ring form of the law's discrete-log vector of the level-1 class.
-    The witness is the level-q class, whose ideal is then trivial mod M at
-    every other Kolyvagin prime up to _PROBE_LIMIT; it comes from kappa's
-    memo when the law built it before.
+    The witness is the law's level-q class kappa_sq, whose ideal is then
+    trivial mod M at every other Kolyvagin prime up to _PROBE_LIMIT.
     """
     if law.s != 1:
         raise DomainError("the class relation reads the level-1 factorization law")
     params, q = law.params, law.q
     theta = annihilator_from_dlogs(law.part_ii_dlogs, split_prime_data(q, params.conductor))
-    k_q = kappa(E, params, q, seed)
-    probes = {}
-    for other in find_kolyvagin_primes(params, _PROBE_LIMIT):
-        if other == q:
-            continue
-        probes[other] = ideal_vector(
-            k_q.kappa, params.M, split_prime_data(other, params.conductor)
-        ).is_zero()
-    relation_holds = law.part_ii_valuations.entries == law.part_ii_dlogs.entries
-    return ClassRelation(theta, relation_holds, probes)
+    probes = {
+        other: not any(ideal_vector(law.kappa_sq, params.M, split_prime_data(other, params.conductor)))
+        for other in find_kolyvagin_primes(params, _PROBE_LIMIT)
+        if other != q
+    }
+    return ClassRelation(theta, law.part_ii_valuations == law.part_ii_dlogs, probes)

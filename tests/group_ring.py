@@ -27,6 +27,7 @@ from kforge.cyclotomic import (
     GaloisElt,
     RootOfUnity,
     divide_into_subfield,
+    embed_up,
     galois_apply,
     get_field,
     product,
@@ -223,14 +224,15 @@ def ratio_mth_power_witness(ka: KappaClass, kb: KappaClass, M: int) -> CycloElt:
 
 def twisted_value_reference(E: EulerSystem, eta: RootOfUnity) -> CycloElt:
     """The value at eta as the product of the base values at (eta*xi^b)^n
-    for every b prime to the twist order h, n the composition power, formed
-    in Q(zeta_lcm(ord eta, h)) and brought down to Q(zeta_ord(eta)) by a
-    subfield solve, which refuses a product outside it."""
+    for every b prime to the twist order h, n the composition power, each
+    lifted into Q(zeta_lcm(ord eta, h)), multiplied there and brought down
+    to Q(zeta_ord(eta)) by a subfield solve, which refuses a product outside
+    it."""
     h, n = E.twist.order, E.compose_n or 1
     N = math.lcm(eta.order, h)
     base = EulerSystem(E.base)
     translates = (eta.times(E.twist**b) ** n for b in range(1, h + 1) if math.gcd(b, h) == 1)
-    value = product(phi_eval(base, t, N) for t in translates)
+    value = product(embed_up(phi_eval(base, t), N) for t in translates)
     return divide_into_subfield(value, value.field.one, eta.order)
 
 

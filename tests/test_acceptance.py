@@ -201,9 +201,9 @@ def test_A8_factorization_law(q, budget):
         params = KolyParams(5, 0, 5)
         rep = check_factorization(parse_omega(BASIC), params, 1, q, seed=42)
         assert rep.passed
-        assert rep.part_i_vector.is_zero()
-        assert rep.part_ii_valuations.entries == rep.part_ii_dlogs.entries
-        assert len(rep.part_ii_valuations.entries) == 2  # vectors in (Z/5)^2
+        assert not any(rep.part_i_vector)
+        assert rep.part_ii_valuations == rep.part_ii_dlogs
+        assert len(rep.part_ii_valuations) == 2  # vectors in (Z/5)^2
 
 
 def test_A9_prime_search_against_oracle():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import pathlib
@@ -344,14 +345,40 @@ class TestReports:
         rel = byname["class_relation_q11"]["witness"]
         assert rel["theta"] == {"1": "2", "2": "3"}
 
-    def test_factorize_records_the_default_q(self, capsys):
-        # without --q the command checks q = 11, and its report is the one
-        # that --q 11 writes
-        assert run_main(["factorize", "--seed", "42"]) == 0
+    @pytest.mark.parametrize(
+        "config, q",
+        [
+            ([], "11"),
+            (["--p", "3", "--n", "0", "--M", "3", "--s", "7"], "13"),
+            (["--p", "7", "--n", "0", "--M", "7"], "29"),
+            (["--s", "11"], "31"),
+            (["--omega", "1:1,11:-1"], "31"),
+        ],
+        ids=["p5", "p3-s7", "p7", "p5-s11", "p5-11-excluded"],
+    )
+    def test_factorize_records_the_default_q(self, capsys, config, q):
+        # without --q the command checks the least Kolyvagin prime outside the
+        # excluded set that does not divide s (it once checked 11 at every p),
+        # and its report is the one that --q writes with that prime
+        assert run_main(["factorize", *config, "--seed", "42"]) == 0
         default = capsys.readouterr().out
-        assert json.loads(default)["config"]["q"] == ["11"]
-        assert run_main(["factorize", "--q", "11", "--seed", "42"]) == 0
+        assert json.loads(default)["config"]["q"] == [q]
+        assert run_main(["factorize", *config, "--q", q, "--seed", "42"]) == 0
         assert capsys.readouterr().out == default
+
+    def test_timing_lines_follow_the_report_one_per_check(self, monkeypatch):
+        # each check is timed from the one before it; the times go to stderr
+        # after the report, in the order of the checks
+        stream = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stream)
+        monkeypatch.setattr(sys, "stderr", stream)
+        assert run_main(["factorize", "--q", "11,31", "--seed", "42"]) == 0
+        report_text, _, timing = stream.getvalue().rpartition("}\n")
+        checks = json.loads(report_text + "}")["checks"]
+        lines = timing.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"[timing] {c['name']}" for c in checks]
+        assert all(float(line.split(": ")[1].removesuffix(" ms")) >= 0 for line in lines)
+        assert all(c["timing_ms"] is None for c in checks)
 
 
 class TestDeterminism:

@@ -139,11 +139,13 @@ class TestValues:
             phi_eval(parse_omega(BASIC), RootOfUnity(4, 1))
 
     def test_ambient_evaluation_consistent(self):
+        # a value lies in its argument's field; a wider field holds it only
+        # through a multiple of that conductor
         E = parse_omega(BASIC)
         v = phi_eval(E, RootOfUnity(5, 1))
-        assert phi_eval(E, RootOfUnity(5, 1), 35) == embed_up(v, 35)
+        assert v.field.m == 5 and embed_up(v, 35).field.m == 35
         with pytest.raises(DomainError, match="5 does not divide 21"):
-            phi_eval(E, RootOfUnity(5, 1), 21)
+            embed_up(v, 21)
 
     def test_derived_system_degeneracies(self):
         base = parse_omega(BASIC)
@@ -151,12 +153,6 @@ class TestValues:
             v = phi_eval(base, eta)
             assert phi_eval(parse_omega(BASIC + ",compose=1"), eta) == v
             assert phi_eval(parse_omega(BASIC + ",twist=1:0"), eta) == v
-
-    def test_twisted_value_lies_in_its_argument_field(self):
-        E = parse_omega(BASIC + ",twist=3:1")
-        eta = RootOfUnity(7, 1)
-        v = phi_eval(E, eta)
-        assert v.field.m == 7 and embed_up(v, 21) == phi_eval(E, eta, 21)
 
 
 ORACLE_SYSTEMS = (
@@ -200,7 +196,7 @@ def test_values_against_direct_evaluation_mod_a_split_prime(omega, eta, N):
     into F_ell, for a prime ell = 1 mod N and r of order N mod ell; so it
     agrees with it modulo every prime above ell."""
     E = parse_omega(omega)
-    value = phi_eval(E, eta, N)
+    value = embed_up(phi_eval(E, eta), N)
     ell = next(ell for ell in range(N * (10**4 // N) + 1, 10**7, N) if is_prime(ell))
     assert value.den % ell != 0
     r = next(
@@ -282,7 +278,7 @@ class TestAxioms:
         assert rep.passed
         assert rep.witness["lhs"].num[0] == 1 and rep.witness["lhs"].den == 2
         # the witness is the element E2 formed, not its serialization
-        assert rep.witness["lhs"] == product(phi_eval(E, RootOfUnity(3, c), 3) for c in range(3))
+        assert rep.witness["lhs"] == product(embed_up(phi_eval(E, RootOfUnity(3, c)), 3) for c in range(3))
         assert check_E2(E, RootOfUnity(5, 1), 3).passed
         assert check_E2(E, RootOfUnity(3, 1), 3).passed  # eta^q = 1 branch
 
@@ -297,7 +293,7 @@ class TestAxioms:
             big = get_field(q)
             prod = big.one
             for c in range(1, q):
-                prod = prod * phi_eval(E, RootOfUnity(q, c), q)
+                prod = prod * phi_eval(E, RootOfUnity(q, c))
             assert prod == big.one
 
     def test_E3_examples(self):
@@ -327,6 +323,23 @@ class TestAxioms:
             assert check_E1(E, eta, 2).passed
             assert check_E2(E, eta, 7).passed
             assert check_E3(E, eta, 7).passed
+
+    def test_twisted_witnesses_keep_their_conductors(self):
+        # values come from Q(zeta_ord(eta)) and are lifted by embed_up: E2's
+        # witnesses lie in Q(zeta_N), N = lcm(q, ord eta, h), and E3's
+        # difference in Q(zeta_(q m')), m' = lcm(ord eta, h), the layout the
+        # pinned axioms reports record
+        E = parse_omega(BASIC + ",twist=3:1")
+        eta = RootOfUnity(5, 1)
+        rep = check_E2(E, eta, 7)
+        assert rep.passed
+        assert rep.witness["lhs"].field.m == rep.witness["rhs"].field.m == 105 == math.lcm(7, 5, 3)
+        assert rep.witness["rhs"] == embed_up(phi_eval(E, eta**7), 105)
+        rep = check_E3(E, eta, 7)
+        delta = rep.witness["delta"]
+        assert rep.passed and delta.field.m == 7 * 15
+        translate = phi_eval(E, eta.times(RootOfUnity(7, 1)))
+        assert delta == embed_up(translate, 105) - embed_up(phi_eval(E, eta), 105)
 
 
 # (3, 1) has an odd weight sum: its value is not invariant under eta -> 1/eta,
@@ -373,7 +386,7 @@ class TestNormRelations:
         assert check_E2(E, RootOfUnity(5, 1), 3).passed
         rep = check_E2(E, RootOfUnity(5, 1), 11)
         # Frob_11 fixes Q(zeta_5): the value at eta^11 is the value at eta
-        assert rep.passed and rep.witness["rhs"] == phi_eval(E, RootOfUnity(5, 1), 55)
+        assert rep.passed and rep.witness["rhs"] == embed_up(phi_eval(E, RootOfUnity(5, 1)), 55)
         assert check_E2(E, RootOfUnity(7, 1), 3).passed
 
     def test_tower_norm_small(self):
@@ -600,9 +613,9 @@ def test_E3_against_sympy_factors(omega, order, q, monkeypatch):
         (field.one - zeta(field, m_prime), True),
     ):
 
-        def perturbed(E_, eta_, N=None):
-            value = real_phi_eval(E_, eta_, N)
-            return value + pert if eta_ == translate else value
+        def perturbed(E_, eta_):
+            value = real_phi_eval(E_, eta_)
+            return embed_up(value, field.m) + pert if eta_ == translate else value
 
         monkeypatch.setattr(euler, "phi_eval", perturbed)
         rep = check_E3(E, eta, q)

@@ -33,7 +33,7 @@ PARAMS = KolyParams(5, 0, 5)
 
 def added(u, v, M):
     """Entries of the sum of two vectors in I_q / M I_q."""
-    return tuple((a + b) % M for a, b in zip(u.entries, v.entries))
+    return tuple((a + b) % M for a, b in zip(u, v))
 
 
 # Conductors and precisions of the lift grid; each conductor is taken with
@@ -182,18 +182,18 @@ class TestValuation:
 
 class TestIdealVector:
     def test_unit_gives_zero(self, data11, golden):
-        assert ideal_vector(golden, 5, data11).is_zero()
+        assert ideal_vector(golden, 5, data11) == (0, 0)
 
     def test_split_rational(self, data11):
         vec = ideal_vector(get_field(5).from_rational(11), 5, data11)
-        assert vec.entries == (1, 1)
+        assert vec == (1, 1)
 
     def test_additive(self, data11, golden):
         f5 = get_field(5)
         x = f5.from_rational(11) * golden
         y = f5.from_rational(Fraction(1, 11)) + f5.from_rational(Fraction(121, 11))
         vx, vy, vxy = (ideal_vector(v, 5, data11) for v in (x, y, x * y))
-        assert vxy.entries == added(vx, vy, 5)
+        assert vxy == added(vx, vy, 5)
 
     def test_pair_mismatch_is_inconsistency(self, data11):
         f5 = get_field(5)
@@ -204,7 +204,7 @@ class TestIdealVector:
 
 class TestDlogVector:
     def test_one_maps_to_zero(self, data11):
-        assert ideal_dlog_vector(get_field(5).one, 5, data11).is_zero()
+        assert ideal_dlog_vector(get_field(5).one, 5, data11) == (0, 0)
 
     def test_golden_unit_vector(self, data11, golden):
         # hand-checkable: residues at the roots 3 and 9 are 8 and 4; their
@@ -217,7 +217,7 @@ class TestDlogVector:
             e = next(e for e in range(10) if pow(6, e, 11) == acc)
             brute.append(e % 5)
         vec = ideal_dlog_vector(golden, 5, data11)
-        assert vec.entries == tuple(brute) == (2, 3)
+        assert vec == tuple(brute) == (2, 3)
 
     def test_homomorphism_and_mth_powers(self, data11, golden):
         f5 = get_field(5)
@@ -225,8 +225,8 @@ class TestDlogVector:
         w2 = golden + f5.from_rational(2)
         a = ideal_dlog_vector(w1, 5, data11)
         b = ideal_dlog_vector(w2, 5, data11)
-        assert ideal_dlog_vector(w1 * w2, 5, data11).entries == added(a, b, 5)
-        assert ideal_dlog_vector(w1 * golden**5, 5, data11).entries == a.entries
+        assert ideal_dlog_vector(w1 * w2, 5, data11) == added(a, b, 5)
+        assert ideal_dlog_vector(w1 * golden**5, 5, data11) == a
 
     def test_not_prime_to_q(self, data11):
         f5 = get_field(5)
@@ -266,19 +266,19 @@ class TestFactorizationLaw:
     def test_q11(self):
         rep = check_factorization(BASIC, PARAMS, 1, 11, seed=42)
         assert rep.passed
-        assert rep.part_i_vector.is_zero()
-        assert rep.part_ii_valuations.entries == rep.part_ii_dlogs.entries == (2, 3)
+        assert rep.part_i_vector == (0, 0)
+        assert rep.part_ii_valuations == rep.part_ii_dlogs == (2, 3)
 
     def test_level_nine(self):
         rep = check_factorization(BASIC, KolyParams(3, 1, 3), 1, 19, seed=7)
         assert rep.passed
-        assert len(rep.part_ii_valuations.entries) == 3
+        assert len(rep.part_ii_valuations) == 3
 
     def test_seed_independence_of_the_law(self):
         a = check_factorization(BASIC, PARAMS, 1, 11, seed=1)
         b = check_factorization(BASIC, PARAMS, 1, 11, seed=99)
         assert a.passed and b.passed
-        assert a.part_ii_dlogs.entries == b.part_ii_dlogs.entries
+        assert a.part_ii_dlogs == b.part_ii_dlogs
 
     def test_reuses_a_certified_level_sq_cocycle(self, certified):
         cocycle_closed_form(BASIC, PARAMS, 11)
@@ -300,14 +300,14 @@ class TestFactorizationLaw:
 
         monkeypatch.setattr(primes, "split_prime_data", flipped)
         rep = check_factorization(BASIC, PARAMS, 1, 11, seed=42)
-        assert rep.part_ii_valuations.entries == (2, 3)
-        assert rep.part_ii_dlogs.entries == (3, 2)
+        assert rep.part_ii_valuations == (2, 3)
+        assert rep.part_ii_dlogs == (3, 2)
         assert rep.passed is False
-        assert class_relation(BASIC, rep, seed=42).relation_holds is False
+        assert class_relation(rep).relation_holds is False
 
 
 def relation_at(q, seed):
-    return class_relation(BASIC, check_factorization(BASIC, PARAMS, 1, q, seed=seed), seed=seed)
+    return class_relation(check_factorization(BASIC, PARAMS, 1, q, seed=seed))
 
 
 class TestClassRelation:
@@ -331,7 +331,25 @@ class TestClassRelation:
             fresh.probes,
         )
 
+    @pytest.mark.parametrize("q", [11, 31])
+    def test_probes_read_the_laws_level_q_class(self, q):
+        # the law's kappa_sq is kappa's level-q class, so the probes are its
+        # ideal vectors at the other Kolyvagin primes up to 100
+        law = check_factorization(BASIC, PARAMS, 1, q, seed=42)
+        k_q = kappa(BASIC, PARAMS, q, 42).kappa
+        assert law.kappa_sq == k_q
+        expected = {
+            other: not any(ideal_vector(k_q, 5, split_prime_data(other, 5)))
+            for other in (11, 31, 41, 61, 71)
+            if other != q
+        }
+        assert class_relation(law).probes == expected
+        # a witness with a nontrivial ideal at 41 fails exactly that probe
+        ideal_at_41 = get_field(5).from_rational(41)
+        probes = class_relation(dataclasses.replace(law, kappa_sq=ideal_at_41)).probes
+        assert probes == {other: other != 41 for other in expected}
+
     def test_refuses_a_law_above_level_one(self):
         law = check_factorization(BASIC, PARAMS, 1, 11, seed=42)
         with pytest.raises(DomainError, match="level-1"):
-            class_relation(BASIC, dataclasses.replace(law, s=31), seed=42)
+            class_relation(dataclasses.replace(law, s=31))
