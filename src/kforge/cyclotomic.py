@@ -6,16 +6,24 @@ normalized so gcd(content, denominator) = 1.  Elements of the maximal real
 subfield are represented inside Q(zeta_m) as conjugation-invariant vectors;
 there is no separate field object for the real subfield.
 
-Products are formed by Kronecker substitution: after splitting off the factor
-x^v of each operand (so a power of zeta is a shift, not a product), each
-numerator vector is packed into one big number, one slot per coefficient,
-wide enough for any coefficient of the product plus a sign, so that the
-polynomial product is a single big-number product.  Slots are offset: a slot
-holds c + half, half being half its base, as an unsigned number, so a vector
-packs as the join of its biased slots minus one constant, and the product
-unpacks by adding that constant back and reading every slot unsigned, with
-no borrow between slots.  A product's size is min(len) * (bits_a + bits_b)
-bit-terms, and two switches on it choose among three evaluations:
+A product first splits off the factor x^v of each operand.  If the operand
+with fewer nonzero terms has k of them and k^2 is at most the longer
+operand's length, the product is made term by term: one scaled, shifted copy
+of the other operand per nonzero term, in exact int arithmetic with no slots
+(S. C. Johnson, "Sparse polynomial arithmetic", ACM SIGSAM Bull. 8(3),
+1974).  So a power of zeta is one scaled copy, and an element lifted from a
+subfield (Q(zeta_5) lies in Q(zeta_1705) at stride 341) or a factor
+1 - zeta^k costs a few scaled copies of the other operand, not a transform.
+
+Every other product is formed by Kronecker substitution: each numerator
+vector is packed into one big number, one slot per coefficient, wide enough
+for any coefficient of the product plus a sign, so that the polynomial
+product is a single big-number product.  Slots are offset: a slot holds
+c + half, half being half its base, as an unsigned number, so a vector packs
+as the join of its biased slots minus one constant, and the product unpacks
+by adding that constant back and reading every slot unsigned, with no borrow
+between slots.  A product's size is min(len) * (bits_a + bits_b) bit-terms,
+and two switches on it choose among three evaluations:
 
 - below _TWO_POINT_MIN_SIZE (2 * 10^4), one int multiply at x = 2^W, for W
   the slot width, in slots of whole bytes read back from the int's bytes;
@@ -70,7 +78,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .errors import DomainError, InternalInconsistency
 from .exact_arith import PolyZ, euler_phi, factorize
@@ -238,18 +246,35 @@ def _str_digits_allowed(digits: int) -> bool:
 
 
 def _poly_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Coefficients of the integer polynomial product a * b, by Kronecker
-    substitution at one or two points in the binary packing or in the
-    decimal packing, by its size (module docstring).
+    """Coefficients of the integer polynomial product a * b.
 
-    Slots are sized so that half the slot base exceeds |c| for every input
-    and product coefficient c.
+    After the factors x^v are split off, if the operand with fewer nonzero
+    terms has k of them and k^2 <= the longer operand's length, the product
+    is made term by term, one scaled shift of the other operand per term.
+    That gate sits at or below the crossover with the Kronecker product.
+    Times against a dense operand, term-wise vs Kronecker in ms, median of 9
+    (CPython 3.11, shared 2-core machine); the gate passes k <= 10 at 120
+    terms and k <= 34 at 1200:
+
+        120 terms of 64 bits:     k = 10: 0.20 vs 0.29,  k = 16: 0.36 vs 0.40
+        1200 terms of 64 bits:    k = 28: 4.5 vs 4.8,    k = 34: 7.2 vs 7.2
+        1200 terms of 1000 bits:  k = 4: 11 vs 143,      k = 48: 75 vs 117
+
+    Otherwise the product is a Kronecker substitution at one or two points in
+    the binary packing or in the decimal packing, by its size (module
+    docstring).  Slots are sized so that half the slot base exceeds |c| for
+    every input and product coefficient c.
     """
     square = a is b
     va, a = _nonzero_span(a)
     vb, b = (va, a) if square else _nonzero_span(b)
     if not a or not b:
         return []
+    terms_a = len(a) - a.count(0)
+    terms_b = terms_a if square else len(b) - b.count(0)
+    if min(terms_a, terms_b) ** 2 <= max(len(a), len(b)):
+        coeffs = _sparse_product(a, b) if terms_a <= terms_b else _sparse_product(b, a)
+        return [0] * (va + vb) + coeffs
     bits_a = max(max(a), -min(a)).bit_length()
     bits_b = bits_a if square else max(max(b), -min(b)).bit_length()
     # |product coefficient| < min(len) * 2^(bits_a + bits_b); one more bit for the sign
@@ -263,6 +288,17 @@ def _poly_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     else:
         coeffs = _decimal_product(a, b, square, digits)
     return [0] * (va + vb) + coeffs
+
+
+def _sparse_product(sparse, dense) -> list[int]:
+    """The product as the sum over the nonzero terms c x^i of `sparse` of
+    c x^i * dense: k scaled shifts for k terms, in exact int arithmetic."""
+    n = len(dense)
+    out = [0] * (len(sparse) + n - 1)
+    for i, c in enumerate(sparse):
+        if c:
+            out[i : i + n] = map(add, out[i : i + n], map(mul, dense, repeat(c)))
+    return out
 
 
 def _binary_product(a, b, square: bool, width: int, points: int) -> list[int]:

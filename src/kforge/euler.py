@@ -60,6 +60,8 @@ class OmegaSpec:
             raise ConfigError("at least one pair is required")
         if any(a == 0 for a, _ in pairs):
             raise ConfigError("pair bases must be nonzero")
+        if any(n == 0 for _, n in pairs):
+            raise ConfigError("pair weights must be nonzero")
         if sum(n for _, n in pairs) != 0:
             raise ConfigError("pair weights must sum to zero")
         excluded = {2}

@@ -52,6 +52,10 @@ class TestExitCodes:
         assert run_main(["axioms", "--omega", "1:1"]) == 2
         assert "sum to zero" in capsys.readouterr().err
 
+    def test_config_error_zero_weight(self, capsys):
+        assert run_main(["axioms", "--omega", "1:1,2:-1,3:0"]) == 2
+        assert "pair weights must be nonzero" in capsys.readouterr().err
+
     @pytest.mark.parametrize("omega", ["1:1,2:-1,twist=3:1,twist=5:1", "1:1,2:-1,compose=2,compose=3"])
     def test_config_error_repeated_decoration(self, capsys, omega):
         assert run_main(["axioms", "--omega", omega]) == 2
@@ -283,6 +287,22 @@ class TestReports:
         assert run_main(["kappa", *config, "--seed", "42"]) == 0
         assert json.loads(capsys.readouterr().out)["overall"] == "pass"
         assert len(calls) == products
+
+    def test_axioms_term_wise_product_count(self, capsys, monkeypatch):
+        # the products of an axioms run with an operand sparse enough to be
+        # formed term by term, out of all 320: a lifted value or a factor
+        # 1 - zeta^k times a full element, so a change to it must be deliberate
+        paths = []
+        for name in ("_sparse_product", "_binary_product", "_decimal_product"):
+
+            def spy(*args, real=getattr(cyclotomic, name), name=name):
+                paths.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(cyclotomic, name, spy)
+        assert run_main(["axioms", "--omega", "1:1,2:-1"]) == 0
+        assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+        assert (paths.count("_sparse_product"), len(paths)) == (201, 320)
 
     def test_factorize_builds_each_level_q_class_once(self, capsys, monkeypatch):
         # at s = 1 the class checked by the factorization law is also the

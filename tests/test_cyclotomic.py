@@ -6,9 +6,10 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kforge import cyclotomic
 from kforge.errors import DomainError, InternalInconsistency
@@ -725,13 +726,15 @@ def slot_vectors(draw, bits=st.sampled_from([1, 2, 6, 7, 8, 9, 63, 64, 65, 2000]
 
 
 ONE_POINT, TWO_POINT, DECIMAL = ("_binary_product", 1), ("_binary_product", 2), ("_decimal_product", 1)
+SPARSE = ("_sparse_product", 1)
 
 
 def record_paths(mp):
-    """Patch both product paths to log (name, number of evaluation points), in
-    call order, to the list returned; the decimal packing evaluates at one point."""
+    """Patch the three product paths to log (name, number of evaluation
+    points), in call order, to the list returned; the decimal packing and the
+    term-wise product count as one point."""
     paths = []
-    for name in ("_binary_product", "_decimal_product"):
+    for name in ("_binary_product", "_decimal_product", "_sparse_product"):
         real = getattr(cyclotomic, name)
 
         def spy(*args, real=real, name=name):
@@ -740,6 +743,19 @@ def record_paths(mp):
 
         mp.setattr(cyclotomic, name, spy)
     return paths
+
+
+def takes_the_sparse_path(a, b):
+    """Whether the product of two nonzero vectors is made term by term: the
+    operand of fewer nonzero terms has k of them with k^2 at most the longer
+    operand's length from its first nonzero coefficient to its last."""
+
+    def span(vec):
+        nonzero = [i for i, c in enumerate(vec) if c]
+        return nonzero[-1] - nonzero[0] + 1
+
+    terms = min(sum(map(bool, a)), sum(map(bool, b)))
+    return terms * terms <= max(span(a), span(b))
 
 
 class TestKernelsAgainstSchoolbook:
@@ -809,7 +825,9 @@ class TestKernelsAgainstSchoolbook:
     @example((0, 0, 0), (-1,))
     @example((0, 0, 5), (7, -2**64, 3, 2**63 - 1, -1))
     def test_product_at_slot_boundaries(self, a, b):
-        # every product in binary slots at one point and at two, and in decimal slots
+        # every product in binary slots at one point and at two, and in
+        # decimal slots, unless an operand is sparse enough to go term by term
+        expected = [pair for pair in ((a, b), (a, a)) if any(pair[0]) and any(pair[1])]
         for two_point, decimal_, path in ((math.inf, math.inf, ONE_POINT), (0, math.inf, TWO_POINT), (0, 0, DECIMAL)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(cyclotomic, "_TWO_POINT_MIN_SIZE", two_point)
@@ -817,7 +835,7 @@ class TestKernelsAgainstSchoolbook:
                 paths = record_paths(mp)
                 assert tuple(_poly_product(a, b)) == ip_mul(a, b)
                 assert tuple(_poly_product(a, a)) == ip_mul(a, a)  # squaring packs once
-            assert set(paths) <= {path}
+            assert paths == [SPARSE if takes_the_sparse_path(*pair) else path for pair in expected]
 
 
 @st.composite
@@ -843,7 +861,79 @@ def operands_near_the_two_point_gate(draw):
     return (a, a) if square else (a, vector(lb, total - bits_a))
 
 
+@st.composite
+def sparse_operands(draw):
+    """(a, b) with a of k nonzero terms, k from 1 to past the term-wise gate,
+    over a span with nonzero ends and 0-3 zeros on either side, and b either
+    a itself or 1-150 terms nonzero at both ends; coefficients of 1-2000
+    bits and either sign."""
+    bits = draw(st.integers(1, 2000))
+    peak = 2**bits - 1
+    nonzero = st.builds(mul, st.integers(1, peak), st.sampled_from([1, -1]))
+    k = draw(st.integers(1, 16))
+    span = 1 if k == 1 else draw(st.integers(k, 150))
+    inner = draw(st.sets(st.integers(1, span - 2), min_size=k - 2, max_size=k - 2)) if k > 2 else set()
+    core = [0] * span
+    for i in {0, span - 1} | inner:
+        core[i] = draw(nonzero)
+    a = tuple([0] * draw(st.integers(0, 3)) + core + [0] * draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        return a, a
+    body = draw(st.lists(st.one_of(nonzero, st.just(0)), min_size=1, max_size=150))
+    body[0], body[-1] = draw(nonzero), draw(nonzero)
+    return a, tuple(body)
+
+
 class TestProductPaths:
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_operands())
+    @example(((0, 5, 0, 0, -3), (7, 0, 2, -1)))
+    @example(((1,) + (0,) * 98 + (-1,),) * 2)
+    def test_term_wise_products_against_schoolbook(self, operands):
+        a, b = operands
+        sparse = takes_the_sparse_path(a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            paths = record_paths(mp)
+            assert tuple(_poly_product(a, b)) == ip_mul(a, b)
+            assert tuple(_poly_product(b, a)) == ip_mul(b, a)
+        assert [path == SPARSE for path in paths] == [sparse, sparse]
+
+    @pytest.mark.parametrize("span, path", [(100, SPARSE), (99, ONE_POINT)], ids=["k^2-is-len", "k^2-is-len-plus-1"])
+    def test_term_wise_gate_reads_the_sparser_operand(self, monkeypatch, span, path):
+        # 10 nonzero terms over `span` times `span` nonzero 8-bit terms: the
+        # gate k^2 <= len passes at len 100 and fails at 99; read off the
+        # dense operand, k = len, it would fail both
+        rng = random.Random(span)
+
+        def coeff():
+            return rng.randrange(1, 256) * rng.choice((1, -1))
+
+        a = [0] * span
+        for i in [0, span - 1, *rng.sample(range(1, span - 1), 8)]:
+            a[i] = coeff()
+        b = tuple(coeff() for _ in range(span))
+        paths = record_paths(monkeypatch)
+        assert tuple(_poly_product(tuple(a), b)) == ip_mul(a, b)
+        assert tuple(_poly_product(b, tuple(a))) == ip_mul(b, a)
+        assert paths == [path, path]
+
+    def test_an_embedded_subfield_element_times_a_wide_vector_goes_term_by_term(self, monkeypatch):
+        # an element of Q(zeta_5) lies in Q(zeta_1705) as 4 terms over a span
+        # of 1024; times 1200 coefficients of 1000 bits it has 2.05 * 10^6
+        # bit-terms, past the decimal gate, and is 4 scaled shifts instead
+        rng = random.Random(1705)
+        small, field = get_field(5), get_field(1705)
+        y = small.from_coeffs([(2 * rng.getrandbits(999) + 1) * rng.choice((1, -1)) for _ in range(small.phi)])
+        x = field.from_coeffs([rng.getrandbits(1000) - 2**999 for _ in range(field.phi)])
+        lifted = embed_up(y, field.m)
+        assert [e for e, c in enumerate(lifted.num) if c] == [0, 341, 682, 1023]
+        paths = record_paths(monkeypatch)
+        product = lifted * x
+        assert paths == [SPARSE]
+        exponents = [341 * j + i for j in range(small.phi) for i in range(field.phi)]
+        terms = [cy * cx for cy in y.num for cx in x.num]
+        assert product == field.from_terms(exponents, terms, y.den * x.den)
+
     @pytest.mark.parametrize("shorter, path", [(0, "_decimal_product"), (1, "_binary_product")])
     def test_threshold_reads_the_operands(self, monkeypatch, shorter, path):
         # 1000-bit operands of n terms have n * 2000 bit-terms: the threshold
@@ -875,6 +965,8 @@ class TestProductPaths:
         a, b = operands
         bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
         expected = TWO_POINT if min(len(a), len(b)) * bits >= cyclotomic._TWO_POINT_MIN_SIZE else ONE_POINT
+        if takes_the_sparse_path(a, b):
+            expected = SPARSE
         with pytest.MonkeyPatch.context() as mp:
             paths = record_paths(mp)
             assert tuple(_poly_product(a, b)) == ip_mul(a, b)
@@ -892,6 +984,8 @@ class TestProductPaths:
         edge = limit * 10 // 6  # coefficient bits whose product slot is about `limit` digits
         bits = st.integers(edge - 40, edge + 40)
         a, b = data.draw(slot_vectors(bits)), data.draw(slot_vectors(bits))
+        # an operand sparse enough to go term by term would make no slot
+        assume(any(a) and any(b) and not takes_the_sparse_path(a, b) and not takes_the_sparse_path(b, b))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cyclotomic, "_DECIMAL_MIN_SIZE", 0)
             assert tuple(_poly_product(a, b)) == ip_mul(a, b)
@@ -935,7 +1029,7 @@ class TestProductPaths:
         paths = record_paths(monkeypatch)
         shifted = field.from_terms(range(k, k + field.phi), x.num, x.den)
         assert zeta(field, k) * x == x * zeta(field, k) == shifted
-        assert DECIMAL not in paths
+        assert paths == [SPARSE, SPARSE]
 
     def test_decimal_is_imported_only_by_a_product_that_needs_it(self):
         # fractions imports decimal itself, so a fresh interpreter blocks the

@@ -60,6 +60,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="nonzero"):
             parse_omega("0:1,2:-1")
 
+    def test_zero_weight_rejected(self):
+        # a weight-0 pair adds nothing to the value but its base's primes to
+        # the excluded set, which would shrink the grid the axioms are checked on
+        with pytest.raises(ConfigError, match="pair weights must be nonzero"):
+            parse_omega("1:1,2:-1,3:0")
+
     def test_position_in_error(self):
         with pytest.raises(ConfigError, match="token 2"):
             parse_omega("1:1,nonsense")
