@@ -217,7 +217,7 @@ def cmd_kappa(cfg: RunConfig) -> Report:
         "kappa_class",
         "kappa:descent",
         True,
-        {"s": s, "kappa": kc.kappa, "beta": kc.beta, "theta_seed": kc.theta_seed},
+        {"s": s, "kappa": kc.kappa, "beta": kc.beta, "theta_seed": cfg.seed},
     )
     return report
 

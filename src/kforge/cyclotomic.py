@@ -1,4 +1,4 @@
-"""Exact arithmetic in Q(zeta_m): Galois action, towers, norms, real subfields.
+"""Exact arithmetic in Q(zeta_m): Galois action, towers, minimal polynomials.
 
 An element is stored as an integer coefficient vector in the power basis
 1, zeta, ..., zeta^(phi(m)-1) together with a single positive denominator,
@@ -58,7 +58,8 @@ built by the same passes.  Apart from products, every such vector is a sum of
 terms c * zeta^e and is built by `CycloField.from_terms`, except the columns of
 `divide_into_subfield`, which stay unnormalized over one denominator.
 
-`relative_norm` is the norm to a subfield Q(zeta_m'), m' | m; `kolyvagin`
+There is no norm routine: N(x) is read off the constant term of
+`minimal_polynomial`, which is how a unit is recognized, and `kolyvagin`
 forms the norms over <sigma_q> by its halving recursion.  There is no field
 inverse: a quotient is proved as a product identity or solved for by
 `divide_into_subfield`, and a negative power raises DomainError.  That solve
@@ -507,6 +508,12 @@ def is_in_real_subfield(x: CycloElt) -> bool:
     return conjugate(x) == x
 
 
+def galois_classes(m: int) -> list[int]:
+    """Representatives of Gal(F/Q) = (Z/m)^x / {+-1}, F the real subfield of
+    Q(zeta_m), smallest member first."""
+    return [a for a in get_field(m).unit_group if a <= m - a]
+
+
 @dataclass(frozen=True)
 class RootOfUnity:
     """zeta_order^exp, held in lowest terms.
@@ -643,22 +650,6 @@ def product(factors) -> CycloElt:
     while stack:
         acc = stack.pop()[1] * acc
     return acc
-
-
-def relative_norm(x: CycloElt, m_small: int) -> CycloElt:
-    """Norm of x from Q(zeta_m) down to Q(zeta_m_small), for a subconductor
-    m_small of m: the product of sigma_a(x) over the units a = 1 mod m_small,
-    which are the automorphisms fixing Q(zeta_m_small).
-
-    The result lies in Q(zeta_m_small) and is returned inside Q(zeta_m);
-    m_small = 1 gives the absolute norm and m_small = m gives x.
-    """
-    field = x.field
-    if m_small < 1 or field.m % m_small != 0:
-        raise DomainError(f"{m_small} is not a subconductor of {field.m}")
-    return product(
-        galois_apply(GaloisElt(field, a), x) for a in field.unit_group if a % m_small == 1 % m_small
-    )
 
 
 def minimal_polynomial(x: CycloElt) -> tuple[Fraction, ...]:

@@ -36,12 +36,12 @@ from .cyclotomic import (
     RootOfUnity,
     embed_up,
     galois_apply,
+    galois_classes,
     get_field,
     is_in_real_subfield,
     minimal_polynomial,
     one_minus_root_inverse,
     product,
-    relative_norm,
 )
 from .exact_arith import euler_phi, factorize, is_prime, multiplicative_order
 
@@ -367,20 +367,24 @@ def decompose_over_cyclotomic_units(u: CycloElt, p: int, n: int) -> Decompositio
     u * prod_{e_j<0} g_j^(-e_j) = +-prod_{e_j>0} g_j^(e_j), which forms no
     inverse.  Precision starts at 128 bits and doubles up to 2048 before
     giving up.
+
+    A non-unit is refused by check_unit's criterion: the power basis is an
+    integral basis of Z[zeta_m], so u is an algebraic integer iff its
+    denominator is 1, and N(u) = ((-1)^d c_0)^(phi/d) for the degree d and
+    constant term c_0 of its minimal polynomial, so u is a unit iff |c_0| = 1.
     """
     import mpmath
 
     m = p ** (n + 1)
     if u.field.m != m:
         raise DomainError("element does not live in the requested field")
-    one = u.field.one
-    # the power basis is an integral basis of Z[zeta_m], so u is integral iff den == 1
-    if u.den != 1 or relative_norm(u, 1) not in (one, -one):
+    if u.den != 1 or abs(minimal_polynomial(u)[0]) != 1:
         raise DomainError("input is not a unit")
+    one = u.field.one
     gens = cyclotomic_unit_generators(p, n)
     if u == one or u == -one:
         return Decomposition((0,) * len(gens), u.as_rational(), 0)
-    reps = [a for a in u.field.unit_group if a <= m // 2]
+    reps = galois_classes(m)
     prec = 128
     while prec <= 2048:
         exps = _propose_exponents(u, gens, reps, m, prec, mpmath)

@@ -40,7 +40,6 @@ from .cyclotomic import (
     CycloField,
     GaloisElt,
     RootOfUnity,
-    conjugate,
     divide_into_subfield,
     embed_up,
     galois_apply,
@@ -324,7 +323,7 @@ def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:
         for q, c in coc.values.items():
             if galois_apply(sigmas[q], beta) != c * beta:
                 raise InternalInconsistency("resolvent does not satisfy the relation")
-        if conjugate(beta) != beta:
+        if not is_in_real_subfield(beta):
             raise InternalInconsistency("resolvent left the real subfield")
         return beta
     raise DomainError("resolvent exhausted")
@@ -332,12 +331,11 @@ def hilbert90_beta(coc: Cocycle, seed: int) -> CycloElt:
 
 @dataclass(frozen=True)
 class KappaClass:
-    """A representative of the class D_s phi / beta^M together with the data
-    needed to re-verify it with the memoized cocycle (beta, the seed)."""
+    """A representative of the class D_s phi / beta^M together with beta, the
+    data needed to re-verify it with the memoized cocycle."""
 
     kappa: CycloElt
     beta: CycloElt
-    theta_seed: int
 
 
 def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaClass:
@@ -356,7 +354,7 @@ def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaCla
     if s == 1:
         field = get_field(params.conductor)
         value = phi_eval(E, RootOfUnity(params.conductor, 1))
-        kc = _MEMO[key] = KappaClass(value, field.one, seed)
+        kc = _MEMO[key] = KappaClass(value, field.one)
         return kc
     coc = cocycle_closed_form(E, params, s)
     beta = hilbert90_beta(coc, seed)
@@ -364,5 +362,5 @@ def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaCla
     value = divide_into_subfield(coc.dsphi, beta_m, params.conductor)
     if not is_in_real_subfield(value):
         raise InternalInconsistency("class representative is not real")
-    kc = _MEMO[key] = KappaClass(value, beta, seed)
+    kc = _MEMO[key] = KappaClass(value, beta)
     return kc

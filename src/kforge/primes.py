@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, DomainError, InternalInconsistency
-from .cyclotomic import CycloElt, get_field
+from .cyclotomic import CycloElt, galois_classes, get_field
 from .euler import EulerSystem
 from .exact_arith import (
     int_dlog,
@@ -170,12 +170,6 @@ class AnnihilatorElt:
 
     coeffs: tuple[tuple[int, int], ...]
     reference_pair: tuple[int, int]
-
-
-def galois_classes(m: int) -> list[int]:
-    """Representatives of Gal(F/Q) = (Z/m)^x / {+-1}, smallest member first."""
-    field = get_field(m)
-    return [a for a in field.unit_group if a <= m - a]
 
 
 def annihilator_from_dlogs(vec: tuple[int, ...], data: SplitPrimeData) -> AnnihilatorElt:

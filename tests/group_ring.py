@@ -8,7 +8,9 @@ suffix-product derivative.  apply_norm is the plain cyclic norm,
 ratio_mth_power_witness exhibits the representative ambiguity of a class, and
 apply_galois_to_annihilator moves an annihilator by a Galois element.
 zeta builds a root of unity as a field element, and inverse is the
-reference field inverse: kforge itself forms none.
+reference field inverse: kforge itself forms none.  relative_norm is the
+reference norm to a subfield, the product of the conjugates that fix it:
+kforge reads N(x) off its minimal polynomial instead.
 minimal_polynomial is the reference for kforge's: it expands prod (T - y)
 over the Galois orbit with field elements as coefficients.
 twisted_value_reference is the reference for a twisted system value: the
@@ -29,6 +31,7 @@ from kforge.cyclotomic import (
     divide_into_subfield,
     embed_up,
     galois_apply,
+    galois_classes,
     get_field,
     product,
 )
@@ -36,7 +39,7 @@ from kforge.errors import DomainError, InternalInconsistency
 from kforge.euler import EulerSystem, phi_eval
 from kforge.exact_arith import is_prime
 from kforge.kolyvagin import KappaClass, lifted_sigma
-from kforge.primes import AnnihilatorElt, galois_classes
+from kforge.primes import AnnihilatorElt
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,22 @@ def inverse(x: CycloElt) -> CycloElt:
     if not norm.is_rational():
         raise InternalInconsistency("norm failed to land in Q")
     return cofactor * field.from_rational(1 / norm.as_rational())
+
+
+def relative_norm(x: CycloElt, m_small: int) -> CycloElt:
+    """Norm of x from Q(zeta_m) down to Q(zeta_m_small), for a subconductor
+    m_small of m: the product of sigma_a(x) over the units a = 1 mod m_small,
+    which are the automorphisms fixing Q(zeta_m_small).
+
+    The result lies in Q(zeta_m_small) and is returned inside Q(zeta_m);
+    m_small = 1 gives the absolute norm and m_small = m gives x.
+    """
+    field = x.field
+    if m_small < 1 or field.m % m_small != 0:
+        raise DomainError(f"{m_small} is not a subconductor of {field.m}")
+    return product(
+        galois_apply(GaloisElt(field, a), x) for a in field.unit_group if a % m_small == 1 % m_small
+    )
 
 
 def minimal_polynomial(x: CycloElt):

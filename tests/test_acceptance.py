@@ -20,7 +20,6 @@ from kforge.cyclotomic import (
     galois_apply,
     get_field,
     is_in_real_subfield,
-    relative_norm,
 )
 from kforge.cli import main as cli_main
 from kforge.euler import (
@@ -45,7 +44,7 @@ from kforge.kolyvagin import (
     lifted_sigma,
 )
 from kforge.primes import check_factorization
-from group_ring import apply_norm, inverse, operator_identity_holds, ratio_mth_power_witness
+from group_ring import apply_norm, inverse, operator_identity_holds, ratio_mth_power_witness, relative_norm
 
 BASIC = "1:1,2:-1"
 A2_OMEGAS = [BASIC, "1:2,3:-2", "2:1,3:-1", BASIC + ",compose=2", BASIC + ",twist=3:1"]

@@ -229,6 +229,9 @@ class TestReports:
         assert names == ["cocycle_certificate", "kappa_class"]
         kap = report["checks"][1]["witness"]["kappa"]
         assert kap["conductor"] == "5" and len(kap["num"]) == 4
+        # the report writes the run's own seed; the class carries none
+        assert report["checks"][1]["witness"]["theta_seed"] == "42"
+        assert "theta_seed" not in {f.name for f in dataclasses.fields(kolyvagin.KappaClass)}
 
     def test_kappa_certifies_the_cocycle_once(self, capsys, certified):
         assert run_main(["kappa", "--s", "11", "--seed", "42"]) == 0

@@ -27,7 +27,6 @@ from kforge.cyclotomic import (
     minimal_polynomial,
     one_minus_root_inverse,
     product,
-    relative_norm,
     _binomial_factors,
     _poly_product,
     _reduce_vec,
@@ -35,7 +34,7 @@ from kforge.cyclotomic import (
 )
 from kforge.exact_arith import euler_phi, factorize, is_prime
 
-from group_ring import inverse, minimal_polynomial as reference_minimal_polynomial, zeta
+from group_ring import inverse, minimal_polynomial as reference_minimal_polynomial, relative_norm, zeta
 
 
 def poly_trim(coeffs):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kforge import euler
+from kforge import cyclotomic, euler
 from kforge.cli import main
 from kforge.errors import BudgetExhausted, ConfigError, DomainError
 from kforge.cyclotomic import (
@@ -18,7 +18,6 @@ from kforge.cyclotomic import (
     minimal_polynomial,
     one_minus_root_inverse,
     product,
-    relative_norm,
 )
 from kforge.euler import (
     EulerSystem,
@@ -34,7 +33,7 @@ from kforge.euler import (
 )
 from kforge.exact_arith import factorize, is_prime
 
-from group_ring import inverse, twisted_value_reference, zeta
+from group_ring import inverse, relative_norm, twisted_value_reference, zeta
 
 BASIC = "1:1,2:-1"
 ETA_GRID = [RootOfUnity(1, 0), RootOfUnity(3, 1), RootOfUnity(5, 1), RootOfUnity(7, 1)]
@@ -450,8 +449,8 @@ class TestUnitCheck:
 
     @pytest.mark.parametrize("omega", DESK_SYSTEMS)
     def test_min_poly_norm_matches_the_norm_for_every_axioms_unit(self, capsys, monkeypatch, omega):
-        # the unit check reads N(u) off the minimal polynomial; relative_norm
-        # forms it as the product of all the conjugates of u
+        # the unit check reads N(u) off the minimal polynomial; the reference
+        # relative_norm forms it as the product of all the conjugates of u
         values = []
         min_poly = euler.minimal_polynomial
 
@@ -554,8 +553,16 @@ class TestDecompose:
         assert cyclotomic_unit_generators(p, n) == expected
 
     def test_non_unit_rejected(self):
-        with pytest.raises(DomainError, match="not a unit"):
-            decompose_over_cyclotomic_units(get_field(5).from_rational(2), 5, 0)
+        # den 1 but norm 16, 0 or 25, read off the minimal polynomials T - 2,
+        # T and T^2 - 5T + 5; the last element is real and not rational
+        f5 = get_field(5)
+        two = f5.from_rational(2)
+        for x, norm in ((two, 16), (f5.from_rational(0), 0), (two - zeta(f5, 1) - zeta(f5, 4), 25)):
+            assert x.den == 1 and relative_norm(x, 1) == f5.from_rational(norm)
+            with pytest.raises(DomainError, match="not a unit"):
+                decompose_over_cyclotomic_units(x, 5, 0)
+        assert is_in_real_subfield(x) and not x.is_rational()
+        assert not hasattr(cyclotomic, "relative_norm")
 
     def test_norm_one_non_integer_rejected(self):
         # (2 + zeta)/(2 + zeta^2) has norm 11/11 = 1, so only its

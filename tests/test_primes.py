@@ -9,8 +9,8 @@ from kforge.cyclotomic import (
     GaloisElt,
     RootOfUnity,
     galois_apply,
+    galois_classes,
     get_field,
-    relative_norm,
 )
 from kforge.euler import parse_omega, phi_eval
 from kforge.exact_arith import int_padic_valuation, ip_eval, primes_upto
@@ -19,13 +19,12 @@ from kforge.primes import (
     annihilator_from_dlogs,
     check_factorization,
     class_relation,
-    galois_classes,
     ideal_dlog_vector,
     ideal_vector,
     split_prime_data,
     valuation,
 )
-from group_ring import apply_galois_to_annihilator, zeta
+from group_ring import apply_galois_to_annihilator, relative_norm, zeta
 
 BASIC = parse_omega("1:1,2:-1")
 PARAMS = KolyParams(5, 0, 5)
