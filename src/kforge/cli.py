@@ -283,10 +283,9 @@ def cmd_primes(cfg: RunConfig) -> Report:
 
 def cmd_decompose(cfg: RunConfig) -> Report:
     E = cfg.system()
-    if cfg.p in E.effective_excluded:
-        raise ConfigError(f"p = {cfg.p} is excluded by the system")
-    if cfg.n < 0:
-        raise ConfigError("level must be nonnegative")
+    # decompose reads no M; M = p is a power of p, so p and n are checked as
+    # in the other commands, before any field is built
+    KolyParams(cfg.p, cfg.n, cfg.p).validate_system(E)
     m = cfg.p ** (cfg.n + 1)
     if euler_phi(m) > 40:
         raise ConfigError("field degree exceeds the desk-scale bound (phi <= 40)")

@@ -285,9 +285,9 @@ def _poly_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     size = min(len(a), len(b)) * (bits_a + bits_b)
     if size < _DECIMAL_MIN_SIZE or not _str_digits_allowed(digits):
         points = 1 if size < _TWO_POINT_MIN_SIZE else 2
-        coeffs = _binary_product(a, b, square, (bits + 7) // 8, points)
+        coeffs = _binary_product(a, b, (bits + 7) // 8, points)
     else:
-        coeffs = _decimal_product(a, b, square, digits)
+        coeffs = _decimal_product(a, b, digits)
     return [0] * (va + vb) + coeffs
 
 
@@ -302,7 +302,7 @@ def _sparse_product(sparse, dense) -> list[int]:
     return out
 
 
-def _binary_product(a, b, square: bool, width: int, points: int) -> list[int]:
+def _binary_product(a, b, width: int, points: int) -> list[int]:
     """The product through int multiplies, in slots of `width` bytes: one
     multiply at x = 2^(8 width), or with points = 2 two multiplies of half the
     size at x = +-2^h, h = 4 width (module docstring)."""
@@ -322,7 +322,7 @@ def _binary_product(a, b, square: bool, width: int, points: int) -> list[int]:
     n = len(a) + len(b) - 1
     if points == 1:
         packed = pack(a)
-        return unpack(packed * packed if square else packed * pack(b), n)
+        return unpack(packed * packed if b is a else packed * pack(b), n)
 
     # A(+-2^h) = E(2^(2h)) +- 2^h O(2^(2h)) for the even and odd parts E, O of A
     h = 4 * width
@@ -332,7 +332,7 @@ def _binary_product(a, b, square: bool, width: int, points: int) -> list[int]:
         return even + odd, even - odd
 
     plus, minus = at_both_points(a)
-    if square:
+    if b is a:
         plus, minus = plus * plus, minus * minus
     else:
         plus_b, minus_b = at_both_points(b)
@@ -345,7 +345,7 @@ def _binary_product(a, b, square: bool, width: int, points: int) -> list[int]:
     return coeffs
 
 
-def _decimal_product(a, b, square: bool, width: int) -> list[int]:
+def _decimal_product(a, b, width: int) -> list[int]:
     """The product through one exact Decimal multiply, in slots of `width`
     digits; a digit string converts to and from a Decimal in linear time.
 
@@ -368,7 +368,7 @@ def _decimal_product(a, b, square: bool, width: int) -> list[int]:
         return exact.subtract(biased, decimal.Decimal(slot * len(vec)))
 
     packed = pack(a)
-    product = exact.multiply(packed, packed if square else pack(b))
+    product = exact.multiply(packed, packed if b is a else pack(b))
     del packed
     n = len(a) + len(b) - 1
     product = exact.add(product, decimal.Decimal(slot * n))

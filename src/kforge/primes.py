@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetExhausted, DomainError, InternalInconsistency
+from .errors import DomainError, InternalInconsistency
 from .cyclotomic import CycloElt, galois_classes, get_field
 from .euler import EulerSystem
 from .exact_arith import (
@@ -39,8 +39,6 @@ from .exact_arith import (
 )
 from .kolyvagin import KolyParams, find_kolyvagin_primes, kappa
 
-_BASE_PRECISION = 8
-_VALUATION_BUDGET = 512
 # the class relation probes the level-q class at the Kolyvagin primes up to this bound
 _PROBE_LIMIT = 100
 
@@ -90,9 +88,12 @@ def split_prime_data(q: int, m: int) -> SplitPrimeData:
 def valuation(x: CycloElt, root: int, data: SplitPrimeData) -> int:
     """Exact valuation of x at the degree-one prime (q, zeta - root).
 
-    Clears the denominator, evaluates the integer numerator at the
-    Teichmueller lift of root modulo q^k, and doubles k from _BASE_PRECISION
-    until the valuation is below k.
+    Clears the denominator and evaluates the integer numerator num at the
+    Teichmueller lift r of root modulo q^k for k = 1, 2, 4, ...; the first
+    nonzero acc = num(r) mod q^k gives v_q(num(r_inf)) = v_q(acc) < k.  This
+    is exact: num(r) = num(r_inf) mod q^k for the q-adic root r_inf above
+    root.  It ends: num is a nonzero vector of length phi, and the minimal
+    polynomial of r_inf is the irreducible Phi_m, so num(r_inf) != 0.
     """
     if x.field.m != data.m:
         raise DomainError("element lives in the wrong field")
@@ -101,20 +102,16 @@ def valuation(x: CycloElt, root: int, data: SplitPrimeData) -> int:
     if root not in data.roots:
         raise DomainError(f"{root} is not a root of the cyclotomic polynomial mod {data.q}")
     q = data.q
-    v_den = int_padic_valuation(x.den, q)
-    k = _BASE_PRECISION
-    while k <= _VALUATION_BUDGET:
+    k = 1
+    while True:
         mod = q**k
         r = pow(root, q ** (k - 1), mod)
         if ip_eval(x.field.poly, r) % mod:
             raise InternalInconsistency("Teichmueller lift is not a root modulo q^k")
         acc = ip_eval(x.num, r) % mod
         if acc:
-            v_num = int_padic_valuation(acc, q)
-            if v_num < k:
-                return v_num - v_den
+            return int_padic_valuation(acc, q) - int_padic_valuation(x.den, q)
         k *= 2
-    raise BudgetExhausted("valuation undecidable at budget")
 
 
 def ideal_vector(x: CycloElt, M: int, data: SplitPrimeData) -> tuple[int, ...]:

@@ -374,10 +374,9 @@ class TestReports:
             ([], "11"),
             (["--p", "3", "--n", "0", "--M", "3", "--s", "7"], "13"),
             (["--p", "7", "--n", "0", "--M", "7"], "29"),
-            (["--s", "11"], "31"),
             (["--omega", "1:1,11:-1"], "31"),
         ],
-        ids=["p5", "p3-s7", "p7", "p5-s11", "p5-11-excluded"],
+        ids=["p5", "p3-s7", "p7", "p5-11-excluded"],
     )
     def test_factorize_records_the_default_q(self, capsys, config, q):
         # without --q the command checks the least Kolyvagin prime outside the
@@ -458,6 +457,14 @@ class TestDecomposeCommand:
 
     def test_desk_scale_guard(self):
         assert run_main(["decompose", "--p", "5", "--n", "2"]) == 2
+
+    @pytest.mark.parametrize("p", ["1", "4", "9"])
+    def test_p_must_be_an_odd_prime(self, capsys, monkeypatch, p):
+        # decompose checks p as the other commands do, before any field
+        monkeypatch.setattr(cyclotomic, "_FIELDS", {})
+        assert run_main(["decompose", "--p", p]) == 2
+        assert "configuration error: p must be an odd prime" in capsys.readouterr().err
+        assert cyclotomic._FIELDS == {}
 
 
 def test_parser_rejects_bad_lists():

@@ -481,7 +481,7 @@ class TestNorms:
         assert full == relative_norm(x, 15)
         assert embed_up(divide_into_subfield(full, f.one, 15), 105) == full
 
-    @pytest.mark.parametrize("m, m_small", [(5, 1), (55, 1), (55, 5), (55, 11), (105, 15), (273, 21), (273, 1)])
+    @pytest.mark.parametrize("m, m_small", [(5, 1), (55, 1), (55, 5), (55, 11), (105, 15), (273, 21)])
     def test_norms_against_a_chain(self, m, m_small):
         # the tree multiplies the conjugates in another order than a
         # left-to-right chain; the field is commutative, so both are equal
@@ -737,7 +737,7 @@ def record_paths(mp):
         real = getattr(cyclotomic, name)
 
         def spy(*args, real=real, name=name):
-            paths.append((name, args[4] if name == "_binary_product" else 1))
+            paths.append((name, args[3] if name == "_binary_product" else 1))
             return real(*args)
 
         mp.setattr(cyclotomic, name, spy)
@@ -1009,9 +1009,9 @@ class TestProductPaths:
         monkeypatch.setattr(cyclotomic, "_DECIMAL_MIN_SIZE", 0)
         real = cyclotomic._decimal_product
 
-        def short_precision(a, b, square, width):
+        def short_precision(a, b, width):
             monkeypatch.setattr(decimal, "MAX_PREC", width * max(len(a), len(b)))
-            return real(a, b, square, width)
+            return real(a, b, width)
 
         monkeypatch.setattr(cyclotomic, "_decimal_product", short_precision)
         a = tuple(range(1, 41))

@@ -144,6 +144,20 @@ class TestValuation:
         x = f5.from_rational(Fraction(3, 11**4))
         assert valuation(x, 3, data11) == -4
 
+    @pytest.mark.parametrize("v", [7, 8, 9, 16, 17])
+    def test_valuations_across_the_doublings(self, data11, v):
+        # k runs 1, 2, 4, ...: 11^7 is read at k = 8, 11^8 and 11^9 at k = 16,
+        # 11^16 and 11^17 at k = 32
+        x = get_field(5).from_rational(11**v)
+        assert [valuation(x, c, data11) for c in data11.roots] == [v] * 4
+
+    def test_large_valuations_are_answered(self, data11):
+        # no precision bound: 11^512 is read at k = 1024, and a unit numerator
+        # over 11^600 at k = 1
+        f5 = get_field(5)
+        assert valuation(f5.from_rational(11**512), 3, data11) == 512
+        assert valuation(f5.from_rational(Fraction(3, 11**600)), 3, data11) == -600
+
     def test_zero_rejected(self, data11):
         with pytest.raises(DomainError):
             valuation(get_field(5).from_rational(0), 3, data11)
@@ -155,6 +169,7 @@ class TestValuation:
     def test_forged_root_fails_the_lift_check(self, data11):
         # 2 passes the membership test of the forged data, but its lift has
         # order 10, and the re-verification against Phi_5 mod q^k refuses it
+        # at k = 1, where Phi_5(2) = 31 is not 0 mod 11
         forged = dataclasses.replace(data11, roots=data11.roots + (2,))
         with pytest.raises(InternalInconsistency, match="not a root modulo"):
             valuation(get_field(5).from_rational(11), 2, forged)
