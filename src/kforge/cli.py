@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import __version__
-from .errors import BudgetExhausted, ConfigError, DomainError, InternalInconsistency
+from .errors import ConfigError, DomainError, InternalInconsistency
 from .cyclotomic import CycloElt, RootOfUnity, elt_to_strings
 from .euler import (
     AxiomReport,
@@ -403,7 +403,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, BudgetExhausted) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInconsistency as exc:

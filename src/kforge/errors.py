@@ -1,8 +1,8 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto exit codes: ConfigError -> 2, InternalInconsistency
--> 3.  A failed mathematical check is never an exception; it is a report
-entry with status "fail" (exit code 1).
+The CLI maps these onto exit codes: ConfigError -> 2, DomainError -> 2,
+InternalInconsistency -> 3.  A failed mathematical check is never an
+exception; it is a report entry with status "fail" (exit code 1).
 """
 
 
@@ -11,11 +11,7 @@ class ConfigError(ValueError):
 
 
 class DomainError(ValueError):
-    """Operation applied outside its mathematical domain (precondition)."""
-
-
-class BudgetExhausted(RuntimeError):
-    """An adaptive procedure ran out of its precision or retry budget."""
+    """Operation outside its mathematical domain, or a search out of budget."""
 
 
 class InternalInconsistency(RuntimeError):

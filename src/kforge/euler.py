@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .errors import BudgetExhausted, ConfigError, DomainError
+from .errors import ConfigError, DomainError
 from .cyclotomic import (
     CycloElt,
     GaloisElt,
@@ -396,7 +396,7 @@ def decompose_over_cyclotomic_units(u: CycloElt, p: int, n: int) -> Decompositio
             if lhs == -rhs:
                 return Decomposition(tuple(exps), Fraction(-1), prec)
         prec *= 2
-    raise BudgetExhausted("decomposition not found")
+    raise DomainError("decomposition not found")
 
 
 def _propose_exponents(u, gens, reps, m, prec, mpmath):

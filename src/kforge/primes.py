@@ -58,7 +58,9 @@ class SplitPrimeData:
 
 def split_prime_data(q: int, m: int) -> SplitPrimeData:
     """The roots of the m-th cyclotomic polynomial mod q, paired, as the
-    primitive m-th powers of gen = t^((q-1)/m)."""
+    primitive m-th powers of gen = t^((q-1)/m).  The checks prove these are
+    all phi(m) roots of Phi_m mod q, each of order m, so for m >= 3 the pairs
+    {c, 1/c} with c != 1/c are a perfect matching of them."""
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
     if q % m != 1:
@@ -71,17 +73,7 @@ def split_prime_data(q: int, m: int) -> SplitPrimeData:
         raise InternalInconsistency("root count does not match the field degree")
     if any(ip_eval(field.poly, c) % q for c in roots):
         raise InternalInconsistency("claimed roots do not satisfy the polynomial")
-    seen = set()
-    pairs = []
-    for c in roots:
-        if c in seen:
-            continue
-        partner = pow(c, -1, q)
-        if partner == c or partner not in roots:
-            raise InternalInconsistency("conjugation pairing is not a perfect matching")
-        seen.update((c, partner))
-        pairs.append((min(c, partner), max(c, partner)))
-    pairs.sort()
+    pairs = sorted({tuple(sorted((c, pow(c, -1, q)))) for c in roots})
     return SplitPrimeData(q, m, tuple(roots), tuple(pairs), t, pow(t, -1, q))
 
 
@@ -131,27 +123,24 @@ def ideal_vector(x: CycloElt, M: int, data: SplitPrimeData) -> tuple[int, ...]:
     return tuple(entries)
 
 
-def _residue_at_root(x: CycloElt, root: int, q: int) -> int:
-    if x.den % q == 0:
-        raise DomainError("not prime to q")
-    return ip_eval(x.num, root) * pow(x.den, -1, q) % q
-
-
 def ideal_dlog_vector(w: CycloElt, M: int, data: SplitPrimeData) -> tuple[int, ...]:
     """The discrete-log map into I_q / M I_q: reduce w at each prime and take
-    the exponent with respect to gamma = t^(-1)."""
+    the exponent with respect to gamma = t^(-1).  The residue at c is
+    num(c) / den mod q: one test refuses q | den or a zero at either root of
+    a pair, and the paired residues share den, so they agree exactly when the
+    numerators do."""
     if w.field.m != data.m:
         raise DomainError("element lives in the wrong field")
     q = data.q
     entries = []
     for c1, c2 in data.pairs:
-        r1 = _residue_at_root(w, c1, q)
-        r2 = _residue_at_root(w, c2, q)
-        if r1 == 0 or r2 == 0:
+        r1 = ip_eval(w.num, c1) % q
+        r2 = ip_eval(w.num, c2) % q
+        if w.den * r1 * r2 % q == 0:
             raise DomainError("not prime to q")
         if r1 != r2:
             raise InternalInconsistency("paired-root residues disagree")
-        entries.append(int_dlog(data.gamma, r1, q) % M)
+        entries.append(int_dlog(data.gamma, r1 * pow(w.den, -1, q) % q, q) % M)
     return tuple(entries)
 
 

@@ -61,6 +61,24 @@ class TestExitCodes:
         assert run_main(["axioms", "--omega", omega]) == 2
         assert "repeated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["axioms", "--omega", "1:1,,2:-1"], "empty token (token 2 at position 4)"),
+            (["axioms", "--omega", "1:1,2:-1,compose=x"], "bad composition power (token 3 at position 9)"),
+            (["axioms", "--omega", "1:1,2:-1,twist=3:y"], "bad twist (token 3 at position 9)"),
+            (["axioms", "--omega", "1:1,a:-1"], "expected integers a:n (token 2 at position 4)"),
+            (["axioms", "--omega", "compose=3"], "no pairs given"),
+            (["axioms", "--omega", "1:1,2:-1,compose=0"], "composition power must be nonzero"),
+            (["factorize", "--s", "11", "--q", "11"], "q must not divide s"),
+        ],
+    )
+    def test_refusal_is_one_stderr_line(self, capsys, args, message):
+        assert run_main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"configuration error: {message}\n"
+
     def test_config_error_bad_kolyvagin_prime(self, capsys):
         assert run_main(["kappa", "--s", "13"]) == 2
         assert "not a Kolyvagin prime" in capsys.readouterr().err
@@ -273,7 +291,7 @@ class TestReports:
         "config, products",
         [
             (["--p", "5", "--n", "0", "--M", "5", "--s", "61"], 78),
-            (["--p", "3", "--n", "0", "--M", "3", "--s", "7,13"], 113),
+            (["--p", "3", "--n", "0", "--M", "3", "--s", "7,13"], 111),
         ],
     )
     def test_kappa_field_product_count(self, capsys, monkeypatch, config, products):

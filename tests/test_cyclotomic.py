@@ -196,6 +196,11 @@ except DomainError as exc:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "negative exponent: there is no field inverse\n"
 
+    def test_zeroth_power_is_one(self):
+        f7 = get_field(7)
+        for x in (f7.from_rational(0), zeta(f7, 3), f7.from_coeffs([Fraction(2, 3), 0, -5])):
+            assert x**0 == f7.one
+
     @settings(max_examples=40, deadline=None)
     @given(small_coeffs)
     def test_inverse_round_trip(self, coeffs):

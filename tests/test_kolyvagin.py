@@ -466,8 +466,9 @@ class TestFactoredResolvent:
         field = coc.field
         q = max(coc.values)
         a = lifted_sigma(field, q).a
-        # sigma_q(v) / v for v = 1 - zeta: its sigma_q-norm is 1, so only the
-        # generator-pair check can see it
+        # sigma_q(v) / v for v = 1 - zeta: its sigma_q-norm is 1, so no norm
+        # test sees it; it breaks the generator-pair identity, which the
+        # relation sigma(beta) = c * beta implies, so the relation check does
         ratio = field.from_rational(0)
         for i in range(a):
             ratio = ratio + zeta(field, i)
@@ -478,8 +479,9 @@ class TestFactoredResolvent:
         values[q] = values[q] * ratio
         # uncertified, so only hilbert90_beta's own checks stand between the
         # values and a resolvent
-        with pytest.raises(InternalInconsistency, match="inconsistent"):
+        with pytest.raises(InternalInconsistency) as raised:
             hilbert90_beta(dataclasses.replace(coc, values=values), 42)
+        assert str(raised.value) == "resolvent does not satisfy the relation"
 
     def test_pair_consistency_refuses_a_root_of_unity_on_one_generator(self, two_prime_cocycle):
         # zeta_N c_13 breaks c_7 sigma_7(c_13) = c_13 sigma_13(c_7) by
@@ -490,11 +492,11 @@ class TestFactoredResolvent:
         values[13] = values[13] * zeta(coc.field, 1)
         with pytest.raises(InternalInconsistency) as raised:
             hilbert90_beta(dataclasses.replace(coc, values=values), 42)
-        assert str(raised.value) == "cocycle extension is inconsistent"
+        assert str(raised.value) == "resolvent does not satisfy the relation"
 
     @pytest.mark.parametrize("which", [min, max])
     def test_relation_check_refuses_a_scaled_generator(self, two_prime_cocycle, which):
-        # 2c has norm 2^(q-1) and passes the generator-pair check, since
+        # 2c has norm 2^(q-1) and keeps the generator-pair identity, since
         # sigma fixes 2; the relation sigma(beta) = c * beta refuses it
         coc = two_prime_cocycle
         q = which(coc.values)

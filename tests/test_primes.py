@@ -76,9 +76,12 @@ class TestSplitData:
         with pytest.raises(DomainError, match="prime"):
             split_prime_data(21, 5)
 
-    def test_pairing_is_inverse_matching(self, data11):
-        for a, b in data11.pairs:
-            assert a * b % 11 == 1
+    @pytest.mark.parametrize("m, q", SPLIT_GRID)
+    def test_pairing_is_inverse_matching(self, m, q):
+        data = split_prime_data(q, m)
+        assert sorted(c for pair in data.pairs for c in pair) == list(data.roots)
+        for a, b in data.pairs:
+            assert a < b and a * b % q == 1
 
     @pytest.mark.parametrize("m, q", SPLIT_GRID)
     def test_roots_match_a_search(self, m, q):
@@ -244,10 +247,18 @@ class TestDlogVector:
 
     def test_not_prime_to_q(self, data11):
         f5 = get_field(5)
-        with pytest.raises(DomainError, match="not prime to q"):
-            ideal_dlog_vector(f5.from_rational(11), 5, data11)
-        with pytest.raises(DomainError, match="not prime to q"):
-            ideal_dlog_vector(f5.from_rational(Fraction(1, 11)), 5, data11)
+        # zeta - c vanishes at the root c only, not at its partner 7 - c
+        at_one_root = [zeta(f5, 1) - f5.from_rational(c) for c in (3, 4)]
+        for w in [f5.from_rational(11), f5.from_rational(Fraction(1, 11)), *at_one_root]:
+            with pytest.raises(DomainError) as raised:
+                ideal_dlog_vector(w, 5, data11)
+            assert str(raised.value) == "not prime to q"
+
+    def test_pair_mismatch_is_inconsistency(self, data11):
+        # zeta has residues 3 and 4 at the paired roots 3 and 4
+        with pytest.raises(InternalInconsistency) as raised:
+            ideal_dlog_vector(zeta(get_field(5), 1), 5, data11)
+        assert str(raised.value) == "paired-root residues disagree"
 
 
 class TestAnnihilator:
