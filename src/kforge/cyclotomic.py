@@ -18,12 +18,11 @@ subfield (Q(zeta_5) lies in Q(zeta_1705) at stride 341) or a factor
 Every other product is formed by Kronecker substitution: each numerator
 vector is packed into one big number, one slot per coefficient, wide enough
 for any coefficient of the product plus a sign, so that the polynomial
-product is a single big-number product.  Slots are offset: a slot holds
-c + half, half being half its base, as an unsigned number, so a vector packs
-as the join of its biased slots minus one constant, and the product unpacks
-by adding that constant back and reading every slot unsigned, with no borrow
-between slots.  A product's size is min(len) * (bits_a + bits_b) bit-terms,
-and two switches on it choose among three evaluations:
+product is a single big-number product.  Slots are offset: the product
+unpacks by adding one constant, half (half the slot base) in every slot, and
+reading every slot unsigned, with no borrow between slots.  A product's size
+is min(len) * (bits_a + bits_b) bit-terms, and two switches on it choose
+among three evaluations:
 
 - below _TWO_POINT_MIN_SIZE (2 * 10^4), one int multiply at x = 2^W, for W
   the slot width, in slots of whole bytes read back from the int's bytes;
@@ -35,18 +34,20 @@ and two switches on it choose among three evaluations:
   product as (P+ + P-) / 2 and (P+ - P-) / 2^(h+1) in the same W-bit slots, so
   the slot bound is unchanged.  Karatsuba costs two half-size multiplies
   about two thirds of one full-size multiply;
-- from _DECIMAL_MIN_SIZE (10^6), w-digit slots in a Decimal, packed by one
-  join of zero-padded digit strings and read back by one str() and an int()
-  per w-digit slice.  libmpdec multiplies operands this large by a
+- from _DECIMAL_MIN_SIZE (10^6), w-digit slots in a Decimal, packed as a
+  balanced sum of exact Decimal(c) leaves (R. Brent and P. Zimmermann,
+  "Modern Computer Arithmetic", 2010, 1.7) and read back by one str() and
+  an int() per w-digit slice.  libmpdec multiplies operands this large by a
   number-theoretic transform, where CPython's int stops at Karatsuba: a
   1200-term product of 1000-bit coefficients takes about a quarter of the
   int time.  `decimal` is imported by the first product that needs it.
 
 A slot wider than sys.get_int_max_str_digits() digits takes the binary
-packing at any size, since str() and int() refuse it; the limit is read,
-never changed.  The decimal context has the largest precision and exponent
-range and traps Inexact, Rounded, InvalidOperation and Overflow, so a product
-is exact or raises: no rounding can yield a wrong coefficient.
+packing at any size: the limit binds only the int() of each unpacked slot,
+and it is read, never changed.  The decimal context has the largest
+precision and exponent range and traps Inexact, Rounded, InvalidOperation
+and Overflow, so a product is exact or raises: no rounding can yield a
+wrong coefficient.
 
 Every vector that leaves the power basis (a product, a Galois image, an
 embedding, a power of zeta) goes through one reduction.  It first folds the
@@ -347,7 +348,9 @@ def _binary_product(a, b, width: int, points: int) -> list[int]:
 
 def _decimal_product(a, b, width: int) -> list[int]:
     """The product through one exact Decimal multiply, in slots of `width`
-    digits; a digit string converts to and from a Decimal in linear time.
+    digits: blocks of k slots merge as lower + upper * 10^(k width), as
+    `product` merges factors, and the constant, half in each of the n slots,
+    doubles from one Decimal(half) per bit of n.
 
     The context is built per call, from the limits the decimal module holds
     then: integer arithmetic in it is exact or raises, so nothing can round.
@@ -361,17 +364,33 @@ def _decimal_product(a, b, width: int) -> list[int]:
         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
     )
     half = 5 * 10 ** (width - 1)
-    slot = "5".ljust(width, "0")
+
+    def merge(lower, count, upper):
+        return exact.add(lower, exact.scaleb(upper, count * width))
 
     def pack(vec):
-        biased = decimal.Decimal("".join([f"{c + half:0{width}d}" for c in reversed(vec)]))
-        return exact.subtract(biased, decimal.Decimal(slot * len(vec)))
+        stack = []
+        for c in vec:
+            count, block = 1, decimal.Decimal(c)
+            while stack and stack[-1][0] == count:
+                count, block = 2 * count, merge(stack.pop()[1], count, block)
+            stack.append((count, block))
+        below, acc = stack[0]
+        for count, block in stack[1:]:
+            acc, below = merge(acc, below, block), below + count
+        return acc
 
     packed = pack(a)
     product = exact.multiply(packed, packed if b is a else pack(b))
     del packed
     n = len(a) + len(b) - 1
-    product = exact.add(product, decimal.Decimal(slot * n))
+    leaf = decimal.Decimal(half)
+    bias, count = leaf, 1
+    for bit in bin(n)[3:]:  # the bits of n below its leading 1
+        bias, count = merge(bias, count, bias), 2 * count
+        if bit == "1":
+            bias, count = merge(leaf, 1, bias), count + 1
+    product = exact.add(product, bias)
     data = str(product).zfill(width * n)
     del product
     return [int(data[i - width : i]) - half for i in range(width * n, 0, -width)]

@@ -232,11 +232,12 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
     if key in _MEMO:
         return _MEMO[key]
     params.validate_system(E)
-    qs = sorted(factorize(s))
-    if any(v > 1 for v in factorize(s).values()):
+    factors = factorize(s)  # trial division: every factor is prime
+    if any(v > 1 for v in factors.values()):
         raise DomainError("s must be squarefree")
+    qs = sorted(factors)
     for q in qs:
-        if not is_kolyvagin_prime(params, q):
+        if not params.splits(q):
             raise DomainError(f"{q} is not a Kolyvagin prime for {params}")
     if len(qs) > 2:
         raise DomainError("instance too large")

@@ -31,7 +31,6 @@ from .errors import DomainError, InternalInconsistency
 from .cyclotomic import CycloElt, galois_classes, get_field
 from .euler import EulerSystem
 from .exact_arith import (
-    int_dlog,
     int_padic_valuation,
     ip_eval,
     is_prime,
@@ -125,13 +124,17 @@ def ideal_vector(x: CycloElt, M: int, data: SplitPrimeData) -> tuple[int, ...]:
 
 def ideal_dlog_vector(w: CycloElt, M: int, data: SplitPrimeData) -> tuple[int, ...]:
     """The discrete-log map into I_q / M I_q: reduce w at each prime and take
-    the exponent with respect to gamma = t^(-1).  The residue at c is
-    num(c) / den mod q: one test refuses q | den or a zero at either root of
-    a pair, and the paired residues share den, so they agree exactly when the
-    numerators do."""
+    the exponent of the residue r with respect to gamma = t^(-1), mod M.  As
+    gamma generates (Z/q)^x and q = 1 mod M, that is the one j < M with
+    r^((q-1)/M) = gamma^(j(q-1)/M).  The residue at c is num(c) / den mod q:
+    one test refuses q | den or a zero at either root of a pair, and the
+    paired residues share den, so they agree exactly when the numerators do."""
     if w.field.m != data.m:
         raise DomainError("element lives in the wrong field")
     q = data.q
+    if (q - 1) % M:
+        raise DomainError(f"{q} is not 1 mod {M}")
+    dlogs = {pow(data.gamma, j * (q - 1) // M, q): j for j in range(M)}
     entries = []
     for c1, c2 in data.pairs:
         r1 = ip_eval(w.num, c1) % q
@@ -140,7 +143,7 @@ def ideal_dlog_vector(w: CycloElt, M: int, data: SplitPrimeData) -> tuple[int, .
             raise DomainError("not prime to q")
         if r1 != r2:
             raise InternalInconsistency("paired-root residues disagree")
-        entries.append(int_dlog(data.gamma, r1 * pow(w.den, -1, q) % q, q) % M)
+        entries.append(dlogs[pow(r1 * pow(w.den, -1, q), (q - 1) // M, q)])
     return tuple(entries)
 
 

@@ -1007,6 +1007,27 @@ class TestProductPaths:
         assert tuple(_poly_product((c, -c, 1), (c, c))) == ip_mul((c, -c, 1), (c, c))
         assert [name for name, _ in paths] == ["_binary_product" if factor > 1 else "_decimal_product"]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 1023, 1024, 1025])
+    def test_decimal_packing_at_every_shape_of_pending_blocks(self, monkeypatch, n):
+        # an operand of n slots ends its merge loop with one pending block per
+        # 1 bit of n, and the product's bias of 2n - 1 or 2n slots doubles once
+        # per bit; coefficients at +-(2^40 - 1), with interior zeros
+        top = 2**40 - 1
+        a = tuple(top if i in (0, n - 1) else (top, -top, 0)[i % 3] for i in range(n))
+        b = tuple(-c for c in reversed(a)) + (top,)
+        monkeypatch.setattr(cyclotomic, "_DECIMAL_MIN_SIZE", 0)
+        decimal_product = cyclotomic._decimal_product
+        paths = record_paths(monkeypatch)
+        for x, y in ((a, b), (a, a)):
+            expected = ip_mul(x, y)
+            assert tuple(_poly_product(x, y)) == expected
+            # _poly_product sends a one-term operand term by term, so the
+            # packing is also called directly, with a slot whose half,
+            # 5 * 10^(width - 1), exceeds every coefficient, min(len) * top^2
+            width = len(str(min(len(x), len(y)) * top * top)) + 1
+            assert tuple(decimal_product(x, y, width)) == expected
+        assert paths == [SPARSE if n == 1 else DECIMAL] * 2
+
     def test_a_rounding_raises(self, monkeypatch):
         # with the precision of the packed operands, the packs are exact and
         # the product, twice as long, must round: the context, which reads

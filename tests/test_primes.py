@@ -13,7 +13,7 @@ from kforge.cyclotomic import (
     get_field,
 )
 from kforge.euler import parse_omega, phi_eval
-from kforge.exact_arith import int_padic_valuation, ip_eval, primes_upto
+from kforge.exact_arith import int_dlog, int_padic_valuation, ip_eval, primes_upto
 from kforge.kolyvagin import KolyParams, clear_memo, cocycle_closed_form, kappa
 from kforge.primes import (
     annihilator_from_dlogs,
@@ -244,6 +244,20 @@ class TestDlogVector:
         b = ideal_dlog_vector(w2, 5, data11)
         assert ideal_dlog_vector(w1 * w2, 5, data11) == added(a, b, 5)
         assert ideal_dlog_vector(w1 * golden**5, 5, data11) == a
+
+    @pytest.mark.parametrize(
+        "q, M", [(11, 5), (31, 5), (61, 5), (7, 3), (13, 3), (19, 3), (37, 3), (19, 9), (37, 9)]
+    )
+    def test_one_power_reads_the_scanned_log_mod_M(self, q, M):
+        # a rational r has the residue r at every root, in Q(zeta_M)
+        data, field = split_prime_data(q, M), get_field(M)
+        for r in range(1, q):
+            expected = int_dlog(data.gamma, r, q) % M
+            assert ideal_dlog_vector(field.from_rational(r), M, data) == (expected,) * len(data.pairs)
+
+    def test_q_not_1_mod_M_is_refused(self, data11):
+        with pytest.raises(DomainError, match="^11 is not 1 mod 3$"):
+            ideal_dlog_vector(get_field(5).one, 3, data11)
 
     def test_not_prime_to_q(self, data11):
         f5 = get_field(5)
