@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Mutation catalogue: each row breaks one verifier, and its tests must fail.
+
+A row is (file, exact snippet, replacement, test ids).  For each row the
+script copies src/, tests/, scripts/ and pyproject.toml to a temporary
+directory, replaces the one snippet in the copy of the file, runs only the
+named tests there, and requires every one of them to fail.  A snippet that
+does not occur exactly once, a named test that pytest does not find, or a
+named test that passes makes the script exit 1.  It needs no package beyond
+pytest: the mutation is a string replacement on a copy.
+
+Usage: python3 scripts/mutants.py
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from time import perf_counter
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scripts", "pyproject.toml")
+
+KOLYVAGIN = "src/kforge/kolyvagin.py"
+CONTROL = "tests/test_cli.py::TestExitCodes::test_inconsistency_exits_three_and_writes_no_report"
+PERTURBED = "tests/test_kolyvagin.py::TestPerturbedCocycle"
+
+ROWS = [
+    (
+        "the Frobenius exponent off by one",
+        KOLYVAGIN,
+        "e = frob_exps[q] = int_dlog(least_primitive_root(r), q, r)",
+        "e = frob_exps[q] = (int_dlog(least_primitive_root(r), q, r) + 1) % (r - 1)",
+        [
+            "tests/test_kolyvagin.py::TestCocycle::test_frobenius_correction_is_a_suffix_product_of_the_sub_cocycle[7]",
+            "tests/test_kolyvagin.py::TestCocycle::test_frobenius_correction_is_a_suffix_product_of_the_sub_cocycle[13]",
+            "tests/test_kolyvagin.py::TestFactoredResolvent::test_two_prime_matches_product_sum",
+            "tests/test_cli.py::TestReports::test_kappa_field_product_count[config1-85]",
+            "tests/test_acceptance.py::test_stretch_two_prime_instance",
+        ],
+    ),
+    (
+        "the resolvent's relation check forced to pass",
+        KOLYVAGIN,
+        "if galois_apply(sigmas[q], beta) != c * beta:",
+        "if False:",
+        [
+            f"{CONTROL}[value-times-two]",
+            f"{CONTROL}[norm-zeta5]",
+            f"{CONTROL}[frobenius+1]",
+            f"{CONTROL}[frobenius-1]",
+            f"{PERTURBED}::test_norm_condition_fails",
+            f"{PERTURBED}::test_no_class_from_a_cocycle_without_trivial_norm",
+        ],
+    ),
+    (
+        "the realness check of beta forced to pass",
+        KOLYVAGIN,
+        "if not is_in_real_subfield(beta):",
+        "if False:",
+        [f"{PERTURBED}::test_no_class_from_a_perturbed_cocycle[zeta-resolvent left the real subfield]"],
+    ),
+    (
+        "kappa's descent refusal removed",
+        KOLYVAGIN,
+        "    try:\n"
+        "        value = divide_into_subfield(coc.dsphi, beta**params.M, params.conductor)\n"
+        "    except DomainError:\n"
+        '        raise InternalInconsistency("cocycle certificate failed") from None\n',
+        "    value = divide_into_subfield(coc.dsphi, beta**params.M, params.conductor)\n",
+        [
+            f"{CONTROL}[dsphi-times-1+zeta]",
+            f"{PERTURBED}::test_certificate_fails[zeta]",
+            f"{PERTURBED}::test_certificate_fails[one_plus_zeta]",
+        ],
+    ),
+]
+
+
+def outcomes(report: str) -> dict[str, str]:
+    """Test id -> PASSED, FAILED or ERROR, read off pytest's -rA summary."""
+    found = {}
+    for line in report.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("PASSED", "FAILED", "ERROR"):
+            found[rest.split(" - ")[0]] = word
+    return found
+
+
+def run_row(file: str, snippet: str, replacement: str, tests: list[str]) -> list[str]:
+    """The problems with one row: an empty list when every named test fails."""
+    source = (ROOT / file).read_text(encoding="utf-8")
+    count = source.count(snippet)
+    if count != 1:
+        return [f"{file}: the snippet occurs {count} times, not once"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = pathlib.Path(tmp)
+        for entry in COPIED:
+            if (ROOT / entry).is_dir():
+                shutil.copytree(ROOT / entry, tree / entry, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(ROOT / entry, tree / entry)
+        (tree / file).write_text(source.replace(snippet, replacement), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        where = subprocess.run(
+            [sys.executable, "-c", "import kforge; print(kforge.__file__)"],
+            cwd=tree, env=env, capture_output=True, text=True,
+        ).stdout.strip()
+        if not where.startswith(str(tree)):
+            return [f"kforge imports from {where or 'nowhere'}, not from the mutated copy"]
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rA", "-W", "error", "-p", "no:cacheprovider", *tests],
+            cwd=tree, env=env, capture_output=True, text=True,
+        )
+    seen = outcomes(run.stdout)
+    problems = [f"{test}: {seen.get(test, 'not run')}" for test in tests if seen.get(test) != "FAILED"]
+    if run.returncode not in (0, 1):
+        problems.append(f"pytest exited {run.returncode}:\n{run.stdout[-2000:]}{run.stderr[-2000:]}")
+    return problems
+
+
+def main() -> int:
+    bad = 0
+    for name, file, snippet, replacement, tests in ROWS:
+        start = perf_counter()
+        problems = run_row(file, snippet, replacement, tests)
+        verdict = "ok" if not problems else "not ok"
+        print(f"{verdict}: {name} ({len(tests)} tests, {perf_counter() - start:.1f} s)", flush=True)
+        for problem in problems:
+            print(f"    {problem}")
+        bad += bool(problems)
+    print(f"{len(ROWS) - bad} of {len(ROWS)} mutants fail their tests")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

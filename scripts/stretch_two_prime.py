@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Two-prime stretch configuration: s = 11 * 31 at (p, M) = (5, 5).
 
-Certifies the composite-level cocycle closed form (ambient field of degree
+Builds the composite-level cocycle closed form (ambient field of degree
 1200) and then verifies the factorization law for s = 11, q = 31, whose
-level-s*q class lives in the same field and reads that cocycle from the
-memo.  It prints each stage's time to a tenth of a second.  On a shared
-2-core Xeon (Python 3.11.7) a run takes 5.5-7.5 s, depending on the
-machine's load: 3.6-5.0 s for the cocycle certificate, most of it in the
-degree-1200 products of the certificate and of the derivative D_s phi, and
-2.0-3.4 s for the factorization, most of it in the resolvent.  Those
-products multiply through decimal's number-theoretic transform; with
-CPython's int multiply alone, runs took 14-15 s.
+level-s*q class lives in the same field, reads that cocycle from the memo
+and proves it: the resolvent's relation gives each value's norm 1 and the
+descent its M-th power identity.  It prints each stage's time to a tenth of
+a second.  On a shared 2-core Xeon (Python 3.11.7) a run takes 2.6-3.6 s,
+depending on the machine's load: 1.2-2.0 s for the cocycle, most of it in
+the degree-1200 products of the derivative D_s phi, and 1.3-1.6 s for the
+factorization, most of it in the resolvent.  Those products multiply
+through decimal's number-theoretic transform; with CPython's int multiply
+alone, runs took 14-15 s.
 
 Usage: python3 scripts/stretch_two_prime.py
 """
@@ -33,7 +34,7 @@ def main() -> int:
     t0 = perf_counter()
     coc = cocycle_closed_form(E, params, 11 * 31)
     print(
-        f"cocycle s=341: certified, frobenius_exponents={coc.frobenius_exponents} "
+        f"cocycle s=341: built, frobenius_exponents={coc.frobenius_exponents} "
         f"({perf_counter() - t0:.1f} s)",
         flush=True,
     )

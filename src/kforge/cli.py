@@ -199,7 +199,7 @@ def cmd_kappa(cfg: RunConfig) -> Report:
     s = _kolyvagin_product(E, params, cfg.s, "s")
     report = Report("kappa", cfg.as_block())
     if s > 1:
-        # a cocycle exists only once its certificate and norm condition hold
+        # kappa below proves these values (M-th powers and norms) or raises before any report
         coc = cocycle_closed_form(E, params, s)
         report.add(
             "cocycle_certificate",

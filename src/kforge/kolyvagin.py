@@ -13,15 +13,16 @@ telescoping identity
 
     (sigma_q - 1) D_s phi = (q-1) D_{s/q} phi(level s) / (Frob_q - 1) D_{s/q} phi(level s/q)
 
-into an explicit M-th root, so roots are never extracted numerically.  A
-cocycle exists only once its certificate holds: the M-th power identity,
-re-verified by exact multiplication, and cyclic-norm triviality; either
-failure raises InternalInconsistency.
+into an explicit M-th root, so roots are never extracted numerically.  The
+class proves its cocycle: the resolvent beta != 0 has sigma_q(beta) =
+c_q beta, so the norm P_(q-1)(c_q) = sigma_q^(q-1)(beta)/beta is 1, and the
+descent proves kappa beta^M = D_s phi with kappa in Q(zeta_m), fixed by
+sigma_q, so sigma_q(D_s phi) = kappa (c_q beta)^M = c_q^M D_s phi.
 
 One halving recursion, pairing conjugate 2j with 2j + 1 and continuing over
-sigma_q^2, forms every product over <sigma_q>: the norms, the Frobenius
-corrections and the resolvent sums (_partial_norm), and from its norms the
-derivative D_q x (_weighted_norm).  No chain of conjugates is kept.
+sigma_q^2, forms every product over <sigma_q>: the Frobenius corrections
+and the resolvent sums (_partial_norm), and from its norms the derivative
+D_q x (_weighted_norm).  No chain of conjugates is kept.
 
 Cocycles and classes are pure functions of their arguments, kept in _MEMO
 until clear_memo(), which the command line calls at the start of every
@@ -134,6 +135,8 @@ def _partial_norm(c: CycloElt, sigma: GaloisElt, n: int, y: CycloElt | None = No
     O(log n) products, mostly of equal-size factors, where a chain of
     conjugates makes n - 1 lopsided ones.
     """
+    if n < 1:
+        raise DomainError("a partial norm needs at least one conjugate")
     if n == 1:
         return c if y is None else y
     if n % 2:
@@ -187,8 +190,8 @@ def level_root(params: KolyParams, s: int) -> RootOfUnity:
 @dataclass(frozen=True)
 class Cocycle:
     """Values c_sigma with c_sigma^M = (sigma - 1) D_s phi, one per generator,
-    each of norm 1 over the cyclic group of its sigma; cocycle_closed_form
-    returns one only after _certify has verified both exactly.
+    each of norm 1 over the cyclic group of its sigma.  Neither is checked
+    here: the class built from the cocycle implies both (kappa).
 
     With norm 1, each inverse the construction needs is the product of the
     other conjugates, c^(-1) = prod_{0<i<order} sigma^i(c), so the inverse
@@ -200,17 +203,6 @@ class Cocycle:
     values: dict[int, CycloElt]
     dsphi: CycloElt
     frobenius_exponents: dict[int, int]
-
-
-def _certify(field: CycloField, M: int, values: dict[int, CycloElt], dsphi: CycloElt) -> None:
-    """Verify c^M * D_s phi = sigma(D_s phi) and the cyclic norm
-    P_(q-1)(c) = 1 for every generator; either failure raises."""
-    for q, c in values.items():
-        sigma = lifted_sigma(field, q)
-        if c**M * dsphi != galois_apply(sigma, dsphi):
-            raise InternalInconsistency("cocycle certificate failed")
-        if _partial_norm(c, sigma, q - 1) != field.one:
-            raise InternalInconsistency("cocycle norm condition failed")
 
 
 def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
@@ -226,7 +218,9 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
     sigma_r^i(c_r), e <= i < r - 1, which is sigma_r^e(P_(r-1-e)(c_r)),
     formed in Q(zeta_{m*r}) and embedded once, since sigma_r acts on the
     subfield as it does on Q(zeta_{m*s}).  Each level is built once and then
-    read from _MEMO.
+    read from _MEMO.  Nothing is proved here: the class built from the
+    cocycle proves its values (kappa), and a sub-cocycle is read only through
+    the Frobenius corrections of those values.
     """
     key = ("cocycle", E, params, s)
     if key in _MEMO:
@@ -261,7 +255,6 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
             sigma_r = lifted_sigma(sub.field, r)
             tail = _partial_norm(sub.values[r], sigma_r, r - 1 - e)
             values[q] = values[q] * embed_up(galois_apply(_power(sigma_r, e), tail), N)
-    _certify(field, M, values, derived[s])
     coc = _MEMO[key] = Cocycle(field, values, derived[s], frob_exps)
     return coc
 
@@ -339,6 +332,9 @@ def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaCla
     linearly over the embedded power basis (so the huge beta is never
     inverted); divide_into_subfield proves the identity by one integer
     equation per coefficient of the numerators, with no further product.
+    With the resolvent's relation it proves the cocycle (see the module
+    docstring): given the relation, the descent fails exactly when some
+    c_q^M D_s phi != sigma_q(D_s phi), and so raises InternalInconsistency.
     Each class, and each cocycle, is built once and then read from _MEMO.
     """
     key = ("kappa", E, params, s, seed)
@@ -352,8 +348,10 @@ def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaCla
         return kc
     coc = cocycle_closed_form(E, params, s)
     beta = hilbert90_beta(coc, seed)
-    beta_m = beta**params.M
-    value = divide_into_subfield(coc.dsphi, beta_m, params.conductor)
+    try:
+        value = divide_into_subfield(coc.dsphi, beta**params.M, params.conductor)
+    except DomainError:
+        raise InternalInconsistency("cocycle certificate failed") from None
     if not is_in_real_subfield(value):
         raise InternalInconsistency("class representative is not real")
     kc = _MEMO[key] = KappaClass(value, beta)

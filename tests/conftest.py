@@ -13,14 +13,15 @@ def fresh_memo():
 
 
 @pytest.fixture
-def certified(monkeypatch):
-    """The conductor of every cocycle _certify verifies, in call order."""
+def built_cocycles(monkeypatch):
+    """The conductor of every cocycle built, in call order: one Cocycle
+    construction per build, none for a memo hit."""
     conductors = []
-    certify = kolyvagin._certify
+    cocycle = kolyvagin.Cocycle
 
-    def counted(field, M, values, dsphi):
+    def counted(field, values, dsphi, frobenius_exponents):
         conductors.append(field.m)
-        return certify(field, M, values, dsphi)
+        return cocycle(field, values, dsphi, frobenius_exponents)
 
-    monkeypatch.setattr(kolyvagin, "_certify", counted)
+    monkeypatch.setattr(kolyvagin, "Cocycle", counted)
     return conductors

@@ -12,7 +12,8 @@ import pytest
 
 from kforge import __version__, cyclotomic, euler, kolyvagin, primes
 from kforge.cli import _json, build_parser, main
-from kforge.cyclotomic import CycloElt, RootOfUnity
+from kforge.cyclotomic import CycloElt, RootOfUnity, get_field
+from group_ring import zeta
 
 
 def run_main(args):
@@ -39,6 +40,55 @@ def resolved_levels(monkeypatch):
 
     monkeypatch.setattr(kolyvagin, "hilbert90_beta", counted)
     return levels
+
+
+def rebuilt_cocycles(rewrite):
+    """A patch under which every cocycle built is replaced by rewrite(cocycle)."""
+
+    def perturb(monkeypatch):
+        cocycle = kolyvagin.Cocycle
+        monkeypatch.setattr(kolyvagin, "Cocycle", lambda *fields: rewrite(cocycle(*fields)))
+
+    return perturb
+
+
+def shifted_frobenius(step):
+    """A patch that moves every Frobenius exponent e to e + step mod (r - 1)."""
+
+    def perturb(monkeypatch):
+        dlog = kolyvagin.int_dlog
+        monkeypatch.setattr(kolyvagin, "int_dlog", lambda g, x, r: (dlog(g, x, r) + step) % (r - 1))
+
+    return perturb
+
+
+def doubled(coc):
+    # norm 2^(q-1), not 1
+    return dataclasses.replace(coc, values={q: c * coc.field.from_rational(2) for q, c in coc.values.items()})
+
+
+def root_of_unity_cocycle(coc):
+    # c = zeta_5 in Q(zeta_35) and D = 1: c^5 D = sigma_7(D) holds, but
+    # sigma_7 fixes c, so its norm is c^6 = zeta_5
+    field = get_field(35)
+    return dataclasses.replace(coc, field=field, values={7: zeta(field, 7)}, dsphi=field.one, frobenius_exponents={})
+
+
+def moved_dsphi(coc):
+    # the norms hold, but c^M D = sigma(D) fails for D = D_s phi (1 + zeta_N)
+    return dataclasses.replace(coc, dsphi=coc.dsphi * (coc.field.one + zeta(coc.field, 1)))
+
+
+KAPPA_11 = ["kappa", "--s", "11"]
+KAPPA_91 = ["kappa", "--p", "3", "--n", "0", "--M", "3", "--s", "7,13"]
+RELATION = "resolvent does not satisfy the relation"
+NEGATIVE_CONTROLS = [
+    ("value-times-two", KAPPA_11, rebuilt_cocycles(doubled), RELATION),
+    ("norm-zeta5", KAPPA_11, rebuilt_cocycles(root_of_unity_cocycle), RELATION),
+    ("dsphi-times-1+zeta", KAPPA_11, rebuilt_cocycles(moved_dsphi), "cocycle certificate failed"),
+    ("frobenius+1", KAPPA_91, shifted_frobenius(1), RELATION),
+    ("frobenius-1", KAPPA_91, shifted_frobenius(-1), RELATION),
+]
 
 
 class TestExitCodes:
@@ -166,18 +216,15 @@ class TestExitCodes:
         assert failed == [("unit", "zeta_7^1")]
         assert report["overall"] == "fail"
 
-    def test_inconsistency_exits_three_and_writes_no_report(self, capsys, monkeypatch, tmp_path):
-        # a cocycle value doubled before its certificate is checked
-        certify = kolyvagin._certify
-
-        def perturbed(field, M, values, dsphi):
-            return certify(field, M, {q: c * field.from_rational(2) for q, c in values.items()}, dsphi)
-
-        monkeypatch.setattr(kolyvagin, "_certify", perturbed)
+    @pytest.mark.parametrize("control", NEGATIVE_CONTROLS, ids=[c[0] for c in NEGATIVE_CONTROLS])
+    def test_inconsistency_exits_three_and_writes_no_report(self, capsys, monkeypatch, tmp_path, control):
+        # each control breaks a fact the class proves about its cocycle
+        _, args, perturb, refusal = control
+        perturb(monkeypatch)
         out = tmp_path / "kappa.json"
-        assert run_main(["kappa", "--s", "11", "--seed", "42", "--out", str(out)]) == 3
+        assert run_main([*args, "--seed", "42", "--out", str(out)]) == 3
         captured = capsys.readouterr()
-        assert "internal inconsistency: cocycle certificate failed" in captured.err
+        assert f"internal inconsistency: {refusal}\n" in captured.err
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("target", ["missing/r.json", "directory"])
@@ -251,20 +298,20 @@ class TestReports:
         assert report["checks"][1]["witness"]["theta_seed"] == "42"
         assert "theta_seed" not in {f.name for f in dataclasses.fields(kolyvagin.KappaClass)}
 
-    def test_kappa_certifies_the_cocycle_once(self, capsys, certified):
+    def test_kappa_certifies_the_cocycle_once(self, capsys, built_cocycles):
         assert run_main(["kappa", "--s", "11", "--seed", "42"]) == 0
-        assert certified == [55]
+        assert built_cocycles == [55]
         err = capsys.readouterr().err
         assert "[timing] cocycle_certificate:" in err and "[timing] kappa_class:" in err
 
     def test_kappa_proves_each_level_q_norm_once(self, capsys, monkeypatch):
-        # one norm proof P_(q-1)(c_q) = 1 per (level, q): two for the level-91
-        # cocycle and one for each single-prime sub-cocycle; each sub-cocycle
-        # also gives one partial norm for its Frobenius correction (e = 11 at
-        # r = 13 and e = 3 at r = 7), and the resolvent sums one E_(q-1) per
-        # generator at level 91.  The halving recursions of _partial_norm and
-        # of the derivative's _weighted_norm call _partial_norm through the
-        # module too; only the calls from outside them are counted.
+        # no norm proof P_(q-1)(c_q) = 1: the resolvent's relation implies
+        # it.  Each sub-cocycle gives one partial norm for its Frobenius
+        # correction (e = 11 at r = 13 and e = 3 at r = 7), and the
+        # resolvent sums one E_(q-1) per generator at level 91.  The halving
+        # recursions of _partial_norm and of the derivative's _weighted_norm
+        # call _partial_norm through the module too; only the calls from
+        # outside them are counted.
         calls = []
         partial_norm = kolyvagin._partial_norm
 
@@ -278,10 +325,10 @@ class TestReports:
         args = ["kappa", "--p", "3", "--n", "0", "--M", "3", "--s", "7,13", "--seed", "42"]
         assert run_main(args) == 0
         assert json.loads(capsys.readouterr().out)["overall"] == "pass"
-        norms = [(7, 6, False), (13, 12, False), (91, 6, False), (91, 12, False)]
         corrections = [(7, 3, False), (13, 1, False)]
         resolvent = [(91, 6, True), (91, 12, True)]
-        assert sorted(calls) == sorted(norms + corrections + resolvent)
+        assert sorted(calls) == sorted(corrections + resolvent)
+        assert not hasattr(kolyvagin, "_certify")
         assert "chains" not in {f.name for f in dataclasses.fields(kolyvagin.Cocycle)}
         assert not hasattr(kolyvagin, "apply_norm")
         assert not hasattr(kolyvagin, "_generator_chain")
@@ -290,8 +337,8 @@ class TestReports:
     @pytest.mark.parametrize(
         "config, products",
         [
-            (["--p", "5", "--n", "0", "--M", "5", "--s", "61"], 78),
-            (["--p", "3", "--n", "0", "--M", "3", "--s", "7,13"], 111),
+            (["--p", "5", "--n", "0", "--M", "5", "--s", "61"], 66),
+            (["--p", "3", "--n", "0", "--M", "3", "--s", "7,13"], 85),
         ],
     )
     def test_kappa_field_product_count(self, capsys, monkeypatch, config, products):
@@ -361,7 +408,7 @@ class TestReports:
         assert json.loads(capsys.readouterr().out)["overall"] == "pass"
         assert len(calls) == 12
 
-    def test_two_prime_factorize_certifies_each_level_once(self, capsys, monkeypatch, certified):
+    def test_two_prime_factorize_certifies_each_level_once(self, capsys, monkeypatch, built_cocycles):
         # levels 7, 13, 19, 91 and 133 at conductor 3: kappa(7) is shared by
         # both q, and the sub-cocycles of 91 and 133 are the level-7, 13 and
         # 19 cocycles that the classes and the class relations use
@@ -369,13 +416,13 @@ class TestReports:
         args = ["factorize", "--p", "3", "--n", "0", "--M", "3", "--s", "7", "--q", "13,19", "--seed", "42"]
         assert run_main(args) == 0
         assert json.loads(capsys.readouterr().out)["overall"] == "pass"
-        assert sorted(m // 3 for m in certified) == sorted(resolved) == [7, 13, 19, 91, 133]
+        assert sorted(m // 3 for m in built_cocycles) == sorted(resolved) == [7, 13, 19, 91, 133]
 
-    def test_each_command_builds_its_own_cocycles(self, capsys, monkeypatch, certified):
+    def test_each_command_builds_its_own_cocycles(self, capsys, monkeypatch, built_cocycles):
         resolved = resolved_levels(monkeypatch)
         for _ in range(2):
             assert run_main(["kappa", "--s", "11", "--seed", "42"]) == 0
-        assert certified == [55, 55] and resolved == [11, 11]
+        assert built_cocycles == [55, 55] and resolved == [11, 11]
 
     def test_factorize_report(self, capsys):
         assert run_main(["factorize", "--q", "11", "--seed", "42"]) == 0

@@ -16,10 +16,9 @@ from kforge.cyclotomic import (
     is_in_real_subfield,
 )
 from kforge.euler import parse_omega, phi_eval
-from kforge.exact_arith import ip_eval, primes_upto
+from kforge.exact_arith import ip_eval, least_primitive_root, primes_upto
 from kforge import kolyvagin
 from kforge.kolyvagin import (
-    _certify,
     _power,
     _partial_norm,
     _sample_theta,
@@ -207,6 +206,7 @@ class TestCocycle:
         params, s, field, N = KolyParams(3, 0, 3), 7 * 13, coc.field, coc.field.m
         r = s // q
         e = coc.frobenius_exponents[q]
+        assert pow(least_primitive_root(r), e, r) == q % r and 0 <= e < r - 1
         sub = cocycle_closed_form(BASIC, params, r)
         sub_c = embed_up(sub.values[r], N)
         reference = field.one
@@ -272,6 +272,26 @@ def test_partial_norm_matches_schoolbook(m, q):
         assert _partial_norm(c, sigma, n, y) == es[n], n
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_partial_norm_refuses_an_empty_product_at_once(n, monkeypatch):
+    # P_0 has no conjugate: the halving recursion once ran on until
+    # RecursionError; now the first call refuses, before any recursion
+    c, y = random_elements(3, 7, 2)
+    sigma = lifted_sigma(c.field, 7)
+    calls = []
+    partial_norm = kolyvagin._partial_norm
+
+    def counted(*args):
+        calls.append(args[2])
+        return partial_norm(*args)
+
+    monkeypatch.setattr(kolyvagin, "_partial_norm", counted)
+    for twisted in (None, y):
+        with pytest.raises(DomainError, match="at least one conjugate"):
+            kolyvagin._partial_norm(c, sigma, n, twisted)
+    assert calls == [n, n]
+
+
 @pytest.mark.parametrize("m, q", SCHOOLBOOK_FIELDS)
 def test_weighted_norm_matches_schoolbook(m, q):
     # reference: W_n = W_(n-1) sigma^(n-1)(x)^(n-1), the power formed by
@@ -289,8 +309,9 @@ def test_weighted_norm_matches_schoolbook(m, q):
 
 
 class TestPerturbedCocycle:
-    """Negative controls: the certificate and everything downstream of it must
-    refuse a cocycle value that is off by a root of unity or by a rational."""
+    """Negative controls: the class proves its cocycle, so the resolvent or
+    the descent must refuse a cocycle value off by a root of unity or by a
+    rational, or a D_s phi that breaks the M-th power identity."""
 
     @staticmethod
     def perturbed(coc, factor):
@@ -301,22 +322,33 @@ class TestPerturbedCocycle:
         values[q] = values[q] * unit
         return dataclasses.replace(coc, values=values)
 
-    @pytest.mark.parametrize("factor", ["zeta", "two"])
-    def test_certificate_fails(self, factor):
-        coc = cocycle_closed_form(BASIC, KolyParams(5, 0, 5), 11)
-        bad = self.perturbed(coc, factor)
+    @pytest.mark.parametrize("factor", ["zeta", "one_plus_zeta"])
+    def test_certificate_fails(self, factor, monkeypatch):
+        # D_s phi times zeta_N or 1 + zeta_N: the values, so the resolvent,
+        # are untouched, but c^5 D = sigma_11(D) fails, so D / beta^5 leaves
+        # Q(zeta_5) and the descent refuses
+        params = KolyParams(5, 0, 5)
+        coc = cocycle_closed_form(BASIC, params, 11)
+        field = coc.field
+        unit = zeta(field, 1) if factor == "zeta" else field.one + zeta(field, 1)
+        bad = dataclasses.replace(coc, dsphi=coc.dsphi * unit)
+        assert coc.values[11] ** 5 * bad.dsphi != galois_apply(lifted_sigma(field, 11), bad.dsphi)
+        assert hilbert90_beta(bad, 42) == hilbert90_beta(coc, 42)
+        monkeypatch.setattr(kolyvagin, "cocycle_closed_form", lambda *args: bad)
         with pytest.raises(InternalInconsistency, match="cocycle certificate failed"):
-            _certify(bad.field, 5, bad.values, bad.dsphi)
-        _certify(coc.field, 5, coc.values, coc.dsphi)  # the unperturbed values still pass
+            kappa(BASIC, params, 11, 42)
 
-    def test_norm_condition_fails(self):
-        # c = zeta_5 in Q(zeta_35) and D = 1 pass the certificate c^5 D = sigma_7(D),
-        # but sigma_7 fixes c, so its norm is c^6 = zeta_5
+    def test_norm_condition_fails(self, monkeypatch):
+        # c = zeta_5 in Q(zeta_35) and D = 1 pass c^5 D = sigma_7(D), but
+        # sigma_7 fixes c, so its norm is c^6 = zeta_5 and the resolvent's
+        # relation, which implies norm 1, refuses it
         field = get_field(35)
         c = zeta(field, 7)
         assert c**5 == field.one and galois_apply(lifted_sigma(field, 7), c) == c
-        with pytest.raises(InternalInconsistency, match="cocycle norm condition failed"):
-            _certify(field, 5, {7: c}, field.one)
+        fake = kolyvagin.Cocycle(field, {7: c}, field.one, {})
+        monkeypatch.setattr(kolyvagin, "cocycle_closed_form", lambda *args: fake)
+        with pytest.raises(InternalInconsistency, match="resolvent does not satisfy the relation"):
+            kappa(BASIC, KolyParams(5, 0, 5), 7, 42)
 
     @pytest.mark.parametrize(
         "factor, refusal",
@@ -325,7 +357,7 @@ class TestPerturbedCocycle:
     def test_no_class_from_a_perturbed_cocycle(self, factor, refusal, monkeypatch):
         params = KolyParams(5, 0, 5)
         coc = cocycle_closed_form(BASIC, params, 11)
-        # values perturbed after certification: zeta * c still has norm 1, so
+        # values perturbed after the build: zeta * c still has norm 1, so
         # its resolvent solves the perturbed relation but is not real; 2c has
         # norm 2^10, so the relation check refuses it; in hilbert90_beta and
         # under kappa
@@ -342,7 +374,7 @@ class TestPerturbedCocycle:
         values = dict(coc.values)
         bad = self.perturbed(coc, "two")
         with pytest.raises(InternalInconsistency):
-            _certify(bad.field, 5, bad.values, bad.dsphi)
+            hilbert90_beta(bad, 42)
         assert coc.values == values and apply_norm(coc.values[11], 11) == coc.field.one
         assert cocycle_closed_form(BASIC, params, 11) is coc
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -350,8 +382,8 @@ class TestPerturbedCocycle:
 
     def test_no_class_from_a_cocycle_without_trivial_norm(self, monkeypatch):
         # c times the real unit u = 1 + zeta_5 + zeta_5^(-1), which sigma_11
-        # fixes: norm u^10, not 1, and uncertified, so only the resolvent's
-        # relation check stands between it and a class
+        # fixes: norm u^10, not 1, so the resolvent's relation check is what
+        # stands between it and a class
         params = KolyParams(5, 0, 5)
         coc = cocycle_closed_form(BASIC, params, 11)
         field = coc.field
@@ -477,8 +509,8 @@ class TestFactoredResolvent:
         ) * ratio
         values = dict(coc.values)
         values[q] = values[q] * ratio
-        # uncertified, so only hilbert90_beta's own checks stand between the
-        # values and a resolvent
+        # a build checks nothing, so hilbert90_beta's own checks stand
+        # between the values and a resolvent
         with pytest.raises(InternalInconsistency) as raised:
             hilbert90_beta(dataclasses.replace(coc, values=values), 42)
         assert str(raised.value) == "resolvent does not satisfy the relation"
@@ -553,21 +585,21 @@ class TestKappa:
         w = ratio_mth_power_witness(a, b, params.M)
         assert b.kappa * w**5 == a.kappa
 
-    def test_reuses_a_given_cocycle(self, certified):
+    def test_reuses_a_given_cocycle(self, built_cocycles):
         # a cocycle built before is the one kappa reads, at every seed, and a
         # class is built once whether its seed is passed by position or name
         params = KolyParams(5, 0, 5)
         cocycle_closed_form(BASIC, params, 11)
         given = kappa(BASIC, params, 11, 42)
         kappa(BASIC, params, 11, 43)
-        assert certified == [55]
+        assert built_cocycles == [55]
         assert kappa(BASIC, params, 11, seed=42) is given
         assert kappa(BASIC, params, 1) is kappa(BASIC, params, 1, 0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             given.beta = given.kappa
         clear_memo()
         fresh = kappa(BASIC, params, 11, 42)
-        assert certified == [55, 55]
+        assert built_cocycles == [55, 55]
         assert given.kappa == fresh.kappa and given.beta == fresh.beta
 
     def test_config_mismatch_rejected(self):

@@ -319,13 +319,13 @@ class TestFactorizationLaw:
         assert a.passed and b.passed
         assert a.part_ii_dlogs == b.part_ii_dlogs
 
-    def test_reuses_a_certified_level_sq_cocycle(self, certified):
+    def test_reuses_a_certified_level_sq_cocycle(self, built_cocycles):
         cocycle_closed_form(BASIC, PARAMS, 11)
         given = check_factorization(BASIC, PARAMS, 1, 11, seed=42)
-        assert certified == [55]
+        assert built_cocycles == [55]
         clear_memo()
         fresh = check_factorization(BASIC, PARAMS, 1, 11, seed=42)
-        assert certified == [55, 55]
+        assert built_cocycles == [55, 55]
         assert given.passed and (given.kappa_s, given.kappa_sq) == (fresh.kappa_s, fresh.kappa_sq)
 
     def test_flipped_generator_convention_breaks_the_law(self, monkeypatch):
@@ -356,14 +356,14 @@ class TestClassRelation:
         assert dict(rel.theta.coeffs) == {1: 2, 2: 3}
         assert rel.probes == {31: True, 41: True, 61: True, 71: True}
 
-    def test_reuses_the_certified_level_q_class(self, certified):
+    def test_reuses_the_certified_level_q_class(self, built_cocycles):
         kappa(BASIC, PARAMS, 11, 42)
         given = relation_at(11, 42)
         relation_at(11, 43)
-        assert certified == [55]
+        assert built_cocycles == [55]
         clear_memo()
         fresh = relation_at(11, 42)
-        assert certified == [55, 55]
+        assert built_cocycles == [55, 55]
         assert (given.theta, given.relation_holds, given.probes) == (
             fresh.theta,
             fresh.relation_holds,
