@@ -5,9 +5,11 @@ A row is (file, exact snippet, replacement, test ids).  For each row the
 script copies src/, tests/, scripts/ and pyproject.toml to a temporary
 directory, replaces the one snippet in the copy of the file, runs only the
 named tests there, and requires every one of them to fail.  A snippet that
-does not occur exactly once, a named test that pytest does not find, or a
-named test that passes makes the script exit 1.  It needs no package beyond
-pytest: the mutation is a string replacement on a copy.
+does not occur exactly once, a named test that pytest does not find, a
+named test that passes, or a run that outlasts TIMEOUT_S (a mutant can loop
+for ever, say a valuation read at a non-root that vanishes there) makes the
+script exit 1.  It needs no package beyond pytest: the mutation is a string
+replacement on a copy.
 
 Usage: python3 scripts/mutants.py
 """
@@ -22,10 +24,15 @@ from time import perf_counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "scripts", "pyproject.toml")
+# seconds one row's pytest run may take; every row takes a few today
+TIMEOUT_S = 120
 
+EXACT_ARITH = "src/kforge/exact_arith.py"
 KOLYVAGIN = "src/kforge/kolyvagin.py"
+PRIMES = "src/kforge/primes.py"
 CONTROL = "tests/test_cli.py::TestExitCodes::test_inconsistency_exits_three_and_writes_no_report"
 PERTURBED = "tests/test_kolyvagin.py::TestPerturbedCocycle"
+SPLIT = "tests/test_primes.py::TestSplitData"
 
 ROWS = [
     (
@@ -65,15 +72,51 @@ ROWS = [
     (
         "kappa's descent refusal removed",
         KOLYVAGIN,
-        "    try:\n"
-        "        value = divide_into_subfield(coc.dsphi, beta**params.M, params.conductor)\n"
-        "    except DomainError:\n"
-        '        raise InternalInconsistency("cocycle certificate failed") from None\n',
-        "    value = divide_into_subfield(coc.dsphi, beta**params.M, params.conductor)\n",
+        "        try:\n"
+        "            value = divide_into_subfield(coc.dsphi, beta**params.M, params.conductor)\n"
+        "        except DomainError:\n"
+        '            raise InternalInconsistency("cocycle certificate failed") from None\n',
+        "        value = divide_into_subfield(coc.dsphi, beta**params.M, params.conductor)\n",
         [
             f"{CONTROL}[dsphi-times-1+zeta]",
             f"{PERTURBED}::test_certificate_fails[zeta]",
             f"{PERTURBED}::test_certificate_fails[one_plus_zeta]",
+        ],
+    ),
+    (
+        "kappa's realness check of the representative forced to pass",
+        KOLYVAGIN,
+        "if not is_in_real_subfield(value):",
+        "if False:",
+        [
+            f"{CONTROL}[phi-times-zeta]",
+            "tests/test_kolyvagin.py::TestKappa::test_level_one_representative_is_proved_real",
+        ],
+    ),
+    (
+        "least_primitive_root accepting t of lower order",
+        EXACT_ARITH,
+        "if all(pow(t, (q - 1) // p, q) != 1 for p in facs):",
+        "if any(pow(t, (q - 1) // p, q) != 1 for p in facs):",
+        [
+            f"{SPLIT}::test_roots_match_a_search[3-31]",
+            f"{SPLIT}::test_roots_match_a_search[9-109]",
+            f"{SPLIT}::test_roots_match_a_search[25-151]",
+            f"{SPLIT}::test_pairing_is_inverse_matching[27-109]",
+            "tests/test_primes.py::TestTeichmullerLift::test_lift_is_the_root_above_c[3-31]",
+        ],
+    ),
+    (
+        "gamma = t in place of t^(-1)",
+        PRIMES,
+        "tuple(pairs), t, pow(t, -1, q))",
+        "tuple(pairs), t, t)",
+        [
+            f"{SPLIT}::test_q11",
+            "tests/test_primes.py::TestDlogVector::test_golden_unit_vector",
+            "tests/test_primes.py::TestFactorizationLaw::test_q11",
+            "tests/test_primes.py::TestClassRelation::test_q11",
+            "tests/test_acceptance.py::test_A8_factorization_law[11-300.0]",
         ],
     ),
 ]
@@ -110,10 +153,13 @@ def run_row(file: str, snippet: str, replacement: str, tests: list[str]) -> list
         ).stdout.strip()
         if not where.startswith(str(tree)):
             return [f"kforge imports from {where or 'nowhere'}, not from the mutated copy"]
-        run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rA", "-W", "error", "-p", "no:cacheprovider", *tests],
-            cwd=tree, env=env, capture_output=True, text=True,
-        )
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rA", "-W", "error", "-p", "no:cacheprovider", *tests],
+                cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return [f"pytest did not finish in {TIMEOUT_S} s"]
     seen = outcomes(run.stdout)
     problems = [f"{test}: {seen.get(test, 'not run')}" for test in tests if seen.get(test) != "FAILED"]
     if run.returncode not in (0, 1):

@@ -136,7 +136,7 @@ def _partial_norm(c: CycloElt, sigma: GaloisElt, n: int, y: CycloElt | None = No
     conjugates makes n - 1 lopsided ones.
     """
     if n < 1:
-        raise DomainError("a partial norm needs at least one conjugate")
+        raise InternalInconsistency("a partial norm needs at least one conjugate")
     if n == 1:
         return c if y is None else y
     if n % 2:
@@ -335,6 +335,8 @@ def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaCla
     With the resolvent's relation it proves the cocycle (see the module
     docstring): given the relation, the descent fails exactly when some
     c_q^M D_s phi != sigma_q(D_s phi), and so raises InternalInconsistency.
+    Last, every representative, phi(zeta_m) at s = 1 included, is proved
+    real: primes.py rests on that to read one root per prime of F.
     Each class, and each cocycle, is built once and then read from _MEMO.
     """
     key = ("kappa", E, params, s, seed)
@@ -342,16 +344,15 @@ def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaCla
         return _MEMO[key]
     params.validate_system(E)
     if s == 1:
-        field = get_field(params.conductor)
         value = phi_eval(E, RootOfUnity(params.conductor, 1))
-        kc = _MEMO[key] = KappaClass(value, field.one)
-        return kc
-    coc = cocycle_closed_form(E, params, s)
-    beta = hilbert90_beta(coc, seed)
-    try:
-        value = divide_into_subfield(coc.dsphi, beta**params.M, params.conductor)
-    except DomainError:
-        raise InternalInconsistency("cocycle certificate failed") from None
+        beta = get_field(params.conductor).one
+    else:
+        coc = cocycle_closed_form(E, params, s)
+        beta = hilbert90_beta(coc, seed)
+        try:
+            value = divide_into_subfield(coc.dsphi, beta**params.M, params.conductor)
+        except DomainError:
+            raise InternalInconsistency("cocycle certificate failed") from None
     if not is_in_real_subfield(value):
         raise InternalInconsistency("class representative is not real")
     kc = _MEMO[key] = KappaClass(value, beta)

@@ -1,14 +1,22 @@
 """Degree-one prime machinery above a completely split prime q.
 
-A Kolyvagin prime q is 1 mod m, so the m-th cyclotomic polynomial has the
-full phi(m) simple roots mod q; each root c gives a degree-one prime
+A Kolyvagin prime q is 1 mod m, so the m-th cyclotomic polynomial has
+phi(m) simple roots mod q; each root c gives a degree-one prime
 (q, zeta - c) of Q(zeta_m), and conjugate root pairs {c, 1/c} sit above one
-prime of the real subfield F.  All of this local data comes from the least
-primitive root t mod q: the roots are the powers of t^((q-1)/m) prime to m,
-and the root above c mod q^k is its Teichmueller lift c^(q^(k-1)), since
-m | q - 1.  Valuations are computed upstairs by evaluating integer numerators
-at these lifts modulo growing powers of q; residues and discrete logs are
-computed mod q itself.
+prime of the real subfield F.  Valuations are computed upstairs by
+evaluating integer numerators at lifts of the roots modulo growing powers
+of q; residues and discrete logs are computed mod q itself.  Each local
+fact rests on one of two proofs the program runs anyway, and is not
+checked again:
+
+* least_primitive_root proves t of order q - 1, so gen = t^((q-1)/m) has
+  order m and its powers prime to m are the phi(m) roots of Phi_m mod q.
+  The root of Phi_m mod q^k above c is the Teichmueller lift c^(q^(k-1)):
+  it is c mod q (Fermat), and c^m = 1 mod q gives c^(m q^(k-1)) = 1 mod
+  q^k, so it is the one (Hensel) lift of the simple root c of x^m - 1.
+* kappa proves every class representative real.  Complex conjugation swaps
+  the primes above c and 1/c and fixes a real element, so its valuations
+  and residues agree at the two roots of a pair: the first root reads both.
 
 check_factorization compares the two sides of the factorization law
 [kappa(sq)]_q = lambda_q(kappa(s)) by these disjoint pipelines; the class
@@ -27,15 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InternalInconsistency
-from .cyclotomic import CycloElt, galois_classes, get_field
+from .errors import DomainError
+from .cyclotomic import CycloElt, galois_classes
 from .euler import EulerSystem
-from .exact_arith import (
-    int_padic_valuation,
-    ip_eval,
-    is_prime,
-    least_primitive_root,
-)
+from .exact_arith import int_dlog, int_padic_valuation, ip_eval, least_primitive_root
 from .kolyvagin import KolyParams, find_kolyvagin_primes, kappa
 
 # the class relation probes the level-q class at the Kolyvagin primes up to this bound
@@ -57,21 +60,15 @@ class SplitPrimeData:
 
 def split_prime_data(q: int, m: int) -> SplitPrimeData:
     """The roots of the m-th cyclotomic polynomial mod q, paired, as the
-    primitive m-th powers of gen = t^((q-1)/m).  The checks prove these are
-    all phi(m) roots of Phi_m mod q, each of order m, so for m >= 3 the pairs
-    {c, 1/c} with c != 1/c are a perfect matching of them."""
-    if not is_prime(q):
-        raise DomainError(f"{q} is not prime")
+    primitive m-th powers of gen = t^((q-1)/m).  least_primitive_root
+    refuses a composite q and proves t primitive, so these are all phi(m)
+    roots, each of order m, and for m >= 3 the pairs {c, 1/c} with
+    c != 1/c are a perfect matching of them."""
+    t = least_primitive_root(q)
     if q % m != 1:
         raise DomainError("prime does not split completely")
-    t = least_primitive_root(q)
     gen = pow(t, (q - 1) // m, q)
     roots = sorted(pow(gen, i, q) for i in range(1, m + 1) if math.gcd(i, m) == 1)
-    field = get_field(m)
-    if len(set(roots)) != field.phi:
-        raise InternalInconsistency("root count does not match the field degree")
-    if any(ip_eval(field.poly, c) % q for c in roots):
-        raise InternalInconsistency("claimed roots do not satisfy the polynomial")
     pairs = sorted({tuple(sorted((c, pow(c, -1, q)))) for c in roots})
     return SplitPrimeData(q, m, tuple(roots), tuple(pairs), t, pow(t, -1, q))
 
@@ -84,7 +81,8 @@ def valuation(x: CycloElt, root: int, data: SplitPrimeData) -> int:
     nonzero acc = num(r) mod q^k gives v_q(num(r_inf)) = v_q(acc) < k.  This
     is exact: num(r) = num(r_inf) mod q^k for the q-adic root r_inf above
     root.  It ends: num is a nonzero vector of length phi, and the minimal
-    polynomial of r_inf is the irreducible Phi_m, so num(r_inf) != 0.
+    polynomial of r_inf is the irreducible Phi_m, so num(r_inf) != 0.  That
+    r is a root mod q^k rests on least_primitive_root (module docstring).
     """
     if x.field.m != data.m:
         raise DomainError("element lives in the wrong field")
@@ -96,10 +94,7 @@ def valuation(x: CycloElt, root: int, data: SplitPrimeData) -> int:
     k = 1
     while True:
         mod = q**k
-        r = pow(root, q ** (k - 1), mod)
-        if ip_eval(x.field.poly, r) % mod:
-            raise InternalInconsistency("Teichmueller lift is not a root modulo q^k")
-        acc = ip_eval(x.num, r) % mod
+        acc = ip_eval(x.num, pow(root, q ** (k - 1), mod)) % mod
         if acc:
             return int_padic_valuation(acc, q) - int_padic_valuation(x.den, q)
         k *= 2
@@ -109,41 +104,33 @@ def ideal_vector(x: CycloElt, M: int, data: SplitPrimeData) -> tuple[int, ...]:
     """Valuations of x modulo M at the primes of F above q, in the order of
     data.pairs: an element of I_q / M I_q.
 
-    x must be conjugation-invariant; the two paired roots must then agree,
-    and a disagreement raises InternalInconsistency.
+    x must be real, as kappa proves each class representative: then the
+    first root of each pair reads the valuation at its prime of F.
     """
-    entries = []
-    for c1, c2 in data.pairs:
-        v1 = valuation(x, c1, data)
-        v2 = valuation(x, c2, data)
-        if v1 != v2:
-            raise InternalInconsistency("paired-root valuations disagree")
-        entries.append(v1 % M)
-    return tuple(entries)
+    return tuple(valuation(x, c, data) % M for c, _ in data.pairs)
 
 
 def ideal_dlog_vector(w: CycloElt, M: int, data: SplitPrimeData) -> tuple[int, ...]:
     """The discrete-log map into I_q / M I_q: reduce w at each prime and take
     the exponent of the residue r with respect to gamma = t^(-1), mod M.  As
     gamma generates (Z/q)^x and q = 1 mod M, that is the one j < M with
-    r^((q-1)/M) = gamma^(j(q-1)/M).  The residue at c is num(c) / den mod q:
-    one test refuses q | den or a zero at either root of a pair, and the
-    paired residues share den, so they agree exactly when the numerators do."""
+    r^((q-1)/M) = g^j for g = gamma^((q-1)/M) of order M, read by int_dlog.
+    The residue at c is num(c) / den mod q, refused when it is 0 or
+    undefined.  w must be real, as kappa proves each class representative:
+    then the first root of each pair reads the residue at its prime of F."""
     if w.field.m != data.m:
         raise DomainError("element lives in the wrong field")
     q = data.q
     if (q - 1) % M:
         raise DomainError(f"{q} is not 1 mod {M}")
-    dlogs = {pow(data.gamma, j * (q - 1) // M, q): j for j in range(M)}
+    e = (q - 1) // M
+    g = pow(data.gamma, e, q)
     entries = []
-    for c1, c2 in data.pairs:
-        r1 = ip_eval(w.num, c1) % q
-        r2 = ip_eval(w.num, c2) % q
-        if w.den * r1 * r2 % q == 0:
+    for c, _ in data.pairs:
+        r = ip_eval(w.num, c) % q
+        if w.den * r % q == 0:
             raise DomainError("not prime to q")
-        if r1 != r2:
-            raise InternalInconsistency("paired-root residues disagree")
-        entries.append(dlogs[pow(r1 * pow(w.den, -1, q), (q - 1) // M, q)])
+        entries.append(int_dlog(g, pow(r * pow(w.den, -1, q), e, q), q))
     return tuple(entries)
 
 
@@ -185,7 +172,7 @@ def annihilator_from_dlogs(vec: tuple[int, ...], data: SplitPrimeData) -> Annihi
 class FactorizationReport:
     params: KolyParams
     s: int
-    q: int
+    data: SplitPrimeData
     part_i_vector: tuple[int, ...]
     part_ii_valuations: tuple[int, ...]
     part_ii_dlogs: tuple[int, ...]
@@ -212,7 +199,7 @@ def check_factorization(
     lhs = ideal_vector(k_sq.kappa, params.M, data)
     rhs = ideal_dlog_vector(k_s.kappa, params.M, data)
     passed = not any(part_i) and lhs == rhs
-    return FactorizationReport(params, s, q, part_i, lhs, rhs, passed, k_s.kappa, k_sq.kappa)
+    return FactorizationReport(params, s, data, part_i, lhs, rhs, passed, k_s.kappa, k_sq.kappa)
 
 
 @dataclass(frozen=True)
@@ -233,11 +220,11 @@ def class_relation(law: FactorizationReport) -> ClassRelation:
     """
     if law.s != 1:
         raise DomainError("the class relation reads the level-1 factorization law")
-    params, q = law.params, law.q
-    theta = annihilator_from_dlogs(law.part_ii_dlogs, split_prime_data(q, params.conductor))
+    params = law.params
+    theta = annihilator_from_dlogs(law.part_ii_dlogs, law.data)
     probes = {
         other: not any(ideal_vector(law.kappa_sq, params.M, split_prime_data(other, params.conductor)))
         for other in find_kolyvagin_primes(params, _PROBE_LIMIT)
-        if other != q
+        if other != law.data.q
     }
     return ClassRelation(theta, law.part_ii_valuations == law.part_ii_dlogs, probes)

@@ -62,6 +62,18 @@ def shifted_frobenius(step):
     return perturb
 
 
+def rotated_values(monkeypatch):
+    """A patch under which every system value phi(eta) becomes zeta_N phi(eta)
+    in its own field Q(zeta_N): at s = 1 a class representative that is not real."""
+    value = kolyvagin.phi_eval
+
+    def rotated(E, eta):
+        x = value(E, eta)
+        return x * zeta(x.field, 1)
+
+    monkeypatch.setattr(kolyvagin, "phi_eval", rotated)
+
+
 def doubled(coc):
     # norm 2^(q-1), not 1
     return dataclasses.replace(coc, values={q: c * coc.field.from_rational(2) for q, c in coc.values.items()})
@@ -81,6 +93,7 @@ def moved_dsphi(coc):
 
 KAPPA_11 = ["kappa", "--s", "11"]
 KAPPA_91 = ["kappa", "--p", "3", "--n", "0", "--M", "3", "--s", "7,13"]
+FACTORIZE_11 = ["factorize", "--p", "5", "--n", "0", "--M", "5", "--q", "11"]
 RELATION = "resolvent does not satisfy the relation"
 NEGATIVE_CONTROLS = [
     ("value-times-two", KAPPA_11, rebuilt_cocycles(doubled), RELATION),
@@ -88,6 +101,7 @@ NEGATIVE_CONTROLS = [
     ("dsphi-times-1+zeta", KAPPA_11, rebuilt_cocycles(moved_dsphi), "cocycle certificate failed"),
     ("frobenius+1", KAPPA_91, shifted_frobenius(1), RELATION),
     ("frobenius-1", KAPPA_91, shifted_frobenius(-1), RELATION),
+    ("phi-times-zeta", FACTORIZE_11, rotated_values, "class representative is not real"),
 ]
 
 
@@ -218,7 +232,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("control", NEGATIVE_CONTROLS, ids=[c[0] for c in NEGATIVE_CONTROLS])
     def test_inconsistency_exits_three_and_writes_no_report(self, capsys, monkeypatch, tmp_path, control):
-        # each control breaks a fact the class proves about its cocycle
+        # each control breaks a fact the class proves: a property of its
+        # cocycle, or that its representative is real
         _, args, perturb, refusal = control
         perturb(monkeypatch)
         out = tmp_path / "kappa.json"

@@ -275,7 +275,8 @@ def test_partial_norm_matches_schoolbook(m, q):
 @pytest.mark.parametrize("n", [0, -1])
 def test_partial_norm_refuses_an_empty_product_at_once(n, monkeypatch):
     # P_0 has no conjugate: the halving recursion once ran on until
-    # RecursionError; now the first call refuses, before any recursion
+    # RecursionError; now the first call refuses, before any recursion, as an
+    # internal fault, since every caller passes a length the program computed
     c, y = random_elements(3, 7, 2)
     sigma = lifted_sigma(c.field, 7)
     calls = []
@@ -287,7 +288,7 @@ def test_partial_norm_refuses_an_empty_product_at_once(n, monkeypatch):
 
     monkeypatch.setattr(kolyvagin, "_partial_norm", counted)
     for twisted in (None, y):
-        with pytest.raises(DomainError, match="at least one conjugate"):
+        with pytest.raises(InternalInconsistency, match="at least one conjugate"):
             kolyvagin._partial_norm(c, sigma, n, twisted)
     assert calls == [n, n]
 
@@ -568,6 +569,20 @@ class TestKappa:
         assert is_in_real_subfield(kc.kappa)
         # the defining identity, re-verified here independently
         assert embed_up(kc.kappa, 55) * kc.beta**5 == cocycle_closed_form(BASIC, params, 11).dsphi
+
+    def test_level_one_representative_is_proved_real(self, monkeypatch):
+        # zeta_5 phi(zeta_5) has residues at c and 1/c that differ by c^2, so
+        # one root per prime of F would misread it: kappa refuses it at s = 1
+        # as at every other level
+        value = kolyvagin.phi_eval
+
+        def rotated(E, eta):
+            x = value(E, eta)
+            return x * zeta(x.field, 1)
+
+        monkeypatch.setattr(kolyvagin, "phi_eval", rotated)
+        with pytest.raises(InternalInconsistency, match="class representative is not real"):
+            kappa(BASIC, KolyParams(5, 0, 5), 1, 42)
 
     def test_determinism(self):
         params = KolyParams(5, 0, 5)
