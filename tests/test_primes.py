@@ -183,7 +183,23 @@ class TestValuation:
             )
 
 
+@pytest.fixture(scope="module", params=[11, 31])
+def law(request):
+    return check_factorization(BASIC, PARAMS, 1, request.param, 42)
+
+
 class TestIdealVector:
+    def test_partner_roots_read_the_same_vector(self, law):
+        # ideal_vector reads the first root of each pair; kappa's classes are
+        # real, so the partner root 1/c reads the same vector.  The non-real
+        # zeta - 3 has valuation 2 at 3 and 0 at 4, where one root would not do
+        data = law.data
+        for x in (law.kappa_s, law.kappa_sq):
+            assert ideal_vector(x, 5, data) == tuple(valuation(x, d, data) % 5 for _, d in data.pairs)
+        skew = zeta(get_field(5), 1) - get_field(5).from_rational(3)
+        d11 = split_prime_data(11, 5)
+        assert [valuation(skew, c, d11) for c in d11.pairs[0]] == [2, 0]
+
     def test_unit_gives_zero(self, data11, golden):
         assert ideal_vector(golden, 5, data11) == (0, 0)
 
@@ -234,6 +250,16 @@ class TestDlogVector:
         for r in range(1, q):
             expected = int_dlog(data.gamma, r, q) % M
             assert ideal_dlog_vector(field.from_rational(r), M, data) == (expected,) * len(data.pairs)
+
+    def test_partner_roots_read_the_same_vector(self, law):
+        # as for ideal_vector: the residues of the real level-1 class at c
+        # and 1/c are equal, so the scanned logs at the partner roots give
+        # the law's vector.  The non-real zeta has residues 3 and 4 at the
+        # pair (3, 4), whose logs base gamma = 6 are 2 and 8, unequal mod 5
+        data, q, w = law.data, law.data.q, law.kappa_s
+        partner = tuple(int_dlog(data.gamma, ip_eval(w.num, d) * pow(w.den, -1, q), q) % 5 for _, d in data.pairs)
+        assert law.part_ii_dlogs == ideal_dlog_vector(w, 5, data) == partner
+        assert [int_dlog(6, c, 11) for c in split_prime_data(11, 5).pairs[0]] == [2, 8]
 
     def test_q_not_1_mod_M_is_refused(self, data11):
         with pytest.raises(DomainError, match="^11 is not 1 mod 3$"):
