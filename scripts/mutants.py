@@ -27,12 +27,18 @@ COPIED = ("src", "tests", "scripts", "pyproject.toml")
 # seconds one row's pytest run may take; every row takes a few today
 TIMEOUT_S = 120
 
+CYCLOTOMIC = "src/kforge/cyclotomic.py"
 EXACT_ARITH = "src/kforge/exact_arith.py"
 KOLYVAGIN = "src/kforge/kolyvagin.py"
 PRIMES = "src/kforge/primes.py"
 CONTROL = "tests/test_cli.py::TestExitCodes::test_inconsistency_exits_three_and_writes_no_report"
 PERTURBED = "tests/test_kolyvagin.py::TestPerturbedCocycle"
 SPLIT = "tests/test_primes.py::TestSplitData"
+REDUCTION = "tests/test_cyclotomic.py::TestReduction"
+# pytest's -W flags: every warning is an error, except the DeprecationWarning
+# that Hypothesis's failure report raises by importing libcst, which under
+# -W error turns a failing @given test into an INTERNALERROR
+WARNINGS = ("-W", "error", "-W", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 ROWS = [
     (
@@ -119,6 +125,43 @@ ROWS = [
             "tests/test_acceptance.py::test_A8_factorization_law[11-300.0]",
         ],
     ),
+    (
+        "Newton's identities with the wrong sign: only the evaluation proof refuses",
+        CYCLOTOMIC,
+        "sum((-1) ** i * elem[k - 1 - i] * sums[i] for i in range(k))",
+        "sum((-1) ** (i + 1) * elem[k - 1 - i] * sums[i] for i in range(k))",
+        [
+            "tests/test_cyclotomic.py::TestMinimalPolynomial::test_examples",
+            "tests/test_cyclotomic.py::TestMinimalPolynomial::test_against_the_field_valued_expansion[9-3]",
+            "tests/test_euler.py::TestUnitCheck::test_golden_instance",
+            "tests/test_euler.py::TestUnitCheck::test_third_root_instance",
+        ],
+    ),
+    (
+        "complex conjugation read as the identity",
+        CYCLOTOMIC,
+        "GaloisElt(x.field, -1)",
+        "GaloisElt(x.field, 1)",
+        [
+            "tests/test_cyclotomic.py::TestGalois::test_conjugation_inverts_zeta[5]",
+            f"{CONTROL}[phi-times-zeta]",
+            f"{PERTURBED}::test_no_class_from_a_perturbed_cocycle[zeta-resolvent left the real subfield]",
+            "tests/test_kolyvagin.py::TestKappa::test_level_one_representative_is_proved_real",
+        ],
+    ),
+    (
+        "a binomial division pass subtracting in place of adding",
+        CYCLOTOMIC,
+        "                t[i] += t[i - d]",
+        "                t[i] -= t[i - d]",
+        [
+            f"{REDUCTION}::test_against_dense_reduction[64-9]",
+            f"{REDUCTION}::test_against_dense_reduction[64-12]",
+            f"{REDUCTION}::test_against_dense_reduction[2000-105]",
+            f"{REDUCTION}::test_against_dense_reduction[2000-273]",
+            f"{REDUCTION}::test_phi_and_product_by_evaluation_at_5187",
+        ],
+    ),
 ]
 
 
@@ -155,7 +198,7 @@ def run_row(file: str, snippet: str, replacement: str, tests: list[str]) -> list
             return [f"kforge imports from {where or 'nowhere'}, not from the mutated copy"]
         try:
             run = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-rA", "-W", "error", "-p", "no:cacheprovider", *tests],
+                [sys.executable, "-m", "pytest", "-q", "-rA", *WARNINGS, "-p", "no:cacheprovider", *tests],
                 cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
             )
         except subprocess.TimeoutExpired:

@@ -177,7 +177,7 @@ def cmd_axioms(cfg: RunConfig) -> Report:
     etas = [eta for eta in etas if E.admissible(eta)]
     for eta in etas:
         for a in DEFAULT_E1_EXPONENTS:
-            if eta.order > 1 and math.gcd(a, eta.order) != 1:
+            if math.gcd(a, eta.order) != 1:
                 continue
             _axiom_entry(report, check_E1(E, eta, a), "axiom:E1")
         for q in DEFAULT_AUX_PRIMES:

@@ -54,8 +54,8 @@ embedding, a power of zeta) goes through one reduction.  It first folds the
 vector modulo x^m - 1, which is exact because Phi_m divides x^m - 1, and
 leaves at most m coefficients.  It then divides by Phi_m by reversal.  Phi_m
 is the Mobius product of binomials 1 - x^d, so multiplying by Phi_m or by the
-power series 1/Phi_m is one pass over the list per binomial; Phi_m itself is
-built by the same passes.  Apart from products, every such vector is a sum of
+power series 1/Phi_m is one pass over the list per binomial; no table of its
+coefficients is kept.  Apart from products, every such vector is a sum of
 terms c * zeta^e and is built by `CycloField.from_terms`, except the columns of
 `divide_into_subfield`, which stay unnormalized over one denominator.
 
@@ -69,8 +69,8 @@ keeps its columns over one integer denominator, eliminates on fraction-free
 every coefficient.  `minimal_polynomial` reads its integer coefficients off
 traces by Newton's identities and proves them by evaluation: 2d products.
 
-Field tables (the cyclotomic polynomial, its binomial factors and the
-unit-group enumeration) are cached in memory per conductor.
+Field tables (the binomial factors of Phi_m and the unit group) are cached in
+memory per conductor.  Q is conductor 1 and takes the same paths as any other.
 """
 
 from __future__ import annotations
@@ -79,20 +79,21 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from operator import add, mul, sub
 
 from .errors import DomainError, InternalInconsistency
-from .exact_arith import PolyZ, euler_phi, factorize
+from .exact_arith import factorize
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials and field tables
+# field tables
 # ---------------------------------------------------------------------------
 
 
 def _binomial_factors(m: int) -> tuple[tuple[int, int], ...]:
-    """(d, mu(m/d)) for the divisors d of m with mu(m/d) != 0.  For m > 1,
-    Phi_m = prod (1 - x^d)^mu(m/d), since the exponents sum to zero."""
+    """(d, mu(m/d)) for the divisors d of m with mu(m/d) != 0: the one
+    definition of Phi_m.  For m > 1, Phi_m = prod (1 - x^d)^mu(m/d), since
+    the exponents sum to zero; for m = 1 the product 1 - x is -Phi_1."""
     pairs = [(m, 1)]
     for p in factorize(m):
         pairs += [(d // p, -mu) for d, mu in pairs]
@@ -120,27 +121,13 @@ def _times_binomials(t: list[int], binomials, sign: int) -> list[int]:
     return t
 
 
-def cyclotomic_polynomial(m: int) -> PolyZ:
-    """Monic minimal polynomial of a primitive m-th root of unity over Z.
-
-    For m > 1 it is the binomial product of `_binomial_factors`, taken
-    mod x^(phi(m) + 1), which holds all of it.
-    """
-    if m < 1:
-        raise DomainError("conductor must be positive")
-    if m == 1:
-        return (-1, 1)
-    return tuple(_times_binomials([1] + [0] * euler_phi(m), _binomial_factors(m), 1))
-
-
 @dataclass(frozen=True)
 class CycloField:
-    """Cached arithmetic tables for Q(zeta_m): Phi_m, the unit group and the
-    (d, mu(m/d)) binomial factors of Phi_m that the reduction runs through."""
+    """Cached arithmetic tables for Q(zeta_m): the unit group, of size phi,
+    and the (d, mu(m/d)) binomial factors that the reduction runs through."""
 
     m: int
     phi: int
-    poly: PolyZ
     unit_group: tuple[int, ...]
     binomials: tuple[tuple[int, int], ...]
 
@@ -180,12 +167,10 @@ def get_field(m: int) -> CycloField:
     field = _FIELDS.get(m)
     if field is not None:
         return field
-    poly = cyclotomic_polynomial(m)
+    if m < 1:
+        raise DomainError("conductor must be positive")
     units = tuple(a for a in range(1, m + 1) if math.gcd(a, m) == 1)
-    field = CycloField(m, euler_phi(m), poly, units, _binomial_factors(m))
-    if len(field.poly) - 1 != field.phi or len(field.unit_group) != field.phi:
-        raise InternalInconsistency("field table is inconsistent")
-    return _FIELDS.setdefault(m, field)
+    return _FIELDS.setdefault(m, CycloField(m, len(units), units, _binomial_factors(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +496,12 @@ class GaloisElt:
 def galois_apply(s: GaloisElt, x: CycloElt) -> CycloElt:
     if s.field.m != x.field.m:
         raise DomainError("automorphism and element fields differ")
-    if x.field.m == 1:
-        return x
-    return x.field.from_terms(range(0, s.a * len(x.num), s.a), x.num, x.den)
+    return x.field.from_terms(count(0, s.a), x.num, x.den)
 
 
 def conjugate(x: CycloElt) -> CycloElt:
     """Complex conjugation zeta -> zeta^(-1)."""
-    if x.field.m == 1:
-        return x
-    return galois_apply(GaloisElt(x.field, x.field.m - 1), x)
+    return galois_apply(GaloisElt(x.field, -1), x)
 
 
 def is_in_real_subfield(x: CycloElt) -> bool:
@@ -678,20 +659,17 @@ def minimal_polynomial(x: CycloElt) -> tuple[Fraction, ...]:
     algebraic integer y = den * x have power sums p_k = (d/phi) Tr(y^k), where
     Tr(zeta^j) is the Ramanujan sum of e mu(m/e) over the binomials with e | j,
     and Newton's identities k e_k = sum_{i<=k} (-1)^(i-1) e_(k-i) p_i give the
-    integer coefficients of their product P (H. Cohen, GTM 138, 4.3).  As P is
-    monic of degree d, P(y) = 0 proves it minimal; x has P(den T) / den^d."""
+    integer coefficients of their product P (H. Cohen, GTM 138, 4.3).  Whatever
+    the two floor divisions give, P is monic and integral of degree [Q(y):Q],
+    so P(y) = 0 proves it minimal; x has P(den T) / den^d."""
     field = x.field
     d = len(dict.fromkeys(galois_apply(GaloisElt(field, a), x) for a in field.unit_group))
     traces = [sum(e * mu for e, mu in field.binomials if j % e == 0) for j in range(field.phi)]
     y = CycloElt(field, x.num, 1)
     sums, elem = [], [1]
     for k, power in enumerate(accumulate(repeat(y, d), mul), 1):
-        p, r = divmod(sum(map(mul, traces, power.num)), field.phi // d)
-        sums.append(p)
-        e_k, r_k = divmod(sum((-1) ** i * elem[k - 1 - i] * sums[i] for i in range(k)), k)
-        if r or r_k:
-            raise InternalInconsistency("power sums are not those of an algebraic integer")
-        elem.append(e_k)
+        sums.append(sum(map(mul, traces, power.num)) // (field.phi // d))
+        elem.append(sum((-1) ** i * elem[k - 1 - i] * sums[i] for i in range(k)) // k)
     coeffs = [(-1) ** k * elem[k] for k in range(d, -1, -1)]
     acc = y + field.from_rational(coeffs[-2])
     for c in reversed(coeffs[:-2]):

@@ -230,12 +230,11 @@ def _root_label(eta: RootOfUnity) -> str:
 
 def check_E1(E: EulerSystem, eta: RootOfUnity, a: int) -> AxiomReport:
     """Galois equivariance plus invariance under inversion of the argument."""
-    m0 = eta.order
-    if m0 > 1 and math.gcd(a, m0) != 1:
-        raise DomainError(f"{a} is not invertible mod {m0}")
+    if math.gcd(a, eta.order) != 1:
+        raise DomainError(f"{a} is not invertible mod {eta.order}")
     value = phi_eval(E, eta)
     lhs = phi_eval(E, eta**a)
-    rhs = galois_apply(GaloisElt(value.field, a % m0 if m0 > 1 else 1), value)
+    rhs = galois_apply(GaloisElt(value.field, a), value)
     inv_ok = phi_eval(E, eta**-1) == value
     passed = lhs == rhs and inv_ok
     return AxiomReport(
@@ -334,18 +333,16 @@ def check_unit(E: EulerSystem, eta: RootOfUnity) -> AxiomReport:
 
 def cyclotomic_unit_generators(p: int, n: int) -> list[CycloElt]:
     """Standard real cyclotomic units zeta^((1-a)/2) (1-zeta^a)/(1-zeta) of
-    the p^(n+1)-th field, for 1 < a < m/2 coprime to p.  Each is one
-    geometric sum zeta^s (1 + zeta + ... + zeta^(a-1)), s = (1-a)/2 mod m
-    (Washington, Introduction to Cyclotomic Fields, Lemma 8.1)."""
+    the p^(n+1)-th field, for the classes 1 < a < m/2 of galois_classes.
+    Each is one geometric sum zeta^s (1 + zeta + ... + zeta^(a-1)), s =
+    (1-a)/2 mod m (Washington, Introduction to Cyclotomic Fields, Lemma 8.1)."""
     if not is_prime(p) or p == 2:
         raise DomainError("odd prime required")
     m = p ** (n + 1)
     field = get_field(m)
     inv2 = pow(2, -1, m)
     gens = []
-    for a in range(2, (m + 1) // 2):
-        if a % p == 0:
-            continue
+    for a in galois_classes(m)[1:]:
         s = (1 - a) * inv2 % m
         gens.append(field.from_terms(range(s, s + a), repeat(1, a)))
     return gens

@@ -5,8 +5,8 @@ of their own: they are powers, computed where they are used.
 Conventions used throughout the package:
 
 * rationals are `fractions.Fraction`, always in lowest terms;
-* an integer polynomial (`PolyZ`) is a tuple of ints, lowest degree first;
-  a minimal polynomial over Q is a tuple of Fractions in the same order.
+* an integer polynomial (a numerator vector) is a sequence of ints, lowest
+  degree first; a minimal polynomial over Q is a tuple of Fractions, too.
 
 All values are immutable and all functions are pure.
 """
@@ -126,10 +126,8 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense integer polynomials (used for cyclotomic moduli)
+# integer polynomials at integer points (residues and their lifts mod q^k)
 # ---------------------------------------------------------------------------
-
-PolyZ = tuple[int, ...]
 
 
 def ip_eval(a, x: int) -> int:

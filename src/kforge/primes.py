@@ -32,11 +32,10 @@ cocycle machinery, which keeps the two pipelines convention-consistent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .cyclotomic import CycloElt, galois_classes
+from .cyclotomic import CycloElt, galois_classes, get_field
 from .euler import EulerSystem
 from .exact_arith import int_dlog, int_padic_valuation, ip_eval, least_primitive_root
 from .kolyvagin import KolyParams, find_kolyvagin_primes, kappa
@@ -68,7 +67,7 @@ def split_prime_data(q: int, m: int) -> SplitPrimeData:
     if q % m != 1:
         raise DomainError("prime does not split completely")
     gen = pow(t, (q - 1) // m, q)
-    roots = sorted(pow(gen, i, q) for i in range(1, m + 1) if math.gcd(i, m) == 1)
+    roots = sorted(pow(gen, i, q) for i in get_field(m).unit_group)
     pairs = sorted({tuple(sorted((c, pow(c, -1, q)))) for c in roots})
     return SplitPrimeData(q, m, tuple(roots), tuple(pairs), t, pow(t, -1, q))
 

@@ -16,10 +16,14 @@ over the Galois orbit with field elements as coefficients.
 twisted_value_reference is the reference for a twisted system value: the
 product over the twist's translates, formed in the wider field and solved
 back down.
+cyclotomic_oracle is the tests' only copy of the coefficients of Phi_m, built
+by schoolbook products and one long division, apart from kforge's binomial
+passes; ip_mul is the schoolbook product it uses.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +41,7 @@ from kforge.cyclotomic import (
 )
 from kforge.errors import DomainError, InternalInconsistency
 from kforge.euler import EulerSystem, phi_eval
-from kforge.exact_arith import is_prime
+from kforge.exact_arith import factorize, is_prime
 from kforge.kolyvagin import KappaClass, lifted_sigma
 from kforge.primes import AnnihilatorElt
 
@@ -136,6 +140,72 @@ def operator_identity_holds(q: int) -> bool:
     lhs = (sigma - one) * deriv_op
     rhs = GroupRingOp.constant(gens, q - 1) - norm_op
     return lhs == rhs
+
+
+def ip_trim(coeffs):
+    """An integer polynomial without its trailing zeros."""
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ip_mul(a, b):
+    """Schoolbook product of integer polynomials."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return ip_trim(out)
+
+
+def ip_divmod_monic(a, b):
+    """Division by a monic integer polynomial, staying in Z[x]; the oracle's
+    exact quotient."""
+    if not b or b[-1] != 1:
+        raise DomainError("divisor must be monic")
+    rem = list(a)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        c = rem[-1]
+        if c:
+            shift = len(rem) - len(b)
+            quo[shift] = c
+            for j, cb in enumerate(b):
+                rem[shift + j] -= c * cb
+        rem.pop()
+    return ip_trim(quo), ip_trim(rem)
+
+
+def mobius(n):
+    out = 1
+    for _, k in factorize(n).items():
+        if k > 1:
+            return 0
+        out = -out
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_oracle(m):
+    """Phi_m, lowest degree first: prod over d | m of (x^(m/d) - 1)^mu(d)."""
+    num = (1,)
+    den = (1,)
+    for d in range(1, m + 1):
+        if m % d:
+            continue
+        mu = mobius(d)
+        f = tuple([-1] + [0] * (m // d - 1) + [1])
+        if mu == 1:
+            num = ip_mul(num, f)
+        elif mu == -1:
+            den = ip_mul(den, f)
+    quo, rem = ip_divmod_monic(num, den)
+    if rem:
+        raise InternalInconsistency("the Mobius quotient is not exact")
+    return quo
 
 
 def zeta(field: CycloField, e: int) -> CycloElt:

@@ -18,7 +18,6 @@ from kforge.cyclotomic import (
     GaloisElt,
     RootOfUnity,
     conjugate,
-    cyclotomic_polynomial,
     divide_into_subfield,
     embed_up,
     galois_apply,
@@ -32,9 +31,17 @@ from kforge.cyclotomic import (
     _reduce_vec,
     _solve_against_columns,
 )
-from kforge.exact_arith import euler_phi, factorize, is_prime
+from kforge.exact_arith import euler_phi, is_prime
 
-from group_ring import inverse, minimal_polynomial as reference_minimal_polynomial, relative_norm, zeta
+from group_ring import (
+    cyclotomic_oracle,
+    inverse,
+    ip_mul,
+    minimal_polynomial as reference_minimal_polynomial,
+    mobius,
+    relative_norm,
+    zeta,
+)
 
 
 def poly_trim(coeffs):
@@ -45,98 +52,21 @@ def poly_trim(coeffs):
     return tuple(Fraction(c) for c in cs)
 
 
-def ip_trim(coeffs):
-    """An integer polynomial without its trailing zeros."""
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def ip_mul(a, b):
-    """Schoolbook product of integer polynomials, the reference for the
-    cyclotomic-polynomial tests."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return ip_trim(out)
-
-
-def ip_divmod_monic(a, b):
-    """Division by a monic integer polynomial, staying in Z[x]; the oracle's
-    exact quotient."""
-    if not b or b[-1] != 1:
-        raise DomainError("divisor must be monic")
-    rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    while len(rem) >= len(b):
-        c = rem[-1]
-        if c:
-            shift = len(rem) - len(b)
-            quo[shift] = c
-            for j, cb in enumerate(b):
-                rem[shift + j] -= c * cb
-        rem.pop()
-    return ip_trim(quo), ip_trim(rem)
-
-
 def coeffs(x):
     """The power-basis coefficients of x as rationals."""
     return tuple(Fraction(c, x.den) for c in x.num)
 
 
-def mobius(n):
-    out = 1
-    for _, k in factorize(n).items():
-        if k > 1:
-            return 0
-        out = -out
-    return out
+class TestFieldTables:
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_conductor_below_one_rejected(self, m):
+        with pytest.raises(DomainError, match="positive"):
+            get_field(m)
 
-
-def cyclotomic_oracle(m):
-    """Independent construction: prod over d | m of (x^(m/d) - 1)^mu(d)."""
-    num = (1,)
-    den = (1,)
-    for d in range(1, m + 1):
-        if m % d:
-            continue
-        mu = mobius(d)
-        f = tuple([-1] + [0] * (m // d - 1) + [1])
-        if mu == 1:
-            num = ip_mul(num, f)
-        elif mu == -1:
-            den = ip_mul(den, f)
-    quo, rem = ip_divmod_monic(num, den)
-    assert rem == ()
-    return quo
-
-
-class TestCyclotomicPolynomial:
-    def test_small(self):
-        assert cyclotomic_polynomial(1) == (-1, 1)
-        assert cyclotomic_polynomial(5) == (1, 1, 1, 1, 1)
-        assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-
-    # 105 and 210 have a coefficient -2; 273 is a product of three odd primes
     @pytest.mark.parametrize("m", list(range(1, 31)) + [105, 210, 273])
-    def test_against_mobius_oracle(self, m):
-        assert cyclotomic_polynomial(m) == cyclotomic_oracle(m)
-
-    @pytest.mark.parametrize("m", [6, 15, 24, 35])
-    def test_divisor_product(self, m):
-        prod = (1,)
-        for d in range(1, m + 1):
-            if m % d == 0:
-                prod = ip_mul(prod, cyclotomic_polynomial(d))
-        assert prod == ip_trim([-1] + [0] * (m - 1) + [1])
-
-    def test_zero_conductor_rejected(self):
-        with pytest.raises(DomainError):
-            cyclotomic_polynomial(0)
+    def test_degree_is_that_of_phi_m(self, m):
+        field = get_field(m)
+        assert field.phi == len(field.unit_group) == euler_phi(m) == len(cyclotomic_oracle(m)) - 1
 
     @pytest.mark.parametrize("m", [2, 12, 45, 210, 273])
     def test_binomial_factors(self, m):
@@ -242,6 +172,30 @@ class TestGalois:
     def test_bad_residue_rejected(self):
         with pytest.raises(DomainError):
             GaloisElt(get_field(10), 5)
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 13, 105])
+    def test_exponents_outside_one_to_m(self, m):
+        # the action reads its exponent mod m, Q = Q(zeta_1) included
+        field = get_field(m)
+        rng = random.Random(m)
+        x = field.from_coeffs([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(field.phi)])
+        for a in field.unit_group:
+            for b in (-1, a + m, -a):
+                assert galois_apply(GaloisElt(field, b), x) == reference_galois(b % m, x)
+
+    @pytest.mark.parametrize("m", [3, 5, 12])
+    def test_conjugation_inverts_zeta(self, m):
+        f = get_field(m)
+        assert conjugate(zeta(f, 1)) == zeta(f, -1)
+        assert not is_in_real_subfield(zeta(f, 1))
+        assert is_in_real_subfield(zeta(f, 1) + zeta(f, -1))
+
+    def test_q_is_fixed_by_conjugation(self):
+        q = get_field(1)
+        for value in (0, Fraction(-7, 3), 5):
+            x = q.from_rational(value)
+            assert conjugate(x) == x and is_in_real_subfield(x)
+            assert galois_apply(GaloisElt(q, 0), x) == x  # 0 = 1 mod 1
 
     @settings(max_examples=30, deadline=None)
     @given(small_coeffs, small_coeffs, st.sampled_from([1, 2, 3, 4]))
@@ -652,8 +606,11 @@ def test_field_cache_identity():
 # ---------------------------------------------------------------------------
 
 
-def dense_reduce(vec, poly, phi):
-    """Reference reduction: clear every coefficient above phi with the whole of Phi_m."""
+def dense_reduce(vec, m):
+    """Reference reduction: clear every coefficient above phi with the whole
+    of the oracle's Phi_m."""
+    poly = cyclotomic_oracle(m)
+    phi = len(poly) - 1
     for i in range(len(vec) - 1, phi - 1, -1):
         c = vec[i]
         if c:
@@ -665,7 +622,7 @@ def dense_reduce(vec, poly, phi):
 
 
 def reference_element(field, vec, den):
-    reduced = dense_reduce(list(vec), field.poly, field.phi)
+    reduced = dense_reduce(list(vec), field.m)
     return field.from_coeffs([Fraction(c, den) for c in reduced])
 
 
@@ -680,8 +637,6 @@ def schoolbook_mul(x, y):
 
 def reference_galois(a, x):
     m = x.field.m
-    if m == 1:
-        return x
     vec = [0] * m
     for i, c in enumerate(x.num):
         vec[i * a % m] += c
@@ -1083,9 +1038,11 @@ cyclotomic._poly_product(a, tuple(c << 2000 for c in a))  # above the decimal ga
         assert "_decimal_product" in done.stderr
 
 
-# 1 and 2; a prime; prime powers; non-squarefree and even conductors;
-# conductors whose quotient is longer than phi (m - phi >= phi); and three odd primes
-REDUCTION_CONDUCTORS = [1, 2, 13, 9, 25, 27, 12, 20, 45, 30, 105, 210, 273]
+# every conductor up to 30, among them 1 and 2, primes, prime powers, and
+# conductors whose quotient is longer than phi (m - phi >= phi); 45, neither
+# squarefree nor a prime power; 105 and 210, whose Phi_m has a coefficient -2;
+# and 273, three odd primes
+REDUCTION_CONDUCTORS = list(range(1, 31)) + [45, 105, 210, 273]
 
 
 def input_lengths(field):
@@ -1096,7 +1053,7 @@ def input_lengths(field):
 
 
 def assert_reduces_like_dense(field, vec):
-    assert _reduce_vec(field, list(vec)) == dense_reduce(list(vec), field.poly, field.phi)
+    assert _reduce_vec(field, list(vec)) == dense_reduce(list(vec), field.m)
 
 
 class TestReduction:
@@ -1134,7 +1091,8 @@ class TestReduction:
 
     def test_phi_and_product_by_evaluation_at_5187(self):
         # the ring map zeta -> w, for w a primitive m-th root of unity mod a
-        # prime ell = 1 (mod m), must send Phi_m to 0 and respect the product
+        # prime ell = 1 (mod m), sends Phi_m to 0, so reduction mod Phi_m
+        # must keep a vector's value at w, and the product must respect it
         m = 5187  # 3 * 7 * 13 * 19
         field = get_field(m)
         assert field.phi == 2592
@@ -1151,9 +1109,9 @@ class TestReduction:
                 acc = (acc * w + c) % ell
             return acc
 
-        assert at_w(field.poly) == 0
-        assert field.poly[-1] == 1 and field.poly == field.poly[::-1]
         rng = random.Random(5187)
+        vec = [rng.randint(-(2**63), 2**63) for _ in range(3 * m + 2)]
+        assert at_w(_reduce_vec(field, list(vec))) == at_w(vec)
         x, y = (
             field.from_coeffs([rng.randint(-(2**63), 2**63) for _ in range(field.phi)])
             for _ in range(2)

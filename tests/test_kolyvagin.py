@@ -38,6 +38,7 @@ from group_ring import (
     apply_group_ring,
     apply_norm,
     build_operators,
+    cyclotomic_oracle,
     operator_identity_holds,
     ratio_mth_power_witness,
     zeta,
@@ -74,7 +75,7 @@ class TestPrimeSearch:
         # polynomial has its full count of roots mod q
         params = KolyParams(p, n, M)
         limit = 300
-        poly = get_field(params.conductor).poly
+        poly = cyclotomic_oracle(params.conductor)
         expected = []
         for q in primes_upto(limit):
             if q % M != 1:
