@@ -28,6 +28,7 @@ COPIED = ("src", "tests", "scripts", "pyproject.toml")
 TIMEOUT_S = 120
 
 CYCLOTOMIC = "src/kforge/cyclotomic.py"
+EULER = "src/kforge/euler.py"
 EXACT_ARITH = "src/kforge/exact_arith.py"
 KOLYVAGIN = "src/kforge/kolyvagin.py"
 PRIMES = "src/kforge/primes.py"
@@ -35,6 +36,7 @@ CONTROL = "tests/test_cli.py::TestExitCodes::test_inconsistency_exits_three_and_
 PERTURBED = "tests/test_kolyvagin.py::TestPerturbedCocycle"
 SPLIT = "tests/test_primes.py::TestSplitData"
 REDUCTION = "tests/test_cyclotomic.py::TestReduction"
+WORD_SLOTS = "tests/test_cyclotomic.py::TestProductPaths::test_binary_slots_of_every_width_against_schoolbook"
 # pytest's -W flags: every warning is an error, except the DeprecationWarning
 # that Hypothesis's failure report raises by importing libcst, which under
 # -W error turns a failing @given test into an INTERNALERROR
@@ -160,6 +162,29 @@ ROWS = [
             f"{REDUCTION}::test_against_dense_reduction[2000-105]",
             f"{REDUCTION}::test_against_dense_reduction[2000-273]",
             f"{REDUCTION}::test_phi_and_product_by_evaluation_at_5187",
+        ],
+    ),
+    (
+        "system values memoised without their system",
+        EULER,
+        'key = ("phi", E, eta)',
+        'key = ("phi", eta)',
+        [
+            "tests/test_euler.py::TestValues::test_inverse_evaluation",
+            "tests/test_euler.py::TestValueMemo::test_systems_at_one_root_keep_their_own_values",
+        ],
+    ),
+    (
+        "machine-word slots read back without their bias",
+        CYCLOTOMIC,
+        'return list(map(sub, struct.unpack(f"<{n}{word}", data), repeat(half)))',
+        'return list(struct.unpack(f"<{n}{word}", data))',
+        [
+            f"{WORD_SLOTS}[1-1]",
+            f"{WORD_SLOTS}[3-2]",
+            f"{WORD_SLOTS}[8-1]",
+            "tests/test_cyclotomic.py::TestKernelsAgainstSchoolbook::test_product_at_slot_boundaries",
+            "tests/test_cli.py::TestDeterminism::test_twisted_reports_are_pinned[kappa-level-1]",
         ],
     ),
 ]

@@ -35,6 +35,7 @@ from .euler import (
     check_E2,
     check_E3,
     check_unit,
+    clear_memo,
     cyclotomic_unit_generators,
     decompose_over_cyclotomic_units,
     parse_omega,
@@ -43,7 +44,6 @@ from .euler import (
 from .exact_arith import euler_phi
 from .kolyvagin import (
     KolyParams,
-    clear_memo,
     cocycle_closed_form,
     find_kolyvagin_primes,
     is_kolyvagin_prime,
@@ -369,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(cfg: RunConfig) -> tuple[Report, int]:
-    """Run one command; cocycles and classes are built once per command."""
+    """Run one command; system values, cocycles and classes are built once
+    per command."""
     clear_memo()
     report = COMMANDS[cfg.command](cfg)
     return report, 0 if report.overall == "pass" else 1

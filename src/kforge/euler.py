@@ -202,11 +202,28 @@ def _factors(E: EulerSystem, eta: RootOfUnity):
     yield field.from_terms((shift,), (limit.numerator,), limit.denominator)
 
 
+# system values here, and kolyvagin's cocycles and classes, keyed by the
+# function and its arguments: pure functions of those, kept for one command
+MEMO: dict[tuple, object] = {}
+
+
+def clear_memo() -> None:
+    """Forget every system value, cocycle and class built so far."""
+    MEMO.clear()
+
+
 def phi_eval(E: EulerSystem, eta: RootOfUnity) -> CycloElt:
-    """Exact value of the system at eta, an element of Q(zeta_ord(eta))."""
+    """Exact value of the system at eta, an element of Q(zeta_ord(eta)).
+
+    Each value is evaluated once and then read from MEMO; eta is held in
+    lowest terms, so equal roots share one entry."""
+    key = ("phi", E, eta)
+    if key in MEMO:
+        return MEMO[key]
     if not E.admissible(eta):
         raise DomainError(f"root of order {eta.order} is outside the admissible domain")
-    return product(_factors(E, eta))
+    value = MEMO[key] = product(_factors(E, eta))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +247,10 @@ def _root_label(eta: RootOfUnity) -> str:
 
 def check_E1(E: EulerSystem, eta: RootOfUnity, a: int) -> AxiomReport:
     """Galois equivariance plus invariance under inversion of the argument."""
-    if math.gcd(a, eta.order) != 1:
-        raise DomainError(f"{a} is not invertible mod {eta.order}")
+    sigma = GaloisElt(get_field(eta.order), a)  # refuses an a not prime to ord(eta)
     value = phi_eval(E, eta)
     lhs = phi_eval(E, eta**a)
-    rhs = galois_apply(GaloisElt(value.field, a), value)
+    rhs = galois_apply(sigma, value)
     inv_ok = phi_eval(E, eta**-1) == value
     passed = lhs == rhs and inv_ok
     return AxiomReport(

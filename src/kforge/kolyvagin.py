@@ -24,9 +24,9 @@ sigma_q^2, forms every product over <sigma_q>: the Frobenius corrections
 and the resolvent sums (_partial_norm), and from its norms the derivative
 D_q x (_weighted_norm).  No chain of conjugates is kept.
 
-Cocycles and classes are pure functions of their arguments, kept in _MEMO
-until clear_memo(), which the command line calls at the start of every
-command.
+System values, cocycles and classes are pure functions of their arguments.
+All three are memoised in euler.MEMO until clear_memo(), which the command
+line calls at the start of every command.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .cyclotomic import (
     get_field,
     is_in_real_subfield,
 )
-from .euler import EulerSystem, phi_eval
+from .euler import MEMO, EulerSystem, phi_eval
 from .exact_arith import (
     crt_pair,
     factorize,
@@ -169,15 +169,6 @@ def _weighted_norm(x: CycloElt, sigma: GaloisElt, n: int) -> CycloElt:
 # cocycles and their closed forms
 # ---------------------------------------------------------------------------
 
-# cocycle_closed_form and kappa results, keyed by the function and its arguments
-_MEMO: dict[tuple, object] = {}
-
-
-def clear_memo() -> None:
-    """Forget every cocycle and class built so far."""
-    _MEMO.clear()
-
-
 def level_root(params: KolyParams, s: int) -> RootOfUnity:
     """The canonical argument zeta_m * prod eta_q inside Q(zeta_{m*s})."""
     N = params.conductor * s
@@ -218,13 +209,13 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
     sigma_r^i(c_r), e <= i < r - 1, which is sigma_r^e(P_(r-1-e)(c_r)),
     formed in Q(zeta_{m*r}) and embedded once, since sigma_r acts on the
     subfield as it does on Q(zeta_{m*s}).  Each level is built once and then
-    read from _MEMO.  Nothing is proved here: the class built from the
+    read from MEMO.  Nothing is proved here: the class built from the
     cocycle proves its values (kappa), and a sub-cocycle is read only through
     the Frobenius corrections of those values.
     """
     key = ("cocycle", E, params, s)
-    if key in _MEMO:
-        return _MEMO[key]
+    if key in MEMO:
+        return MEMO[key]
     params.validate_system(E)
     factors = factorize(s)  # trial division: every factor is prime
     if any(v > 1 for v in factors.values()):
@@ -255,7 +246,7 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
             sigma_r = lifted_sigma(sub.field, r)
             tail = _partial_norm(sub.values[r], sigma_r, r - 1 - e)
             values[q] = values[q] * embed_up(galois_apply(_power(sigma_r, e), tail), N)
-    coc = _MEMO[key] = Cocycle(field, values, derived[s], frob_exps)
+    coc = MEMO[key] = Cocycle(field, values, derived[s], frob_exps)
     return coc
 
 
@@ -337,11 +328,11 @@ def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaCla
     c_q^M D_s phi != sigma_q(D_s phi), and so raises InternalInconsistency.
     Last, every representative, phi(zeta_m) at s = 1 included, is proved
     real: primes.py rests on that to read one root per prime of F.
-    Each class, and each cocycle, is built once and then read from _MEMO.
+    Each class, and each cocycle, is built once and then read from MEMO.
     """
     key = ("kappa", E, params, s, seed)
-    if key in _MEMO:
-        return _MEMO[key]
+    if key in MEMO:
+        return MEMO[key]
     params.validate_system(E)
     if s == 1:
         value = phi_eval(E, RootOfUnity(params.conductor, 1))
@@ -355,5 +346,5 @@ def kappa(E: EulerSystem, params: KolyParams, s: int, seed: int = 0) -> KappaCla
             raise InternalInconsistency("cocycle certificate failed") from None
     if not is_in_real_subfield(value):
         raise InternalInconsistency("class representative is not real")
-    kc = _MEMO[key] = KappaClass(value, beta)
+    kc = MEMO[key] = KappaClass(value, beta)
     return kc

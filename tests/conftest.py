@@ -1,12 +1,13 @@
 import pytest
 
 from kforge import kolyvagin
-from kforge.kolyvagin import clear_memo
+from kforge.euler import clear_memo
 
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    """Each test builds its own cocycles and classes, as each CLI command does."""
+    """Each test builds its own system values, cocycles and classes, as each
+    CLI command does."""
     clear_memo()
     yield
     clear_memo()

@@ -373,7 +373,7 @@ class TestReports:
 
     def test_axioms_term_wise_product_count(self, capsys, monkeypatch):
         # the products of an axioms run with an operand sparse enough to be
-        # formed term by term, out of all 320: a lifted value or a factor
+        # formed term by term, out of all 212: a lifted value or a factor
         # 1 - zeta^k times a full element, so a change to it must be deliberate
         paths = []
         for name in ("_sparse_product", "_binary_product", "_decimal_product"):
@@ -385,7 +385,22 @@ class TestReports:
             monkeypatch.setattr(cyclotomic, name, spy)
         assert run_main(["axioms", "--omega", "1:1,2:-1"]) == 0
         assert json.loads(capsys.readouterr().out)["overall"] == "pass"
-        assert (paths.count("_sparse_product"), len(paths)) == (201, 320)
+        assert (paths.count("_sparse_product"), len(paths)) == (119, 212)
+
+    def test_axioms_evaluates_each_system_value_once(self, capsys, monkeypatch):
+        # the E1-E3 and unit checks read 140 values at 68 distinct roots;
+        # each is formed from its factors once, then read from the memo
+        roots = []
+        factors = euler._factors
+
+        def counted(E, eta):
+            roots.append((E, eta))
+            return factors(E, eta)
+
+        monkeypatch.setattr(euler, "_factors", counted)
+        assert run_main(["axioms", "--omega", "1:1,2:-1"]) == 0
+        assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+        assert len(roots) == len(set(roots)) == 68
 
     def test_factorize_builds_each_level_q_class_once(self, capsys, monkeypatch):
         # at s = 1 the class checked by the factorization law is also the

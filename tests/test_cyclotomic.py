@@ -684,6 +684,13 @@ def slot_vectors(draw, bits=st.sampled_from([1, 2, 6, 7, 8, 9, 63, 64, 65, 2000]
     return tuple([0] * draw(st.integers(0, 3)) + vec + [0] * draw(st.integers(0, 12 - len(vec))))
 
 
+def peak_operands(k):
+    """Two 3-term operands at +-(2^k - 1), dense enough for slots: their
+    products take slots of 2k + 3 bits."""
+    top = 2**k - 1
+    return (top, -top, top), (-top, -top, top)
+
+
 ONE_POINT, TWO_POINT, DECIMAL = ("_binary_product", 1), ("_binary_product", 2), ("_decimal_product", 1)
 SPARSE = ("_sparse_product", 1)
 
@@ -783,6 +790,15 @@ class TestKernelsAgainstSchoolbook:
     @example((63, -63) * 3 + (63,), (1,))
     @example((0, 0, 0), (-1,))
     @example((0, 0, 5), (7, -2**64, 3, 2**63 - 1, -1))
+    # slots of 1, 2, 3, 4, 5, 8 and 9 bytes: machine words of 1, 2, 4, 4, 8
+    # and 8 bytes, and the first width converted one int at a time
+    @example(*peak_operands(2))
+    @example(*peak_operands(6))
+    @example(*peak_operands(10))
+    @example(*peak_operands(14))
+    @example(*peak_operands(18))
+    @example(*peak_operands(30))
+    @example(*peak_operands(34))
     def test_product_at_slot_boundaries(self, a, b):
         # every product in binary slots at one point and at two, and in
         # decimal slots, unless an operand is sparse enough to go term by term
@@ -892,6 +908,23 @@ class TestProductPaths:
         exponents = [341 * j + i for j in range(small.phi) for i in range(field.phi)]
         terms = [cy * cx for cy in y.num for cx in x.num]
         assert product == field.from_terms(exponents, terms, y.den * x.den)
+
+    @pytest.mark.parametrize("points", [1, 2])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9])
+    def test_binary_slots_of_every_width_against_schoolbook(self, width, points):
+        # slots of `width` bytes: machine words of 1, 2, 4, 4, 8 and 8 bytes,
+        # and at 9 bytes the first width converted one int at a time.  A
+        # vector times +-1 puts +-(half - 1) in every slot, the extremes a
+        # slot of `width` bytes must hold; a square of seven terms of
+        # magnitude t, 7 t^2 < half, and its product with the negated vector
+        # reach +-7 t^2 and -+6 t^2
+        half = 1 << (8 * width - 1)
+        peak = tuple((half - 1) * (-1) ** i for i in range(7))
+        t = math.isqrt((half - 1) // 7)
+        near = tuple(t * (-1) ** i for i in range(7))
+        pairs = [(peak, (1,)), ((-1,), peak), (near, tuple(-c for c in near)), (near, near)]
+        for a, b in pairs:
+            assert tuple(cyclotomic._binary_product(a, b, width, points)) == ip_mul(a, b)
 
     @pytest.mark.parametrize("shorter, path", [(0, "_decimal_product"), (1, "_binary_product")])
     def test_threshold_reads_the_operands(self, monkeypatch, shorter, path):

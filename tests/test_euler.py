@@ -26,6 +26,7 @@ from kforge.euler import (
     check_E2,
     check_E3,
     check_unit,
+    clear_memo,
     cyclotomic_unit_generators,
     decompose_over_cyclotomic_units,
     parse_omega,
@@ -160,6 +161,53 @@ class TestValues:
             assert phi_eval(parse_omega(BASIC + ",twist=1:0"), eta) == v
 
 
+class TestValueMemo:
+    def counted_factors(self, monkeypatch):
+        calls = []
+        factors = euler._factors
+
+        def counted(E, eta):
+            calls.append((E, eta))
+            return factors(E, eta)
+
+        monkeypatch.setattr(euler, "_factors", counted)
+        return calls
+
+    def test_equal_roots_share_one_entry(self, monkeypatch):
+        calls = self.counted_factors(monkeypatch)
+        E = parse_omega(BASIC)
+        first = phi_eval(E, RootOfUnity(6, 2))
+        assert phi_eval(E, RootOfUnity(3, 1)) is first
+        assert calls == [(E, RootOfUnity(3, 1))]
+        assert list(euler.MEMO) == [("phi", E, RootOfUnity(3, 1))]
+
+    def test_systems_at_one_root_keep_their_own_values(self):
+        eta = RootOfUnity(5, 1)
+        E, E_neg = parse_omega(BASIC), parse_omega("1:-1,2:1")
+        v, w = phi_eval(E, eta), phi_eval(E_neg, eta)
+        assert v != w and v * w == v.field.one
+        assert phi_eval(E, eta) is v and phi_eval(E_neg, eta) is w
+
+    def test_an_inadmissible_root_raises_every_time_and_is_not_kept(self, monkeypatch):
+        calls = self.counted_factors(monkeypatch)
+        E = parse_omega("1:2,3:-2")  # excluded set {2, 3}
+        phi_eval(E, RootOfUnity(5, 1))
+        held = dict(euler.MEMO)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="outside the admissible domain"):
+                phi_eval(E, RootOfUnity(3, 1))
+        assert euler.MEMO == held and len(calls) == 1
+
+    def test_clear_memo_forgets_values(self, monkeypatch):
+        calls = self.counted_factors(monkeypatch)
+        E, eta = parse_omega(BASIC), RootOfUnity(5, 1)
+        v = phi_eval(E, eta)
+        clear_memo()
+        assert not euler.MEMO
+        w = phi_eval(E, eta)
+        assert w == v and w is not v and len(calls) == 2
+
+
 ORACLE_SYSTEMS = (
     BASIC,
     "1:2,3:-2",
@@ -276,6 +324,11 @@ class TestAxioms:
         assert check_E1(E, RootOfUnity(5, 1), 2).passed
         assert check_E1(E, RootOfUnity(5, 1), -1).passed
         assert check_E1(E, RootOfUnity(1, 0), 3).passed
+
+    def test_E1_refuses_an_exponent_not_prime_to_the_order_before_evaluating(self):
+        with pytest.raises(DomainError, match="^3 is not invertible mod 9$"):
+            check_E1(parse_omega(BASIC), RootOfUnity(9, 1), 3)
+        assert not euler.MEMO
 
     def test_E2_examples(self):
         E = parse_omega(BASIC)

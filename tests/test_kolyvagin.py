@@ -15,7 +15,7 @@ from kforge.cyclotomic import (
     get_field,
     is_in_real_subfield,
 )
-from kforge.euler import parse_omega, phi_eval
+from kforge.euler import clear_memo, parse_omega, phi_eval
 from kforge.exact_arith import ip_eval, least_primitive_root, primes_upto
 from kforge import kolyvagin
 from kforge.kolyvagin import (
@@ -25,7 +25,6 @@ from kforge.kolyvagin import (
     _weighted_norm,
     KolyParams,
     apply_derivative,
-    clear_memo,
     cocycle_closed_form,
     find_kolyvagin_primes,
     hilbert90_beta,

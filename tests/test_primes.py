@@ -12,9 +12,9 @@ from kforge.cyclotomic import (
     galois_classes,
     get_field,
 )
-from kforge.euler import parse_omega, phi_eval
+from kforge.euler import clear_memo, parse_omega, phi_eval
 from kforge.exact_arith import int_dlog, int_padic_valuation, ip_eval, primes_upto
-from kforge.kolyvagin import KolyParams, clear_memo, cocycle_closed_form, kappa
+from kforge.kolyvagin import KolyParams, cocycle_closed_form, kappa
 from kforge.primes import (
     annihilator_from_dlogs,
     check_factorization,
