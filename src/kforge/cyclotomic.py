@@ -12,8 +12,8 @@ operand's length, the product is made term by term: one scaled, shifted copy
 of the other operand per nonzero term, in exact int arithmetic with no slots
 (S. C. Johnson, "Sparse polynomial arithmetic", ACM SIGSAM Bull. 8(3),
 1974).  So a power of zeta is one scaled copy, and an element lifted from a
-subfield (Q(zeta_5) lies in Q(zeta_1705) at stride 341) or a factor
-1 - zeta^k costs a few scaled copies of the other operand, not a transform.
+subfield (Q(zeta_5) lies in Q(zeta_1705) at stride 341) costs a few scaled
+copies of the other operand, not a transform.
 
 Every other product is formed by Kronecker substitution: each numerator
 vector is packed into one big number, one slot per coefficient, wide enough
@@ -64,15 +64,19 @@ vector modulo x^m - 1, which is exact because Phi_m divides x^m - 1, and
 leaves at most m coefficients.  It then divides by Phi_m by reversal.  Phi_m
 is the Mobius product of binomials 1 - x^d, so multiplying by Phi_m or by the
 power series 1/Phi_m is one pass over the list per binomial; no table of its
-coefficients is kept.  Apart from products, every such vector is a sum of
-terms c * zeta^e and is built by `CycloField.from_terms`, except the columns of
-`divide_into_subfield`, which stay unnormalized over one denominator.
+coefficients is kept.  Apart from products, every such vector is built on
+one length-m list: by `CycloField.from_terms` as a sum of terms c * zeta^e,
+or by `CycloField.from_factors` as a product of factors 1 - zeta^K and
+their inverses, multiplied out in the group ring Q[C_m] with no reduction
+between factors; the exceptions are the columns of `divide_into_subfield`,
+which stay unnormalized over one denominator.
 
 There is no norm routine: N(x) is read off the constant term of
 `minimal_polynomial`, which is how a unit is recognized, and `kolyvagin`
 forms the norms over <sigma_q> by its halving recursion.  There is no field
-inverse: a quotient is proved as a product identity or solved for by
-`divide_into_subfield`, and a negative power raises DomainError.  That solve
+inverse beyond the inverses of 1 - zeta^K inside `from_factors`: a quotient
+is proved as a product identity or solved for by `divide_into_subfield`,
+and a negative power raises DomainError.  That solve
 keeps its columns over one integer denominator, eliminates on fraction-free
 (Bareiss) integer rows and proves the quotient by one integer identity on
 every coefficient.  `minimal_polynomial` reads its integer coefficients off
@@ -150,6 +154,43 @@ class CycloField:
         for e, c in zip(exponents, coeffs):
             if c:
                 vec[e % m] += c
+        return _normalized(self, _reduce_vec(self, vec), den)
+
+    def from_factors(self, factors, shift: int, limit: Fraction) -> "CycloElt":
+        """zeta_m^shift * limit * prod (1 - zeta_m^K)^count over the (K, count)
+        pairs of `factors`, multiplied out on one length-m list in Q[C_m] and
+        reduced mod Phi_m once.
+
+        There 1 - x^K is a rotation by K and a subtraction.  Its inverse acts
+        along the cycles j, j + K, j + 2K, ... of the rotation, each of length
+        r = m / gcd(m, K): subtract the cycle's sum s from r times each
+        coefficient, then take the running sum.  For the input t, the result
+        y has (1 - x^K) y = r t - sum_j s_j x^j (1 + x^K + ... + x^((r-1)K))
+        over the cycles' first indices j and sums s_j, and each term of that
+        sum maps to 0 in Q(zeta_m), since zeta_m^K != 1 has order r; so y
+        maps to r t / (1 - zeta_m^K), and r joins the denominator.
+        """
+        m = self.m
+        vec = [0] * m
+        vec[shift % m] = limit.numerator
+        den = limit.denominator
+        for k, n in factors:
+            k %= m
+            for _ in range(n):
+                vec = list(map(sub, vec, vec[-k:] + vec[:-k]))
+            if n >= 0:
+                continue
+            if not k:
+                raise DomainError("1 - zeta^0 is zero")
+            r = m // math.gcd(m, k)
+            cycles = [[(j + i) % m for i in range(0, r * k, k)] for j in range(m // r)]
+            for _ in range(-n):
+                for cycle in cycles:
+                    t = [vec[i] for i in cycle]
+                    s = sum(t)
+                    for i, c in zip(cycle, accumulate(r * c - s for c in t)):
+                        vec[i] = c
+            den *= r**-n
         return _normalized(self, _reduce_vec(self, vec), den)
 
     def from_rational(self, value) -> "CycloElt":
@@ -487,16 +528,6 @@ class CycloElt:
 
     def __repr__(self):
         return f"CycloElt(m={self.field.m}, num={self.num}, den={self.den})"
-
-
-def one_minus_root_inverse(field: CycloField, k: int) -> CycloElt:
-    """Inverse of 1 - zeta_m^k, via the closed form
-    (1 - w)^(-1) = (1/r) * sum_{i=0}^{r-2} (r-1-i) w^i  for w of order r."""
-    k %= field.m
-    if k == 0:
-        raise DomainError("1 - zeta^0 is zero")
-    r = field.m // math.gcd(field.m, k)
-    return field.from_terms(range(0, k * (r - 1), k), range(r - 1, 0, -1), r)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,15 @@ twist by a primitive h-th root of unity xi, whose value is the product of
 the base values at eta*xi^b over b coprime to h (enlarging the excluded set
 by the primes of h).
 
-Every value, twisted or not, is one balanced product of elementary factors
-in Q(zeta_ord(eta)): 1 - zeta^k, the closed-form inverses of such factors,
-and one rational times a root of unity.  E2 and E3 compare values at
-several roots; each value is lifted from its own field into their common
-witness field by embed_up.  The decomposition over cyclotomic-unit
-generators is proved by an identity between two such products and forms no
-inverse.
+Every value, twisted or not, is read off its factor data in Q(zeta_m),
+m = ord(eta): the (K, count) of its factors 1 - zeta_m^K, the exponent of
+one root of unity and one rational limit.  CycloField.from_factors
+multiplies the data out in the group ring Q[C_m] and reduces mod Phi_m
+once, so a value costs no field product.  E2 multiplies the data of all q
+translates out in one such pass in Q(zeta_lcm(q, ord eta)) and lifts the
+product once; E3 lifts each of its two values into its witness field by
+embed_up.  The decomposition over cyclotomic-unit generators is proved by
+an identity between two products of field elements and forms no inverse.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import ConfigError, DomainError
 from .cyclotomic import (
@@ -40,7 +42,6 @@ from .cyclotomic import (
     get_field,
     is_in_real_subfield,
     minimal_polynomial,
-    one_minus_root_inverse,
     product,
 )
 from .exact_arith import euler_phi, factorize, is_prime, multiplicative_order
@@ -157,9 +158,10 @@ def parse_omega(text: str) -> EulerSystem:
 # ---------------------------------------------------------------------------
 
 
-def _factors(E: EulerSystem, eta: RootOfUnity):
-    """The elementary factors whose product is the value at eta in
-    Q(zeta_ord(eta)).
+def _factor_data(E: EulerSystem, eta: RootOfUnity, m: int):
+    """(factors, shift, limit) with the value at eta equal to
+    zeta_m^shift * limit * prod (1 - zeta_m^K)^count over the (K, count)
+    pairs of factors, for m a multiple of ord(eta).
 
     With y = eta^n, n the composition power, a base factor (y^(-a) - y^a)^k
     is y^(-ak) (1 - Y)^k, Y = y^(2a).  Over the translates y*xi^(bn) of a
@@ -168,10 +170,11 @@ def _factors(E: EulerSystem, eta: RootOfUnity):
     1 - Y*xi'^(2a) multiply to Phi_h'(Y) = prod_{d | h'} (1 - Y^d)^mu(h'/d)
     and, the units mod h summing to 0 mod h, the roots of unity to
     y^(-ak phi(h)) (Washington, Introduction to Cyclotomic Fields, Ch. 2).
-    A negative power of 1 - Y^d is a power of its closed-form inverse, so no
-    gcd is needed.  Where Y = 1 the pair gives its limit: a^(k phi(h)) at y = 1
-    if h' = 1, else Phi_h'(1)^(k phi(h)/phi(h')) = prod d^(mu k phi(h)/phi(h')).
+    Where Y = 1 the pair gives its limit: a^(k phi(h)) at y = 1 if h' = 1,
+    else Phi_h'(1)^(k phi(h)/phi(h')) = prod d^(mu k phi(h)/phi(h')).
     """
+    if not E.admissible(eta):
+        raise DomainError(f"root of order {eta.order} is outside the admissible domain")
     h = E.twist.order
     n = E.compose_n or 1
     y = eta**n
@@ -179,10 +182,8 @@ def _factors(E: EulerSystem, eta: RootOfUnity):
     phi_h = euler_phi(h)
     reps = phi_h // euler_phi(h_prime)
     binomials = get_field(h_prime).binomials
-    m = eta.order
-    field = get_field(m)
     e = y.exp * (m // y.order)
-    shift, limit = 0, Fraction(1)
+    factors, shift, limit = [], 0, Fraction(1)
     for a, k in E.base.pairs:
         shift -= e * a * k * phi_h
         if 2 * e * a % m == 0:
@@ -193,13 +194,8 @@ def _factors(E: EulerSystem, eta: RootOfUnity):
             else:
                 raise DomainError("zero factor: argument outside the admissible domain")
             continue
-        for d, mu in binomials:
-            count = k * mu * reps
-            if count > 0:
-                yield from repeat(field.from_terms((0, 2 * e * a * d), (1, -1)), count)
-            elif count < 0:
-                yield from repeat(one_minus_root_inverse(field, 2 * e * a * d), -count)
-    yield field.from_terms((shift,), (limit.numerator,), limit.denominator)
+        factors += [(2 * e * a * d, k * mu * reps) for d, mu in binomials]
+    return factors, shift, limit
 
 
 # system values here, and kolyvagin's cocycles and classes, keyed by the
@@ -220,9 +216,7 @@ def phi_eval(E: EulerSystem, eta: RootOfUnity) -> CycloElt:
     key = ("phi", E, eta)
     if key in MEMO:
         return MEMO[key]
-    if not E.admissible(eta):
-        raise DomainError(f"root of order {eta.order} is outside the admissible domain")
-    value = MEMO[key] = product(_factors(E, eta))
+    value = MEMO[key] = get_field(eta.order).from_factors(*_factor_data(E, eta, eta.order))
     return value
 
 
@@ -267,15 +261,20 @@ def check_E2(E: EulerSystem, eta: RootOfUnity, q: int) -> AxiomReport:
     relation N(x) y = Frob_q(y), for x, y the values at eta*zeta_q and eta
     when ord(eta) > 1 is prime to q, and norm compatibility from
     Q(zeta_(p^(n+2))) down to Q(zeta_(p^(n+1))) at eta = zeta_(p^(n+2)), q = p.
-    Both sides are formed in Q(zeta_N), N = lcm(q, ord(eta), h) for h the
-    twist order, the witness field the reports record.
+    Every translate's value lies in Q(zeta_L), L = lcm(q, ord(eta)), so the
+    product is one from_factors pass over the factor data of all q
+    translates there, where a value formed alone would cost a product per
+    translate.  Both sides are then lifted into Q(zeta_N), N = lcm(L, h) for
+    h the twist order, the witness field the reports record.
     """
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
     if q in E.effective_excluded:
         raise DomainError(f"auxiliary prime {q} is excluded")
-    N = math.lcm(q, eta.order, E.twist.order)
-    lhs = product(embed_up(phi_eval(E, eta.times(RootOfUnity(q, c))), N) for c in range(q))
+    L = math.lcm(q, eta.order)
+    N = math.lcm(L, E.twist.order)
+    factors, shifts, limits = zip(*(_factor_data(E, eta.times(RootOfUnity(q, c)), L) for c in range(q)))
+    lhs = embed_up(get_field(L).from_factors(chain(*factors), sum(shifts), math.prod(limits)), N)
     rhs = embed_up(phi_eval(E, eta**q), N)
     return AxiomReport(
         "E2",

@@ -200,7 +200,11 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
     """Symbolic M-th roots of (sigma_q - 1) D_s phi for every generator.
 
     With x the value at the level root, one loop over the primes q | s builds
-    D_r x for every r | s as D_{q*r} x = D_q(D_r x).  The root for sigma_q is
+    D_r x for every r | s as D_{q*r} x = D_q(D_r x).  The loop runs down
+    from the largest q: D_q makes O(log^2 q) products, each as large as its
+    input, and D_19 x is far larger than D_7 x, so at s = 7*19 the operator
+    with fewer products meets the larger input in D_7(D_19 x), the same
+    element as D_19(D_7 x).  The root for sigma_q is
     (D_{s/q} x)^((q-1)/M) times a Frobenius correction, trivial at s = q (q
     splits completely).  At s = q*r the Frobenius of q acts on the level-r
     group as sigma_r^e with t_r^e = q mod r, contributing the inverse of the
@@ -232,7 +236,7 @@ def cocycle_closed_form(E: EulerSystem, params: KolyParams, s: int) -> Cocycle:
     field = get_field(N)
     M = params.M
     derived = {1: phi_eval(E, level_root(params, s))}
-    for q in qs:
+    for q in reversed(qs):
         derived.update({r * q: apply_derivative(y, q) for r, y in derived.items()})
 
     values: dict[int, CycloElt] = {}

@@ -7,8 +7,11 @@ on a field element term by term, as an independent reference for the
 suffix-product derivative.  apply_norm is the plain cyclic norm,
 ratio_mth_power_witness exhibits the representative ambiguity of a class, and
 apply_galois_to_annihilator moves an annihilator by a Galois element.
-zeta builds a root of unity as a field element, and inverse is the
-reference field inverse: kforge itself forms none.  relative_norm is the
+zeta builds a root of unity as a field element, inverse is the
+reference field inverse, and one_minus_root_inverse the closed-form inverse
+of a factor 1 - zeta^k: kforge itself forms neither.  factor_product
+multiplies such factors out one field product at a time, as the reference
+for CycloField.from_factors.  relative_norm is the
 reference norm to a subfield, the product of the conjugates that fix it:
 kforge reads N(x) off its minimal polynomial instead.
 minimal_polynomial is the reference for kforge's: it expands prod (T - y)
@@ -211,6 +214,27 @@ def cyclotomic_oracle(m):
 def zeta(field: CycloField, e: int) -> CycloElt:
     """zeta_m^e as an element of field = Q(zeta_m)."""
     return field.from_terms((e,), (1,))
+
+
+def one_minus_root_inverse(field: CycloField, k: int) -> CycloElt:
+    """Inverse of 1 - zeta_m^k, via the closed form
+    (1 - w)^(-1) = (1/r) * sum_{i=0}^{r-2} (r-1-i) w^i  for w of order r."""
+    k %= field.m
+    if k == 0:
+        raise DomainError("1 - zeta^0 is zero")
+    r = field.m // math.gcd(field.m, k)
+    return field.from_terms(range(0, k * (r - 1), k), range(r - 1, 0, -1), r)
+
+
+def factor_product(field: CycloField, factors, shift: int, limit) -> CycloElt:
+    """zeta^shift * limit * prod (1 - zeta^K)^count over the (K, count) pairs
+    of factors, as a balanced product of field elements, each negative power
+    a power of the closed-form inverse: the reference for from_factors."""
+    elements = [field.from_terms((shift,), (limit.numerator,), limit.denominator)]
+    for k, n in factors:
+        factor = field.one - zeta(field, k) if n > 0 else one_minus_root_inverse(field, k)
+        elements += [factor] * abs(n)
+    return product(elements)
 
 
 def inverse(x: CycloElt) -> CycloElt:

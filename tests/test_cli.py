@@ -352,8 +352,8 @@ class TestReports:
     @pytest.mark.parametrize(
         "config, products",
         [
-            (["--p", "5", "--n", "0", "--M", "5", "--s", "61"], 66),
-            (["--p", "3", "--n", "0", "--M", "3", "--s", "7,13"], 85),
+            (["--p", "5", "--n", "0", "--M", "5", "--s", "61"], 64),
+            (["--p", "3", "--n", "0", "--M", "3", "--s", "7,13"], 73),
         ],
     )
     def test_kappa_field_product_count(self, capsys, monkeypatch, config, products):
@@ -373,8 +373,10 @@ class TestReports:
 
     def test_axioms_term_wise_product_count(self, capsys, monkeypatch):
         # the products of an axioms run with an operand sparse enough to be
-        # formed term by term, out of all 212: a lifted value or a factor
-        # 1 - zeta^k times a full element, so a change to it must be deliberate
+        # formed term by term, out of all 6: the values are multiplied out in
+        # the group ring, so every product is one of minimal_polynomial's at
+        # the units of order 5 and 7, and a change to either count must be
+        # deliberate
         paths = []
         for name in ("_sparse_product", "_binary_product", "_decimal_product"):
 
@@ -385,22 +387,29 @@ class TestReports:
             monkeypatch.setattr(cyclotomic, name, spy)
         assert run_main(["axioms", "--omega", "1:1,2:-1"]) == 0
         assert json.loads(capsys.readouterr().out)["overall"] == "pass"
-        assert (paths.count("_sparse_product"), len(paths)) == (119, 212)
+        assert (paths.count("_sparse_product"), len(paths)) == (1, 6)
 
     def test_axioms_evaluates_each_system_value_once(self, capsys, monkeypatch):
-        # the E1-E3 and unit checks read 140 values at 68 distinct roots;
-        # each is formed from its factors once, then read from the memo
-        roots = []
-        factors = euler._factors
+        # the checks read values at 68 distinct roots: phi_eval forms each of
+        # its 19 from the factor data once, then reads it from the memo, and
+        # each E2 reads the data of its q translates once, for one product
+        # per check, 3 + 7 + 11 translates at each of the 4 roots eta
+        roots = {"phi_eval": [], "check_E2": []}
+        factor_data = euler._factor_data
 
-        def counted(E, eta):
-            roots.append((E, eta))
-            return factors(E, eta)
+        def counted(E, eta, m):
+            caller = sys._getframe(1)
+            while caller.f_code.co_name not in roots:  # past a generator expression
+                caller = caller.f_back
+            roots[caller.f_code.co_name].append((E, eta))
+            return factor_data(E, eta, m)
 
-        monkeypatch.setattr(euler, "_factors", counted)
+        monkeypatch.setattr(euler, "_factor_data", counted)
         assert run_main(["axioms", "--omega", "1:1,2:-1"]) == 0
         assert json.loads(capsys.readouterr().out)["overall"] == "pass"
-        assert len(roots) == len(set(roots)) == 68
+        assert len(roots["phi_eval"]) == len(set(roots["phi_eval"])) == 19
+        assert len(roots["check_E2"]) == 4 * (3 + 7 + 11)
+        assert len(set(roots["phi_eval"] + roots["check_E2"])) == 68
 
     def test_factorize_builds_each_level_q_class_once(self, capsys, monkeypatch):
         # at s = 1 the class checked by the factorization law is also the

@@ -24,7 +24,6 @@ from kforge.cyclotomic import (
     get_field,
     is_in_real_subfield,
     minimal_polynomial,
-    one_minus_root_inverse,
     product,
     _binomial_factors,
     _poly_product,
@@ -35,10 +34,12 @@ from kforge.exact_arith import euler_phi, is_prime
 
 from group_ring import (
     cyclotomic_oracle,
+    factor_product,
     inverse,
     ip_mul,
     minimal_polynomial as reference_minimal_polynomial,
     mobius,
+    one_minus_root_inverse,
     relative_norm,
     zeta,
 )
@@ -1089,7 +1090,34 @@ def assert_reduces_like_dense(field, vec):
     assert _reduce_vec(field, list(vec)) == dense_reduce(list(vec), field.m)
 
 
+@st.composite
+def factor_data(draw):
+    """(field, factors, shift, limit) with every K of a negative count
+    nonzero mod m; K shares a factor with m often, so that the rotation by K
+    has several cycles."""
+    field = get_field(draw(st.sampled_from([1, 3, 5, 9, 12, 15, 21, 25, 35, 105])))
+    m = field.m
+    ks = st.integers(-2 * m, 2 * m) | st.sampled_from([d for d in range(1, m) if m % d == 0] or [0])
+    pairs = st.tuples(ks, st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    factors = draw(st.lists(pairs.filter(lambda kn: kn[0] % m or kn[1] > 0), max_size=5))
+    limit = Fraction(draw(st.integers(-50, 50).filter(bool)), draw(st.integers(1, 50)))
+    return field, factors, draw(st.integers(-2 * m, 2 * m)), limit
+
+
 class TestReduction:
+    @settings(max_examples=150, deadline=None)
+    @given(factor_data())
+    @example((get_field(15), [(5, -1), (3, -2), (6, 1)], 7, Fraction(-3, 4)))
+    @example((get_field(1), [(0, 2)], 0, Fraction(5, 3)))
+    def test_from_factors_against_reference_factors(self, data):
+        field, factors, shift, limit = data
+        assert field.from_factors(factors, shift, limit) == factor_product(field, factors, shift, limit)
+
+    def test_from_factors_refuses_the_inverse_of_zero(self):
+        for m, k in ((1, 0), (5, 10), (12, -12)):
+            with pytest.raises(DomainError, match="^1 - zeta\\^0 is zero$"):
+                get_field(m).from_factors([(1, 1), (k, -1)], 0, Fraction(1))
+
     @pytest.mark.parametrize("m", REDUCTION_CONDUCTORS)
     def test_from_terms_against_reference(self, m):
         field = get_field(m)

@@ -16,7 +16,6 @@ from kforge.cyclotomic import (
     get_field,
     is_in_real_subfield,
     minimal_polynomial,
-    one_minus_root_inverse,
     product,
 )
 from kforge.euler import (
@@ -34,7 +33,14 @@ from kforge.euler import (
 )
 from kforge.exact_arith import factorize, is_prime
 
-from group_ring import inverse, relative_norm, twisted_value_reference, zeta
+from group_ring import (
+    factor_product,
+    inverse,
+    one_minus_root_inverse,
+    relative_norm,
+    twisted_value_reference,
+    zeta,
+)
 
 BASIC = "1:1,2:-1"
 ETA_GRID = [RootOfUnity(1, 0), RootOfUnity(3, 1), RootOfUnity(5, 1), RootOfUnity(7, 1)]
@@ -164,13 +170,13 @@ class TestValues:
 class TestValueMemo:
     def counted_factors(self, monkeypatch):
         calls = []
-        factors = euler._factors
+        factor_data = euler._factor_data
 
-        def counted(E, eta):
+        def counted(E, eta, m):
             calls.append((E, eta))
-            return factors(E, eta)
+            return factor_data(E, eta, m)
 
-        monkeypatch.setattr(euler, "_factors", counted)
+        monkeypatch.setattr(euler, "_factor_data", counted)
         return calls
 
     def test_equal_roots_share_one_entry(self, monkeypatch):
@@ -194,9 +200,10 @@ class TestValueMemo:
         phi_eval(E, RootOfUnity(5, 1))
         held = dict(euler.MEMO)
         for _ in range(2):
-            with pytest.raises(DomainError, match="outside the admissible domain"):
+            with pytest.raises(DomainError, match="^root of order 3 is outside the admissible domain$"):
                 phi_eval(E, RootOfUnity(3, 1))
-        assert euler.MEMO == held and len(calls) == 1
+        # the refusal is the factor data's, made again at each call
+        assert euler.MEMO == held and calls == [(E, RootOfUnity(5, 1))] + [(E, RootOfUnity(3, 1))] * 2
 
     def test_clear_memo_forgets_values(self, monkeypatch):
         calls = self.counted_factors(monkeypatch)
@@ -261,6 +268,26 @@ def test_values_against_direct_evaluation_mod_a_split_prime(omega, eta, N):
         r_u = pow(r, u, ell)
         at_r_u = sum(c * pow(r_u, i, ell) for i, c in enumerate(value.num)) * pow(value.den, -1, ell)
         assert at_r_u % ell == residue_oracle(E, eta, N, ell, r_u), u
+
+
+@pytest.mark.parametrize(
+    "omega", (BASIC, "1:2,3:-2", "1:3,2:-1,4:-2", BASIC + ",compose=5", BASIC + ",twist=15:1")
+)
+def test_values_equal_the_product_of_their_reference_factors(omega):
+    """phi_eval, which multiplies the factor data out in the group ring with
+    one reduction, equals the product of the factors as field elements, each
+    inverse in closed form, at two roots of each admissible order."""
+    E = parse_omega(omega)
+    etas = [
+        RootOfUnity(order, exp % order)
+        for order in (1, 3, 5, 7, 9, 15, 21, 25, 35)
+        for exp in (1, 2)
+        if E.admissible(RootOfUnity(order, 1 % order))
+    ]
+    assert len(etas) >= 3
+    for eta in etas:
+        data = euler._factor_data(E, eta, eta.order)
+        assert phi_eval(E, eta) == factor_product(get_field(eta.order), *data), eta
 
 
 # the systems the desk benchmark passes to the axioms command
@@ -339,6 +366,31 @@ class TestAxioms:
         assert rep.witness["lhs"] == product(embed_up(phi_eval(E, RootOfUnity(3, c)), 3) for c in range(3))
         assert check_E2(E, RootOfUnity(5, 1), 3).passed
         assert check_E2(E, RootOfUnity(3, 1), 3).passed  # eta^q = 1 branch
+
+    @pytest.mark.parametrize("omega", DESK_SYSTEMS + (BASIC + ",twist=15:1",))
+    def test_E2_lhs_is_the_product_of_the_translate_values(self, omega):
+        # E2 multiplies all q translates' factor data out in one pass in
+        # Q(zeta_lcm(q, ord eta)); each value formed alone and lifted agrees
+        E = parse_omega(omega)
+        for eta in (RootOfUnity(1, 0), RootOfUnity(3, 2), RootOfUnity(7, 3), RootOfUnity(9, 4)):
+            if not E.admissible(eta):
+                continue
+            for q in (3, 5, 7):
+                if q in E.effective_excluded:
+                    continue
+                N = math.lcm(q, eta.order, E.twist.order)
+                lhs = check_E2(E, eta, q).witness["lhs"]
+                assert lhs.field.m == N
+                assert lhs == product(embed_up(phi_eval(E, eta.times(RootOfUnity(q, c))), N) for c in range(q))
+
+    def test_E2_refusals_keep_their_messages(self):
+        with pytest.raises(DomainError, match="^root of order 3 is outside the admissible domain$"):
+            check_E2(parse_omega("1:2,3:-2"), RootOfUnity(3, 1), 5)
+        # a hand-built excluded set without 3: the translate of order 3 has
+        # y^(2a) = 1 for a = 3 while y != 1 and h' = 1
+        E = EulerSystem(OmegaSpec(((3, 2), (5, 1)), frozenset({2})), 7, RootOfUnity(7, 3))
+        with pytest.raises(DomainError, match="^zero factor: argument outside the admissible domain$"):
+            check_E2(E, RootOfUnity(1, 0), 3)
 
     def test_E2_excluded_prime_rejected(self):
         with pytest.raises(DomainError, match="excluded"):
